@@ -6,6 +6,10 @@ arithmetic, ``symbolic`` for symbolic-power and packing questions,
 containment scans, ``invariants`` for Hilbert/Betti data, ``groebner`` for
 polynomial experiments, and ``verify`` for the full acceptance suite.
 
+Every command is one row of ``COMMANDS``: handler, flags and caps-file
+keys.  ``main`` builds the parser from it and parses each input flag once,
+so handlers only compute and render.
+
 Exit codes: 0 when the command answered (even if the answer is "no"),
 1 when a verification subcommand found its claim false, 2 on usage or
 parse problems, 3 when a resource cap tripped.  ``--json`` reports carry
@@ -18,98 +22,37 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
-from .artinrees import ar_counterexample_search, artin_rees_number
-from .closure import (
-    briancon_skoda_check,
-    integral_closure,
-    newton_polyhedron,
-    uniform_bs_number,
-)
-from .errors import ParseError, ResourceCapError, RingMismatchError
-from .fields import QQ, PrimeField, parse_field
-from .groebner import (
-    MonomialOrder,
-    buchberger,
-    frobenius_containment_check,
-    kollar_bound,
-    kollar_family,
-    kollar_sharpness,
-    mather_index,
-    parse_polynomial,
-    radical_member,
-)
-from .invariants import (
-    dimension_multiplicity,
-    graded_betti,
-    hilbert_function,
-    hilbert_polynomial,
-    hilbert_series,
-    is_cohen_macaulay,
-)
+from . import artinrees, closure, groebner, invariants, symbolic
+from .errors import ParseError, ResourceCapError
+from .fields import PrimeField, parse_field
 from .monomials import parse_ideal, parse_monomial, parse_ring
-from .symbolic import (
-    Graph,
-    codim,
-    edge_ideal,
-    is_bipartite,
-    is_packed,
-    parse_graph,
-    symbolic_equals_ordinary,
-    symbolic_power,
-    verify_edge_theorem,
-)
 
 
-def _ring_of(args):
-    return parse_ring(args.ring)
+def _load_caps(path, keys):
+    """The caps file's values for ``keys``, as keyword arguments.
 
-
-def _ideal_of(args, ring, text=None):
-    return parse_ideal(ring, args.ideal if text is None else text)
-
-
-def _field_of(args):
-    return parse_field(getattr(args, "field", "q") or "q")
-
-
-def _order_of(args, ring):
-    kind = getattr(args, "order", "grevlex") or "grevlex"
-    if kind == "lex":
-        return MonomialOrder.lex(ring)
-    if kind == "grevlex":
-        return MonomialOrder.grevlex(ring)
-    raise ParseError(f"unknown order {kind!r}; expected lex or grevlex")
-
-
-def _load_caps(args):
-    if not getattr(args, "caps", None):
+    The file is opened only when the command reads some key.
+    """
+    if not keys or not path:
         return {}
-    with open(args.caps, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"caps file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("caps file must hold a JSON object")
-    return data
+    return {key: int(data[key]) for key in keys if key in data}
 
 
-def _groebner_caps(caps):
-    out = {}
-    if "max_basis" in caps:
-        out["max_basis"] = int(caps["max_basis"])
-    if "max_degree" in caps:
-        out["max_degree"] = int(caps["max_degree"])
-    return out
-
-
-def _polys_of(args, ring, field, order, text=None):
-    source = args.polys if text is None else text
-    parts = [p.strip() for p in source.split(";")]
+def _polys_of(args):
+    parts = [p.strip() for p in args.polys.split(";")]
     if not any(parts):
         raise ParseError("empty polynomial list")
-    return [parse_polynomial(ring, p, field, order) for p in parts if p]
+    return [groebner.parse_polynomial(args.ring, p, args.field, args.order)
+            for p in parts if p]
 
 
 def _graph_of(args):
@@ -119,13 +62,11 @@ def _graph_of(args):
         else:
             with open(args.graph, encoding="utf-8") as fh:
                 text = fh.read()
-        return parse_graph(text)
-    if args.cycle:
-        return Graph.cycle(args.cycle)
-    if args.path:
-        return Graph.path(args.path)
-    if args.complete:
-        return Graph.complete(args.complete)
+        return symbolic.parse_graph(text)
+    for shape in ("cycle", "path", "complete"):  # flags named after Graph constructors
+        size = getattr(args, shape)
+        if size:
+            return getattr(symbolic.Graph, shape)(size)
     sizes = args.complete_bipartite
     try:
         a, b = (int(part) for part in sizes.split(","))
@@ -133,7 +74,33 @@ def _graph_of(args):
         raise ParseError(
             f"expected two comma-separated sizes, got {sizes!r}"
         ) from None
-    return Graph.complete_bipartite(a, b)
+    return symbolic.Graph.complete_bipartite(a, b)
+
+
+# input flags in parse order: (flag, attribute set, parser of the namespace)
+_INPUTS = (
+    ("ring", "ring", lambda a: parse_ring(a.ring)),
+    ("ideal", "ideal", lambda a: parse_ideal(a.ring, a.ideal)),
+    ("other", "other", lambda a: parse_ideal(a.ring, a.other)),
+    ("sub", "sub", lambda a: parse_ideal(a.ring, a.sub)),
+    ("monomial", "monomial", lambda a: parse_monomial(a.ring, a.monomial)),
+    ("field", "field", lambda a: parse_field(a.field or "q")),
+    ("p", "field", lambda a: PrimeField(a.p)),
+    ("order", "order", lambda a: getattr(groebner.MonomialOrder, a.order)(a.ring)),
+    ("polys", "polys", _polys_of),
+    ("f", "f", lambda a: groebner.parse_polynomial(a.ring, a.f, a.field, a.order)),
+    ("graph", "graph", _graph_of),
+)
+
+
+def _parse_inputs(args):
+    """Replace each input flag's text by the object it names, and the caps
+    file name by the caps the command reads."""
+    flags = {flag for flag, _ in args.command.flags}
+    for flag, attr, parse in _INPUTS:
+        if flag in flags:
+            setattr(args, attr, parse(args))
+    args.caps = _load_caps(args.caps, args.command.caps)
 
 
 def _ideal_payload(ideal):
@@ -146,63 +113,35 @@ def _ideal_payload(ideal):
 # ---------------------------------------------------------------- ideal ---
 
 
-def _cmd_ideal_unary(args):
-    ring = _ring_of(args)
-    ideal = _ideal_of(args, ring)
-    result = {
-        "minimalize": lambda: ideal,
-        "gens": lambda: ideal,
-        "radical": lambda: ideal.radical(),
-    }[args.op]()
-    return 0, _ideal_payload(result), [str(result)]
+def _ideal_op(op):
+    """Handler for an ideal command whose answer is the ideal ``op(args)``."""
+
+    def handler(args):
+        result = op(args)
+        return 0, _ideal_payload(result), [str(result)]
+
+    return handler
+
+
+def _minor(args):
+    zeros = [v for v in args.zeros.split(",") if v]
+    ones = [v for v in args.ones.split(",") if v]
+    return args.ideal.minor(zeros, ones)
 
 
 def _cmd_ideal_contains(args):
-    ring = _ring_of(args)
-    ideal = _ideal_of(args, ring)
-    monomial = parse_monomial(ring, args.monomial)
-    inside = ideal.contains(monomial)
-    payload = {"monomial": str(monomial), "contains": inside}
+    inside = args.ideal.contains(args.monomial)
+    payload = {"monomial": str(args.monomial), "contains": inside}
     return 0, payload, ["yes" if inside else "no"]
-
-
-def _cmd_ideal_binary(args):
-    ring = _ring_of(args)
-    left = _ideal_of(args, ring)
-    right = parse_ideal(ring, args.other)
-    result = left * right if args.op == "product" else left & right
-    return 0, _ideal_payload(result), [str(result)]
-
-
-def _cmd_ideal_power(args):
-    ring = _ring_of(args)
-    result = _ideal_of(args, ring).power(args.k)
-    return 0, _ideal_payload(result), [str(result)]
-
-
-def _cmd_ideal_colon(args):
-    ring = _ring_of(args)
-    result = _ideal_of(args, ring).colon(parse_monomial(ring, args.monomial))
-    return 0, _ideal_payload(result), [str(result)]
-
-
-def _cmd_ideal_minor(args):
-    ring = _ring_of(args)
-    zeros = [v for v in (args.zeros or "").split(",") if v]
-    ones = [v for v in (args.ones or "").split(",") if v]
-    result = _ideal_of(args, ring).minor(zeros, ones)
-    return 0, _ideal_payload(result), [str(result)]
 
 
 # ------------------------------------------------------------- symbolic ---
 
 
 def _cmd_symbolic_compare(args):
-    ring = _ring_of(args)
-    ideal = _ideal_of(args, ring)
-    sym = symbolic_power(ideal, args.k)
-    ordinary = ideal.power(args.k)
-    equal, witness = symbolic_equals_ordinary(ideal, args.k)
+    sym = symbolic.symbolic_power(args.ideal, args.k)
+    ordinary = args.ideal.power(args.k)
+    equal, witness = symbolic._power_witness(sym, ordinary)
     payload = {
         "k": args.k,
         "equal": equal,
@@ -218,19 +157,17 @@ def _cmd_symbolic_compare(args):
 
 
 def _cmd_symbolic_packed(args):
-    ring = _ring_of(args)
-    ok, failure = is_packed(_ideal_of(args, ring))
+    ok, failure = symbolic.is_packed(args.ideal)
     payload = {"packed": ok, "failure": None if failure is None else str(failure)}
     return 0, payload, ["packed" if ok else f"not packed: {failure}"]
 
 
 def _cmd_symbolic_edge(args):
-    graph = _graph_of(args)
-    ideal = edge_ideal(graph)
-    bip, data = is_bipartite(graph)
+    ideal = symbolic.edge_ideal(args.graph)
+    bip, data = symbolic.is_bipartite(args.graph)
     payload = {
-        "vertices": graph.vertex_count,
-        "edges": [[u + 1, v + 1] for u, v in graph.edges],
+        "vertices": args.graph.vertex_count,
+        "edges": [[u + 1, v + 1] for u, v in args.graph.edges],
         "bipartite": bip,
         "odd_cycle": None if bip else [v + 1 for v in data],
         **_ideal_payload(ideal),
@@ -240,8 +177,7 @@ def _cmd_symbolic_edge(args):
 
 
 def _cmd_symbolic_theorem(args):
-    graph = _graph_of(args)
-    report = verify_edge_theorem(graph, args.kmax)
+    report = symbolic.verify_edge_theorem(args.graph, args.kmax)
     payload = report.to_json()
     lines = [
         f"bipartite: {report.bipartite}",
@@ -257,23 +193,19 @@ def _cmd_symbolic_theorem(args):
 
 
 def _cmd_closure_closure(args):
-    ring = _ring_of(args)
-    ideal = _ideal_of(args, ring)
-    closed = integral_closure(ideal)
-    poly = newton_polyhedron(ideal)
+    closed = closure.integral_closure(args.ideal)
+    poly = closure.newton_polyhedron(args.ideal)
     payload = {
         **_ideal_payload(closed),
         "facets": [[list(c), b] for c, b in poly.facets],
-        "already_closed": closed == ideal,
+        "already_closed": closed == args.ideal,
     }
     return 0, payload, [str(closed)]
 
 
 def _cmd_closure_bs(args):
-    ring = _ring_of(args)
-    ideal = _ideal_of(args, ring)
-    ell = args.ell if args.ell is not None else len(ideal.generators)
-    check = briancon_skoda_check(ideal, ell, args.nmax)
+    ell = args.ell if args.ell is not None else len(args.ideal.generators)
+    check = closure.briancon_skoda_check(args.ideal, ell, args.nmax)
     payload = check.to_json()
     if check.ok:
         lines = [f"holds: closure(I^n) within I^(n-{ell}+1) for n <= {args.nmax}"]
@@ -284,8 +216,7 @@ def _cmd_closure_bs(args):
 
 
 def _cmd_closure_uniform_bs(args):
-    ring = _ring_of(args)
-    k = uniform_bs_number(_ideal_of(args, ring), args.nmax)
+    k = closure.uniform_bs_number(args.ideal, args.nmax)
     payload = {"k": k, "n_max": args.nmax}
     return 0, payload, [f"least uniform shift k = {k} for n <= {args.nmax}"]
 
@@ -294,10 +225,7 @@ def _cmd_closure_uniform_bs(args):
 
 
 def _cmd_artinrees_number(args):
-    ring = _ring_of(args)
-    ideal = _ideal_of(args, ring)
-    sub = parse_ideal(ring, args.sub)
-    report = artin_rees_number(ideal, sub, args.nmax)
+    report = artinrees.artin_rees_number(args.ideal, args.sub, args.nmax)
     payload = report.to_json()
     lines = [
         f"least k per n: {list(report.least_k)}",
@@ -313,7 +241,7 @@ def _cmd_artinrees_exercise4(args):
     ring = parse_ring("x,y")
     big = parse_ideal(ring, f"x^{args.n}, y^{args.n}, x^{args.n - 1}*y")
     sub = parse_ideal(ring, f"x^{args.n}, y^{args.n}")
-    hit = ar_counterexample_search(big, sub, args.k, lmax)
+    hit = artinrees.ar_counterexample_search(big, sub, args.k, lmax)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -336,20 +264,19 @@ def _cmd_artinrees_exercise4(args):
 
 
 def _cmd_invariants_hilbert(args):
-    ring = _ring_of(args)
-    ideal = _ideal_of(args, ring)
-    series = hilbert_series(ideal)
-    poly = hilbert_polynomial(ideal)
+    poly = invariants.hilbert_polynomial(args.ideal)
+    # the polynomial carries the series numerator, so the series is not rerun
+    series = invariants.HilbertSeries(args.ring, poly.numerator)
     payload = {
         "numerator": list(series.numerator),
-        "denominator_power": ring.n,
+        "denominator_power": args.ring.n,
         "series": str(series),
         "polynomial": str(poly),
         "stable_from": poly.stability,
     }
     lines = [f"series: {series}", f"polynomial: {poly} for d >= {poly.stability}"]
     if args.degree is not None:
-        value = hilbert_function(ideal, args.degree)
+        value = invariants.hilbert_function(args.ideal, args.degree)
         payload["degree"] = args.degree
         payload["value"] = value
         lines.append(f"h({args.degree}) = {value}")
@@ -357,18 +284,12 @@ def _cmd_invariants_hilbert(args):
 
 
 def _cmd_invariants_betti(args):
-    ring = _ring_of(args)
-    caps = _load_caps(args)
-    kwargs = {}
-    if "max_generators" in caps:
-        kwargs["max_generators"] = int(caps["max_generators"])
-    table = graded_betti(_ideal_of(args, ring), _field_of(args), **kwargs)
+    table = invariants.graded_betti(args.ideal, args.field, **args.caps)
     return 0, table.to_json(), [table.render()]
 
 
 def _cmd_invariants_pd_reg(args):
-    ring = _ring_of(args)
-    table = graded_betti(_ideal_of(args, ring), _field_of(args))
+    table = invariants.graded_betti(args.ideal, args.field, **args.caps)
     payload = {
         "proj_dim": table.proj_dim(),
         "regularity": table.regularity(),
@@ -379,18 +300,14 @@ def _cmd_invariants_pd_reg(args):
 
 
 def _cmd_invariants_mult(args):
-    ring = _ring_of(args)
-    dim, mult = dimension_multiplicity(_ideal_of(args, ring))
+    dim, mult = invariants.dimension_multiplicity(args.ideal)
     payload = {"dimension": dim, "multiplicity": mult}
     return 0, payload, [f"dimension {dim}, multiplicity {mult}"]
 
 
 def _cmd_invariants_cm(args):
-    ring = _ring_of(args)
-    ideal = _ideal_of(args, ring)
-    field = _field_of(args)
-    table = graded_betti(ideal, field)
-    c = codim(ideal)
+    table = invariants.graded_betti(args.ideal, args.field, **args.caps)
+    c = symbolic.codim(args.ideal)
     cm = c == table.proj_dim()
     payload = {
         "cohen_macaulay": cm,
@@ -409,62 +326,39 @@ def _cmd_invariants_cm(args):
 
 
 def _cmd_groebner_gb(args):
-    ring = _ring_of(args)
-    field = _field_of(args)
-    order = _order_of(args, ring)
-    polys = _polys_of(args, ring, field, order)
-    gb = buchberger(polys, order, **_groebner_caps(_load_caps(args)))
+    gb = groebner.buchberger(args.polys, args.order, **args.caps)
     payload = {
         "basis": [str(p) for p in gb.polys],
-        "order": str(order),
-        "field": field.label,
+        "order": str(args.order),
+        "field": args.field.label,
         "certified": gb.certified,
     }
     return 0, payload, [str(p) for p in gb.polys] or ["(zero ideal)"]
 
 
 def _cmd_groebner_member(args):
-    ring = _ring_of(args)
-    field = _field_of(args)
-    order = _order_of(args, ring)
-    polys = _polys_of(args, ring, field, order)
-    f = parse_polynomial(ring, args.f, field, order)
-    gb = buchberger(polys, order, **_groebner_caps(_load_caps(args)))
-    remainder = gb.normal_form(f)
+    gb = groebner.buchberger(args.polys, args.order, **args.caps)
+    remainder = gb.normal_form(args.f)
     payload = {"member": remainder.is_zero, "remainder": str(remainder)}
     lines = ["member" if remainder.is_zero else f"not a member; remainder {remainder}"]
     return 0, payload, lines
 
 
 def _cmd_groebner_radical(args):
-    ring = _ring_of(args)
-    field = _field_of(args)
-    order = _order_of(args, ring)
-    polys = _polys_of(args, ring, field, order)
-    f = parse_polynomial(ring, args.f, field, order)
-    inside = radical_member(f, polys, **_groebner_caps(_load_caps(args)))
+    inside = groebner.radical_member(args.f, args.polys, **args.caps)
     payload = {"member": inside}
     return 0, payload, ["in the radical" if inside else "not in the radical"]
 
 
 def _cmd_groebner_mather(args):
-    ring = _ring_of(args)
-    field = _field_of(args)
-    order = _order_of(args, ring)
-    f = parse_polynomial(ring, args.f, field, order)
-    report = mather_index(f, args.nmax)
+    report = groebner.mather_index(args.f, args.nmax)
     payload = report.to_json()
     if report.index is None:
-        lines = [f"no power f^N with N <= {args.nmax or ring.n + 2} found in J(f)"]
+        searched = args.nmax if args.nmax is not None else args.ring.n + 2
+        lines = [f"no power f^N with N <= {searched} found in J(f)"]
     else:
-        lines = [
-            f"f^{report.index} in J(f); "
-            + (
-                "within the uniform bound"
-                if report.within_uniform_bound
-                else "outside the uniform bound"
-            )
-        ]
+        side = "within" if report.within_uniform_bound else "outside"
+        lines = [f"f^{report.index} in J(f); {side} the uniform bound"]
     return 0, payload, lines
 
 
@@ -476,7 +370,7 @@ def _cmd_groebner_kollar(args):
             degrees = [int(part) for part in args.degrees.split(",")]
         except ValueError:
             raise ParseError(f"bad degree list {args.degrees!r}") from None
-        report = kollar_bound(degrees, args.nvars)
+        report = groebner.kollar_bound(degrees, args.nvars)
         payload = report.to_json()
         lines = [
             f"bound D = {report.bound} (q = {report.q})"
@@ -485,8 +379,8 @@ def _cmd_groebner_kollar(args):
         return 0, payload, lines
     if args.n is None or args.d is None:
         raise ValueError("need either --degrees or both --n and --d")
-    report = kollar_sharpness(args.n, args.d, args.dmax)
-    family = kollar_family(args.n, args.d)
+    report = groebner.kollar_sharpness(args.n, args.d, args.dmax)
+    family = groebner.kollar_family(args.n, args.d)
     payload = report.to_json()
     payload["family"] = [str(p) for p in family]
     if report.found is None:
@@ -500,15 +394,9 @@ def _cmd_groebner_kollar(args):
 
 
 def _cmd_groebner_frobenius(args):
-    ring = _ring_of(args)
-    field = PrimeField(args.p)
-    order = _order_of(args, ring)
-    polys = _polys_of(args, ring, field, order)
-    caps = _load_caps(args)
-    kwargs = {}
-    if "max_products" in caps:
-        kwargs["max_products"] = int(caps["max_products"])
-    check = frobenius_containment_check(polys, len(polys), args.p, args.e, **kwargs)
+    check = groebner.frobenius_containment_check(
+        args.polys, len(args.polys), args.p, args.e, **args.caps
+    )
     payload = check.to_json()
     if check.contained:
         lines = [
@@ -546,20 +434,38 @@ def _cmd_verify(args):
     return (0 if all_passed else 1), payload, lines
 
 
-# ----------------------------------------------------------------- main ---
+# -------------------------------------------------------- command table ---
 
-
-def _common_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, help="seed for randomized corpora")
-    common.add_argument("--caps", metavar="FILE", help="JSON file with resource caps")
-    return common
-
-
-def _add_ring_ideal(parser):
-    parser.add_argument("--ring", required=True, help="variables, e.g. x,y,z")
-    parser.add_argument("--ideal", required=True, help='monomials, e.g. "x^2*y, z"')
+# add_argument keywords of every flag a command may take; "graph" stands for
+# the mutually exclusive graph sources
+_FLAGS = {
+    "ring": {"required": True, "help": "variables, e.g. x,y,z"},
+    "ideal": {"required": True, "help": 'monomials, e.g. "x^2*y, z"'},
+    "monomial": {"required": True},
+    "other": {"required": True, "help": "second ideal"},
+    "sub": {"required": True, "help": "submodule ideal"},
+    "k": {"type": int, "required": True},
+    "zeros": {"default": "", "help": "variables set to 0"},
+    "ones": {"default": "", "help": "variables set to 1"},
+    "kmax": {"type": int, "default": 3},
+    "ell": {"type": int, "help": "defaults to the generator count"},
+    "nmax": {"type": int},
+    "n": {"type": int, "required": True},
+    "lmax": {"type": int, "help": "defaults to 2n"},
+    "degree": {"type": int, "help": "also evaluate h at this degree"},
+    "field": {"default": "q", "help": "q or fp:<prime>"},
+    "polys": {"required": True, "help": "semicolon-separated polynomials"},
+    "order": {"default": "grevlex", "choices": ("lex", "grevlex")},
+    "f": {"required": True, "help": "polynomial to test"},
+    "d": {"type": int, "help": "degree for the sharpness family"},
+    "dmax": {"type": int},
+    "degrees": {"help": "comma-separated degrees for the bound"},
+    "nvars": {"type": int, "help": "variable count for the bound"},
+    "p": {"type": int, "required": True},
+    "e": {"type": int, "required": True},
+    "graph": {},
+}
+_BARE = {"help": None}
 
 
 def _add_graph_source(parser):
@@ -571,147 +477,110 @@ def _add_graph_source(parser):
     group.add_argument("--complete-bipartite", metavar="A,B")
 
 
+class Command(NamedTuple):
+    """One CLI command; ``name`` is None for a group that is itself a command."""
+
+    group: str
+    name: str | None
+    handler: Callable
+    flags: tuple  # (flag, add_argument keywords), in parser order
+    caps: tuple  # caps-file keys passed to the handler as keyword arguments
+
+
+def _command(group, name, handler, flags="", caps="", **overrides):
+    """A table row from space-separated flag and caps-key names; ``overrides``
+    maps a flag to keywords that replace its shared ones for this row."""
+    specs = tuple((f, {**_FLAGS[f], **overrides.get(f, {})}) for f in flags.split())
+    return Command(group, name, handler, specs, tuple(caps.split()))
+
+
+_GB_CAPS = "max_basis max_degree"
+
+COMMANDS = (
+    _command("ideal", "minimalize", _ideal_op(lambda a: a.ideal), "ring ideal"),
+    _command("ideal", "gens", _ideal_op(lambda a: a.ideal), "ring ideal"),
+    _command("ideal", "radical", _ideal_op(lambda a: a.ideal.radical()), "ring ideal"),
+    _command("ideal", "contains", _cmd_ideal_contains, "ring ideal monomial"),
+    _command("ideal", "product", _ideal_op(lambda a: a.ideal * a.other),
+             "ring ideal other"),
+    _command("ideal", "intersect", _ideal_op(lambda a: a.ideal & a.other),
+             "ring ideal other"),
+    _command("ideal", "power", _ideal_op(lambda a: a.ideal.power(a.k)), "ring ideal k"),
+    _command("ideal", "colon", _ideal_op(lambda a: a.ideal.colon(a.monomial)),
+             "ring ideal monomial"),
+    _command("ideal", "minor", _ideal_op(_minor), "ring ideal zeros ones"),
+    _command("symbolic", "compare", _cmd_symbolic_compare, "ring ideal k"),
+    _command("symbolic", "packed", _cmd_symbolic_packed, "ring ideal"),
+    _command("symbolic", "edge", _cmd_symbolic_edge, "graph"),
+    _command("symbolic", "theorem", _cmd_symbolic_theorem, "graph kmax"),
+    _command("closure", "closure", _cmd_closure_closure, "ring ideal"),
+    _command("closure", "bs", _cmd_closure_bs, "ring ideal ell nmax",
+             nmax={"default": 5}),
+    _command("closure", "uniform-bs", _cmd_closure_uniform_bs, "ring ideal nmax",
+             nmax={"default": 5}),
+    _command("artinrees", "number", _cmd_artinrees_number, "ring ideal sub nmax",
+             nmax={"default": 6}),
+    _command("artinrees", "exercise4", _cmd_artinrees_exercise4, "n k lmax"),
+    _command("invariants", "hilbert", _cmd_invariants_hilbert, "ring ideal degree"),
+    _command("invariants", "betti", _cmd_invariants_betti, "ring ideal field",
+             "max_generators"),
+    _command("invariants", "pd-reg", _cmd_invariants_pd_reg, "ring ideal field",
+             "max_generators"),
+    _command("invariants", "cm", _cmd_invariants_cm, "ring ideal field",
+             "max_generators"),
+    _command("invariants", "mult", _cmd_invariants_mult, "ring ideal"),
+    _command("groebner", "gb", _cmd_groebner_gb, "ring polys field order", _GB_CAPS,
+             ring=_BARE, field=_BARE),
+    _command("groebner", "member", _cmd_groebner_member, "ring polys field order f",
+             _GB_CAPS, ring=_BARE, field=_BARE),
+    _command("groebner", "radical", _cmd_groebner_radical, "ring polys field order f",
+             _GB_CAPS, ring=_BARE, field=_BARE),
+    _command("groebner", "mather", _cmd_groebner_mather, "ring f field order nmax",
+             ring=_BARE, f=_BARE, field=_BARE),
+    _command("groebner", "kollar", _cmd_groebner_kollar, "n d dmax degrees nvars",
+             n={"required": False, "help": "variables for the sharpness family"}),
+    _command("groebner", "frobenius", _cmd_groebner_frobenius, "ring polys p e order",
+             "max_products", ring=_BARE, polys=_BARE),
+    _command("verify", None, _cmd_verify),
+)
+
+_GROUPS = {
+    "ideal": "monomial ideal arithmetic",
+    "symbolic": "symbolic powers and packing",
+    "closure": "integral closure and containments",
+    "artinrees": "Artin-Rees containment scans",
+    "invariants": "Hilbert and Betti data",
+    "groebner": "polynomial ideal experiments",
+    "verify": "run the acceptance suite",
+}
+
+
 def build_parser():
-    common = _common_parser()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    common.add_argument("--seed", type=int, help="seed for randomized corpora")
+    common.add_argument("--caps", metavar="FILE", help="JSON file with resource caps")
     parser = argparse.ArgumentParser(
         prog="idealkit",
         description="exact computations on monomial and small polynomial ideals",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    ideal = groups.add_parser("ideal", help="monomial ideal arithmetic")
-    ideal_sub = ideal.add_subparsers(dest="sub", required=True)
-    for op in ("minimalize", "gens", "radical"):
-        p = ideal_sub.add_parser(op, parents=[common])
-        _add_ring_ideal(p)
-        p.set_defaults(handler=_cmd_ideal_unary, op=op)
-    p = ideal_sub.add_parser("contains", parents=[common])
-    _add_ring_ideal(p)
-    p.add_argument("--monomial", required=True)
-    p.set_defaults(handler=_cmd_ideal_contains)
-    for op in ("product", "intersect"):
-        p = ideal_sub.add_parser(op, parents=[common])
-        _add_ring_ideal(p)
-        p.add_argument("--other", required=True, help="second ideal")
-        p.set_defaults(handler=_cmd_ideal_binary, op=op)
-    p = ideal_sub.add_parser("power", parents=[common])
-    _add_ring_ideal(p)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_ideal_power)
-    p = ideal_sub.add_parser("colon", parents=[common])
-    _add_ring_ideal(p)
-    p.add_argument("--monomial", required=True)
-    p.set_defaults(handler=_cmd_ideal_colon)
-    p = ideal_sub.add_parser("minor", parents=[common])
-    _add_ring_ideal(p)
-    p.add_argument("--zeros", default="", help="variables set to 0")
-    p.add_argument("--ones", default="", help="variables set to 1")
-    p.set_defaults(handler=_cmd_ideal_minor)
-
-    symbolic = groups.add_parser("symbolic", help="symbolic powers and packing")
-    symbolic_sub = symbolic.add_subparsers(dest="sub", required=True)
-    p = symbolic_sub.add_parser("compare", parents=[common])
-    _add_ring_ideal(p)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_symbolic_compare)
-    p = symbolic_sub.add_parser("packed", parents=[common])
-    _add_ring_ideal(p)
-    p.set_defaults(handler=_cmd_symbolic_packed)
-    p = symbolic_sub.add_parser("edge", parents=[common])
-    _add_graph_source(p)
-    p.set_defaults(handler=_cmd_symbolic_edge)
-    p = symbolic_sub.add_parser("theorem", parents=[common])
-    _add_graph_source(p)
-    p.add_argument("--kmax", type=int, default=3)
-    p.set_defaults(handler=_cmd_symbolic_theorem)
-
-    closure = groups.add_parser("closure", help="integral closure and containments")
-    closure_sub = closure.add_subparsers(dest="sub", required=True)
-    p = closure_sub.add_parser("closure", parents=[common])
-    _add_ring_ideal(p)
-    p.set_defaults(handler=_cmd_closure_closure)
-    p = closure_sub.add_parser("bs", parents=[common])
-    _add_ring_ideal(p)
-    p.add_argument("--ell", type=int, help="defaults to the generator count")
-    p.add_argument("--nmax", type=int, default=5)
-    p.set_defaults(handler=_cmd_closure_bs)
-    p = closure_sub.add_parser("uniform-bs", parents=[common])
-    _add_ring_ideal(p)
-    p.add_argument("--nmax", type=int, default=5)
-    p.set_defaults(handler=_cmd_closure_uniform_bs)
-
-    artinrees = groups.add_parser("artinrees", help="Artin-Rees containment scans")
-    artinrees_sub = artinrees.add_subparsers(dest="sub", required=True)
-    p = artinrees_sub.add_parser("number", parents=[common])
-    _add_ring_ideal(p)
-    p.add_argument("--sub", required=True, help="submodule ideal")
-    p.add_argument("--nmax", type=int, default=6)
-    p.set_defaults(handler=_cmd_artinrees_number)
-    p = artinrees_sub.add_parser("exercise4", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lmax", type=int, help="defaults to 2n")
-    p.set_defaults(handler=_cmd_artinrees_exercise4)
-
-    invariants = groups.add_parser("invariants", help="Hilbert and Betti data")
-    invariants_sub = invariants.add_subparsers(dest="sub", required=True)
-    p = invariants_sub.add_parser("hilbert", parents=[common])
-    _add_ring_ideal(p)
-    p.add_argument("--degree", type=int, help="also evaluate h at this degree")
-    p.set_defaults(handler=_cmd_invariants_hilbert)
-    for name, handler in (
-        ("betti", _cmd_invariants_betti),
-        ("pd-reg", _cmd_invariants_pd_reg),
-        ("cm", _cmd_invariants_cm),
-    ):
-        p = invariants_sub.add_parser(name, parents=[common])
-        _add_ring_ideal(p)
-        p.add_argument("--field", default="q", help="q or fp:<prime>")
-        p.set_defaults(handler=handler)
-    p = invariants_sub.add_parser("mult", parents=[common])
-    _add_ring_ideal(p)
-    p.set_defaults(handler=_cmd_invariants_mult)
-
-    groebner = groups.add_parser("groebner", help="polynomial ideal experiments")
-    groebner_sub = groebner.add_subparsers(dest="sub", required=True)
-    for name, handler, needs_f in (
-        ("gb", _cmd_groebner_gb, False),
-        ("member", _cmd_groebner_member, True),
-        ("radical", _cmd_groebner_radical, True),
-    ):
-        p = groebner_sub.add_parser(name, parents=[common])
-        p.add_argument("--ring", required=True)
-        p.add_argument("--polys", required=True, help="semicolon-separated polynomials")
-        p.add_argument("--field", default="q")
-        p.add_argument("--order", default="grevlex", choices=("lex", "grevlex"))
-        if needs_f:
-            p.add_argument("--f", required=True, help="polynomial to test")
-        p.set_defaults(handler=handler)
-    p = groebner_sub.add_parser("mather", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--field", default="q")
-    p.add_argument("--order", default="grevlex", choices=("lex", "grevlex"))
-    p.add_argument("--nmax", type=int)
-    p.set_defaults(handler=_cmd_groebner_mather)
-    p = groebner_sub.add_parser("kollar", parents=[common])
-    p.add_argument("--n", type=int, help="variables for the sharpness family")
-    p.add_argument("--d", type=int, help="degree for the sharpness family")
-    p.add_argument("--dmax", type=int)
-    p.add_argument("--degrees", help="comma-separated degrees for the bound")
-    p.add_argument("--nvars", type=int, help="variable count for the bound")
-    p.set_defaults(handler=_cmd_groebner_kollar)
-    p = groebner_sub.add_parser("frobenius", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--polys", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--order", default="grevlex", choices=("lex", "grevlex"))
-    p.set_defaults(handler=_cmd_groebner_frobenius)
-
-    p = groups.add_parser("verify", parents=[common], help="run the acceptance suite")
-    p.set_defaults(handler=_cmd_verify)
-
+    subs = {}
+    for command in COMMANDS:
+        summary = _GROUPS[command.group]
+        if command.name is None:
+            p = groups.add_parser(command.group, parents=[common], help=summary)
+        else:
+            if command.group not in subs:
+                group = groups.add_parser(command.group, help=summary)
+                subs[command.group] = group.add_subparsers(dest="sub", required=True)
+            p = subs[command.group].add_parser(command.name, parents=[common])
+        for flag, kwargs in command.flags:
+            if flag == "graph":
+                _add_graph_source(p)
+            else:
+                p.add_argument(f"--{flag}", **kwargs)
+        p.set_defaults(command=command)
     return parser
 
 
@@ -722,14 +591,12 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        code, payload, lines = args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _parse_inputs(args)
+        code, payload, lines = args.command.handler(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (RingMismatchError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, RingMismatchError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -31,7 +31,7 @@ from math import comb, prod
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 from .fields import QQ
-from .monomials import _NAME_RE, Ring
+from .monomials import _NAME_RE, Ring, _compositions, _divides_row, _monomial_text
 
 DEFAULT_BASIS_CAP = 5000
 DEFAULT_DEGREE_CAP = 60
@@ -256,15 +256,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms)))
 
-    def _monomial_str(self, exps):
-        parts = []
-        for name, e in zip(self.ring.variables, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -273,7 +264,7 @@ class Polynomial:
         for exps, coeff in self.terms:
             negative = rational and coeff < 0
             mag = -coeff if negative else coeff
-            mono = self._monomial_str(exps)
+            mono = _monomial_text(self.ring.variables, exps)
             if not mono:
                 body = str(mag)
             elif mag == self.field.one:
@@ -397,11 +388,6 @@ def _exps_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _divisible(a, b):
-    """Does monomial b divide monomial a?"""
-    return all(x >= y for x, y in zip(a, b))
-
-
 def _reduce_full(f, basis):
     """Full normal form of f against a list of polynomials.
 
@@ -417,7 +403,7 @@ def _reduce_full(f, basis):
         coeff = work.pop(exps)
         reducer = None
         for g in basis:
-            if _divisible(exps, g.terms[0][0]):
+            if _divides_row(g.terms[0][0], exps):
                 reducer = g
                 break
         if reducer is None:
@@ -561,7 +547,7 @@ def _interreduce(basis):
             if i == j:
                 continue
             lmq = q.terms[0][0]
-            if _divisible(lm, lmq) and (lmq != lm or j < i):
+            if _divides_row(lmq, lm) and (lmq != lm or j < i):
                 dominated = True
                 break
         if not dominated:
@@ -610,7 +596,24 @@ def radical_member(f, gens, *, max_basis=DEFAULT_BASIS_CAP, max_degree=DEFAULT_D
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return f.is_zero
-    ring, field = f.ring, f.field
+    lift, y, one = _fresh_variable_lift(f.ring, f.field)
+    hook = one - y * lift(f)
+    gb = buchberger(
+        [lift(g) for g in gens] + [hook],
+        y.order,
+        max_basis=max_basis,
+        max_degree=max_degree,
+        certify=False,
+    )
+    return gb.is_unit_ideal()
+
+
+def _fresh_variable_lift(ring, field):
+    """Lift into ``ring`` plus one fresh last variable, lex with it first.
+
+    Returns the lift map, the fresh variable and the constant 1, all over
+    ``field`` in the extended ring.
+    """
     fresh = "_t"
     counter = 0
     while fresh in ring.variables:
@@ -622,16 +625,8 @@ def radical_member(f, gens, *, max_basis=DEFAULT_BASIS_CAP, max_degree=DEFAULT_D
     def lift(p):
         return Polynomial(big, field, order, {e + (0,): c for e, c in p.terms})
 
-    y = Polynomial.variable(big, field, order, ring.n)
-    hook = Polynomial.constant(big, field, order, 1) - y * lift(f)
-    gb = buchberger(
-        [lift(g) for g in gens] + [hook],
-        order,
-        max_basis=max_basis,
-        max_degree=max_degree,
-        certify=False,
-    )
-    return gb.is_unit_ideal()
+    t = Polynomial.variable(big, field, order, ring.n)
+    return lift, t, Polynomial.constant(big, field, order, 1)
 
 
 def power_membership_index(f, gens, n_max):
@@ -657,7 +652,7 @@ def _exact_quotient(h, g):
     rest = dict(h.terms)
     while rest:
         lm = max(rest, key=order.key)
-        if not _divisible(lm, glm):
+        if not _divides_row(glm, lm):
             raise ValueError("quotient is not exact")
         shift = tuple(a - b for a, b in zip(lm, glm))
         coeff = field.div(rest[lm], glc)
@@ -677,23 +672,11 @@ def _intersection_basis(gens_a, gens_b, *, max_basis, max_degree):
     # from t*gens_a + (1-t)*gens_b; lex with t most significant eliminates
     sample = gens_a[0]
     ring, field = sample.ring, sample.field
-    fresh = "_t"
-    counter = 0
-    while fresh in ring.variables:
-        fresh = f"_t{counter}"
-        counter += 1
-    big = Ring(ring.variables + (fresh,))
-    order = MonomialOrder.lex(big, permutation=(ring.n,) + tuple(range(ring.n)))
-
-    def lift(p):
-        return Polynomial(big, field, order, {e + (0,): c for e, c in p.terms})
-
-    t = Polynomial.variable(big, field, order, ring.n)
-    one = Polynomial.constant(big, field, order, 1)
+    lift, t, one = _fresh_variable_lift(ring, field)
     mixed = [t * lift(g) for g in gens_a]
     mixed += [(one - t) * lift(g) for g in gens_b]
     gb = buchberger(
-        mixed, order, max_basis=max_basis, max_degree=max_degree, certify=False
+        mixed, t.order, max_basis=max_basis, max_degree=max_degree, certify=False
     )
     kept = []
     for p in gb:
@@ -770,6 +753,7 @@ def mather_index(f, n_max=None):
 
     Membership is taken in the local ring at the origin, since f stands
     for a germ: a cheap global test runs first, then the localized one.
+    Powers f^1 .. f^n_max are searched; n_max defaults to n + 2.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no Jacobian index")
@@ -778,6 +762,8 @@ def mather_index(f, n_max=None):
     n = f.ring.n
     if n_max is None:
         n_max = n + 2
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     jac = [g for g in jacobian_ideal(f) if not g.is_zero]
     index = None
     if jac:
@@ -941,14 +927,14 @@ def frobenius_containment_check(gens, t, p, e, max_products=20_000):
     gens = list(gens)
     if t != len(gens):
         raise ValueError("t must equal the number of generators")
-    q = p**e
-    exponent = t * q
+    # validates e and the characteristic before p**e feeds the count
+    bracket = frobenius_power(gens, p, e)
+    exponent = t * p**e
     count = comb(exponent + t - 1, t - 1)
     if count > max_products:
         raise ResourceCapError(
             f"containment check needs {count} products, over the cap {max_products}"
         )
-    bracket = frobenius_power(gens, p, e)
     gb = buchberger(bracket, gens[0].order, certify=False)
     powers = [{0: Polynomial.constant(g.ring, g.field, g.order, 1)} for g in gens]
 
@@ -959,7 +945,7 @@ def frobenius_containment_check(gens, t, p, e, max_products=20_000):
         return cache[k]
 
     checked = 0
-    for split in _weak_compositions(exponent, t):
+    for split in _compositions(exponent, t):
         product = gen_power(0, split[0])
         for i in range(1, t):
             product = product * gen_power(i, split[i])
@@ -967,12 +953,3 @@ def frobenius_containment_check(gens, t, p, e, max_products=20_000):
         if not gb.contains(product):
             return FrobeniusCheck(False, exponent, checked, str(split))
     return FrobeniusCheck(True, exponent, checked, None)
-
-
-def _weak_compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest

@@ -25,7 +25,7 @@ from math import comb, factorial, prod
 from .errors import ResourceCapError
 from .fields import QQ
 from .linalg import rank_over
-from .monomials import MonomialIdeal, _divides_row, _minimal_rows
+from .monomials import MonomialIdeal, _compositions, _divides_row, _minimal_rows
 from .symbolic import codim as _codim
 from .symbolic import minimal_primes as _minimal_primes
 
@@ -126,15 +126,6 @@ def _standard_counts(rows, n, degrees):
                 count += 1
         out.append(count)
     return out
-
-
-def _compositions(d, n):
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _compositions(d - first, n - 1):
-            yield (first,) + rest
 
 
 def hilbert_function(ideal, d):

@@ -143,25 +143,39 @@ class Monomial:
         return Monomial(self.ring, tuple(min(e, 1) for e in self.exponents))
 
     def __str__(self):
-        if self.is_one:
-            return "1"
-        parts = []
-        for name, e in zip(self.ring.variables, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return _monomial_text(self.ring.variables, self.exponents) or "1"
 
     def __repr__(self):
         return f"Monomial({self})"
 
 
+def _monomial_text(variables, exps):
+    """``x^2*y`` style text of an exponent tuple; empty for the unit."""
+    parts = []
+    for name, e in zip(variables, exps):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
+
+
 def _divides_row(a, b):
+    """Does the monomial with exponents a divide the one with exponents b?"""
     for x, y in zip(a, b):
         if x > y:
             return False
     return True
+
+
+def _compositions(total, parts):
+    """Exponent tuples of length ``parts`` summing to ``total``, lexicographically."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def _minimal_rows(rows):

@@ -172,8 +172,11 @@ def symbolic_equals_ordinary(ideal, k):
     The ordinary power always sits inside the symbolic one, so the witness
     is the first canonical generator of I^(k) outside I^k.
     """
-    sym = symbolic_power(ideal, k)
-    ordinary = ideal.power(k)
+    return _power_witness(symbolic_power(ideal, k), ideal.power(k))
+
+
+def _power_witness(sym, ordinary):
+    """(equal, witness) for computed I^(k) and I^k."""
     if sym == ordinary:
         return True, None
     for g in sym.generators:

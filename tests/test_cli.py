@@ -323,6 +323,45 @@ def test_resource_cap_exits_three(capsys, tmp_path):
     assert err == "resource cap: basis element of degree 8 exceeds cap 6\n"
 
 
+def test_frobenius_negative_e_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "groebner", "frobenius",
+        "--ring", "x,y", "--polys", "x; y", "--p", "2", "--e", "-1",
+    )
+    assert (code, out, err) == (2, "", "error: e must be nonnegative\n")
+
+
+def test_mather_reports_the_searched_bound(capsys):
+    argv = ("groebner", "mather", "--ring", "x,y", "--f", "x^5 + y^5 + x^3*y^3")
+    code, out, err = run_cli(capsys, *argv, "--nmax", "1")
+    assert (code, out) == (0, "no power f^N with N <= 1 found in J(f)\n")
+    code, out, err = run_cli(capsys, *argv, "--nmax", "0")
+    assert (code, out, err) == (2, "", "error: n_max must be at least 1\n")
+
+
+@pytest.mark.parametrize("sub", ["betti", "pd-reg", "cm"])
+def test_betti_commands_read_max_generators(capsys, tmp_path, sub):
+    caps = tmp_path / "caps.json"
+    caps.write_text('{"max_generators": 2}', encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "invariants", sub,
+        "--ring", "x,y,z", "--ideal", "x*y, y*z, x*z", "--caps", str(caps),
+    )
+    assert code == 3
+    assert err == "resource cap: 3 generators exceed the enumeration cap 2\n"
+
+
+def test_caps_file_opened_only_when_read(capsys):
+    # ideal commands read no caps key, so a missing caps file is never opened
+    code, out, err = run_cli(
+        capsys,
+        "ideal", "gens", "--ring", "x", "--ideal", "x", "--caps", "no-such-caps.json",
+    )
+    assert (code, out, err) == (0, "x\n", "")
+
+
 def test_bad_caps_file_exits_two(capsys, tmp_path):
     caps = tmp_path / "caps.json"
     caps.write_text("[1, 2]", encoding="utf-8")

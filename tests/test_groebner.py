@@ -245,6 +245,10 @@ def test_mather_index_euler_and_beyond():
         mather_index(poly("x + 1"))
     with pytest.raises(ValueError):
         mather_index(Polynomial.zero(R2, QQ, poly("x").order))
+    assert mather_index(poly("x^5 + y^5 + x^3*y^3"), 1).index is None
+    for n_max in (0, -1):  # an empty search must not read as "no index"
+        with pytest.raises(ValueError, match="n_max"):
+            mather_index(poly("x^2 + y^2"), n_max)
 
 
 def test_homogeneous_polynomials_have_index_one():
@@ -304,3 +308,8 @@ def test_frobenius_containment():
     assert frobenius_containment_check(r3gens, 3, 3, 1).contained
     with pytest.raises(ValueError):
         frobenius_containment_check(gens, 3, 2, 1)  # t must match the count
+    # e and the characteristic are checked before p^e sizes the product count
+    with pytest.raises(ValueError, match="nonnegative"):
+        frobenius_containment_check(gens, 2, 2, -1)
+    with pytest.raises(ValueError, match="characteristic"):
+        frobenius_containment_check(gens, 2, 3, 40)
