@@ -44,7 +44,14 @@ def _load_caps(path, keys):
             raise ParseError(f"caps file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("caps file must hold a JSON object")
-    return {key: int(data[key]) for key in keys if key in data}
+    caps = {key: data[key] for key in keys if key in data}
+    for key, value in caps.items():
+        try:
+            caps[key] = int(value)
+        except (TypeError, ValueError):
+            raise ParseError(f"caps file value for {key!r} is not an integer: "
+                             f"{json.dumps(value)}") from None
+    return caps
 
 
 def _polys_of(args):
@@ -65,7 +72,7 @@ def _graph_of(args):
         return symbolic.parse_graph(text)
     for shape in ("cycle", "path", "complete"):  # flags named after Graph constructors
         size = getattr(args, shape)
-        if size:
+        if size is not None:
             return getattr(symbolic.Graph, shape)(size)
     sizes = args.complete_bipartite
     try:

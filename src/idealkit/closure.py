@@ -15,15 +15,13 @@ arithmetic against those facets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
 
 from .errors import ResourceCapError, RingMismatchError
 from .linalg import rank_int
-from .monomials import MonomialIdeal, _ideal_from_rows
+from .monomials import _ideal_from_rows, _minimal_points
 
 _FM_ROW_CAP = 200_000
-_BOX_SCAN_CAP = 2_000_000
 
 
 def _primitive(row):
@@ -68,14 +66,7 @@ def _fourier_motzkin(points, n):
         for i, p in enumerate(points):
             row[n + i] = -p[j]
         rows.add(tuple(row))
-    for j in range(n):
-        row = [0] * width
-        row[j] = 1
-        rows.add(tuple(row))
-    for i in range(s):
-        row = [0] * width
-        row[n + i] = 1
-        rows.add(tuple(row))
+    rows.update(tuple(int(i == j) for i in range(width)) for j in range(n + s))
     row = [0] * width
     for i in range(s):
         row[n + i] = 1
@@ -148,10 +139,7 @@ def newton_polyhedron(ideal):
             raise RuntimeError("internal error: mixed-sign facet candidate")
         if any(coeffs):
             candidates.add(_primitive(coeffs))
-    for j in range(n):
-        unit = [0] * n
-        unit[j] = 1
-        candidates.add(tuple(unit))
+    candidates.update(tuple(int(i == j) for i in range(n)) for j in range(n))
 
     facets = []
     for coeffs in candidates:
@@ -160,11 +148,7 @@ def newton_polyhedron(ideal):
         tight = [p for p, v in zip(points, values) if v == bound]
         base = tight[0]
         dirs = [tuple(a - b for a, b in zip(p, base)) for p in tight[1:]]
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                ray = [0] * n
-                ray[j] = 1
-                dirs.append(tuple(ray))
+        dirs += [tuple(int(i == j) for i in range(n)) for j, c in enumerate(coeffs) if c == 0]
         if rank_int(dirs) == n - 1:
             facets.append((coeffs, bound))
     facets = tuple(sorted(set(facets)))
@@ -179,22 +163,15 @@ def is_integral(monomial, ideal):
 
 
 def integral_closure(ideal):
-    """Integral closure: minimal lattice points of the Newton polyhedron.
+    """Integral closure: minimal lattice points of the Newton polyhedron,
+    i.e. of the system c . a >= b over its facets (c, b)."""
+    return _power_closure(ideal.ring, newton_polyhedron(ideal).facets, 1)
 
-    Minimal generators live in the box bounded coordinatewise by the largest
-    generator exponent: any point beyond that has a full unit of slack in
-    the offending coordinate and so is not divisibility-minimal.
-    """
-    poly = newton_polyhedron(ideal)
-    n = ideal.ring.n
-    box = [max(p[j] for p in poly.points) for j in range(n)]
-    size = 1
-    for b in box:
-        size *= b + 1
-    if size > _BOX_SCAN_CAP:
-        raise ResourceCapError(f"closure box scan of size {size} exceeds cap")
-    rows = [pt for pt in product(*(range(b + 1) for b in box)) if poly.contains(pt)]
-    return _ideal_from_rows(ideal.ring, rows)
+
+def _power_closure(ring, facets, n):
+    """closure(I^n) from the facets of I's Newton polyhedron: the polyhedron
+    of I^n is n times I's, so its facets are I's with every bound times n."""
+    return _ideal_from_rows(ring, _minimal_points(ring.n, [(c, n * b) for c, b in facets]))
 
 
 @dataclass(frozen=True)
@@ -223,10 +200,10 @@ def briancon_skoda_check(ideal, ell, n_max):
         raise ValueError("need a proper nonzero ideal")
     if ell < 1 or n_max < ell:
         raise ValueError("need 1 <= ell <= n_max")
-    powers = {j: ideal.power(j) for j in range(1, n_max + 1)}
+    facets = newton_polyhedron(ideal).facets
     for n in range(ell, n_max + 1):
-        closed = integral_closure(powers[n])
-        target = powers[n - ell + 1]
+        closed = _power_closure(ideal.ring, facets, n)
+        target = ideal.power(n - ell + 1)
         for g in closed.generators:
             if g not in target:
                 return BsCheck(ell, n_max, False, (n, g))
@@ -245,7 +222,8 @@ def uniform_bs_number(ideal, n_max):
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     powers = {j: ideal.power(j) for j in range(0, n_max + 1)}
-    closures = {n: integral_closure(powers[n]) for n in range(1, n_max + 1)}
+    facets = newton_polyhedron(ideal).facets
+    closures = {n: _power_closure(ideal.ring, facets, n) for n in range(1, n_max + 1)}
     for k in range(n_max + 1):
         if all(
             powers[n - k].contains_ideal(closures[n])

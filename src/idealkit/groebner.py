@@ -31,7 +31,8 @@ from math import comb, prod
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 from .fields import QQ
-from .monomials import _NAME_RE, Ring, _compositions, _divides_row, _monomial_text
+from .monomials import _NAME_RE, Ring, _compositions, _divides_row, _lcm_row
+from .monomials import _monomial_text
 
 DEFAULT_BASIS_CAP = 5000
 DEFAULT_DEGREE_CAP = 60
@@ -384,10 +385,6 @@ def _tokenize(text):
     return tokens
 
 
-def _exps_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def _reduce_full(f, basis):
     """Full normal form of f against a list of polynomials.
 
@@ -426,7 +423,7 @@ def _s_polynomial(f, g):
     field = f.field
     lmf, lcf = f.terms[0]
     lmg, lcg = g.terms[0]
-    lcm = _exps_lcm(lmf, lmg)
+    lcm = _lcm_row(lmf, lmg)
     sf = tuple(a - b for a, b in zip(lcm, lmf))
     sg = tuple(a - b for a, b in zip(lcm, lmg))
     left = [(tuple(a + b for a, b in zip(sf, e)), field.div(c, lcf)) for e, c in f.terms]
@@ -509,7 +506,7 @@ def buchberger(
         i, j = min(
             pairs,
             key=lambda p: (
-                sum(_exps_lcm(basis[p[0]].terms[0][0], basis[p[1]].terms[0][0])),
+                sum(_lcm_row(basis[p[0]].terms[0][0], basis[p[1]].terms[0][0])),
                 p,
             ),
         )

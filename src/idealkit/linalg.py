@@ -24,11 +24,13 @@ def rank_int(rows):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
+        if m[rank][col] < 0:  # keeps the rank; positive pivots let more rows skip
+            m[rank] = [-v for v in m[rank]]
         p = m[rank][col]
         for r in range(rank + 1, nrows):
             factor = m[r][col]
-            if factor == 0 and prev == 1:
-                continue
+            if factor == 0 and p == prev:
+                continue  # the Bareiss step would leave the row unchanged
             row = m[r]
             top = m[rank]
             for c in range(col + 1, ncols):

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from .errors import ParseError, ResourceCapError, RingMismatchError
 
 DEFAULT_EXPONENT_CAP = 10**6
+# rows that one _minimal_points call may make, over all of its folds
+_POINT_WORK_CAP = 500_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -129,9 +131,7 @@ class Monomial:
 
     def lcm(self, other):
         self._check(other)
-        return Monomial(
-            self.ring, tuple(max(a, b) for a, b in zip(self.exponents, other.exponents))
-        )
+        return Monomial(self.ring, _lcm_row(self.exponents, other.exponents))
 
     def gcd(self, other):
         self._check(other)
@@ -170,25 +170,73 @@ def _divides_row(a, b):
 
 def _compositions(total, parts):
     """Exponent tuples of length ``parts`` summing to ``total``, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    return _minimal_lifts((1,) * parts, total)
 
 
 def _minimal_rows(rows):
     """Divisibility-minimal antichain of exponent tuples, as a list.
 
     Processing in ascending (degree, tuple) order means any divisor of a
-    candidate was already seen, so one pass against the kept list suffices.
+    candidate was already seen, so one pass against the kept rows of lower
+    degree, ``lower``, suffices: no row divides another of its own degree.
     """
-    kept = []
-    for r in sorted(set(rows), key=lambda t: (sum(t), t)):
-        if not any(_divides_row(k, r) for k in kept):
+    kept, lower, degree = [], [], None
+    for d, r in sorted((sum(t), t) for t in set(rows)):
+        if d != degree:
+            degree, lower = d, kept[:]
+        if not any(_divides_row(k, r) for k in lower):
             kept.append(r)
     return kept
+
+
+def _lcm_row(a, b):
+    """Exponents of lcm(x^a, x^b)."""
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _minimal_lifts(weights, deficit):
+    """Every minimal r >= 0 with sum(w * r) >= deficit for positive weights w
+    (only r = 0 when deficit <= 0), and some others; unit weights give
+    exactly the compositions of deficit."""
+    w, rest = weights[0], weights[1:]
+    top = max(0, -(-deficit // w))
+    if rest:
+        for first in range(top):
+            for tail in _minimal_lifts(rest, deficit - w * first):
+                yield (first,) + tail
+    yield (top,) + (0,) * len(rest)
+
+
+def _minimal_points(n, inequalities):
+    """Minimal lattice points a >= 0 with c . a >= b for all (c, b), as rows.
+
+    Every c is nonnegative and nonzero, so the solutions form a monomial
+    ideal.  Starting from {0}, an inequality replaces each row g by g + r
+    for the lifts r, on the support of c, of the deficit b - c . g; then the
+    rows are minimalized.  The inequality that the fewest rows violate
+    goes first, which keeps the rows between folds few.
+    """
+    rows, made, pending = [(0,) * n], 0, list(inequalities)
+    while pending:
+        coeffs, bound = min(pending, key=lambda q: sum(
+            sum(c * e for c, e in zip(q[0], g)) < q[1] for g in rows))
+        pending.remove((coeffs, bound))
+        support = [j for j, c in enumerate(coeffs) if c]
+        weights = [coeffs[j] for j in support]
+        lifted = []
+        for g in rows:
+            deficit = bound - sum(c * e for c, e in zip(coeffs, g))
+            for r in _minimal_lifts(weights, deficit):
+                made += 1
+                if made > _POINT_WORK_CAP:
+                    raise ResourceCapError(
+                        f"lattice-point search made over {_POINT_WORK_CAP} rows")
+                row = list(g)
+                for j, x in zip(support, r):
+                    row[j] += x
+                lifted.append(tuple(row))
+        rows = _minimal_rows(lifted)
+    return rows
 
 
 def _canonical_rows(rows):
@@ -292,10 +340,7 @@ class MonomialIdeal:
 
     def intersect(self, other):
         self._check(other)
-        rows = set()
-        for a in self._rows():
-            for b in other._rows():
-                rows.add(tuple(max(x, y) for x, y in zip(a, b)))
+        rows = {_lcm_row(a, b) for a in self._rows() for b in other._rows()}
         return _ideal_from_rows(self.ring, rows)
 
     def __and__(self, other):

@@ -12,13 +12,10 @@ edge-ideal dictionary between graphs and their square-free quadratic ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
-from .errors import ResourceCapError
-from .monomials import Monomial, MonomialIdeal, Ring, _ideal_from_rows
 from .errors import ParseError
-
-_SYMBOLIC_SCAN_CAP = 5_000_000
+from .monomials import Monomial, MonomialIdeal, Ring, _ideal_from_rows, _minimal_points
 
 
 @dataclass(frozen=True)
@@ -38,12 +35,8 @@ class PrimeComponent:
         return tuple(self.ring.variables[i] for i in self.indices)
 
     def ideal(self):
-        rows = []
-        for i in self.indices:
-            e = [0] * self.ring.n
-            e[i] = 1
-            rows.append(tuple(e))
-        return _ideal_from_rows(self.ring, rows)
+        variables = map(self.ring.variable, self.names)
+        return MonomialIdeal.from_generators(self.ring, variables)
 
     def __len__(self):
         return len(self.indices)
@@ -131,39 +124,15 @@ def symbolic_power(ideal, k):
     """k-th symbolic power: the intersection of p^k over the minimal primes p.
 
     A monomial lies in p^k exactly when its exponents over p's variables sum
-    to at least k, so the minimal generators are the lattice points of
-    [0,k]^n meeting every prime constraint tightly wherever an exponent is
-    positive.  (Minimal generators never need an exponent above k: dropping
-    a unit from a coordinate exceeding k keeps every constraint satisfied.)
+    to at least k, so the minimal generators are the minimal lattice points
+    of the system "sum of a over p >= k" for every minimal prime p.
     """
     if k < 1:
         raise ValueError("symbolic power needs k >= 1")
-    primes = _prime_index_sets(ideal)
-    used = sorted(set().union(*primes))
-    if (k + 1) ** len(used) > _SYMBOLIC_SCAN_CAP:
-        raise ResourceCapError(
-            f"symbolic power scan of size {(k + 1) ** len(used)} exceeds cap"
-        )
     n = ideal.ring.n
-    by_var = {v: [p for p in primes if v in p] for v in used}
-    rows = []
-    for point in product(range(k + 1), repeat=len(used)):
-        exps = dict(zip(used, point))
-        sums = [sum(exps[v] for v in p) for p in primes]
-        if any(s < k for s in sums) :
-            continue
-        tight = {id(p) for p, s in zip(primes, sums) if s == k}
-        minimal = True
-        for v, e in exps.items():
-            if e > 0 and not any(id(p) in tight for p in by_var[v]):
-                minimal = False
-                break
-        if minimal:
-            row = [0] * n
-            for v, e in exps.items():
-                row[v] = e
-            rows.append(tuple(row))
-    return _ideal_from_rows(ideal.ring, rows)
+    primes = _prime_index_sets(ideal)
+    system = [(tuple(int(j in p) for j in range(n)), k) for p in primes]
+    return _ideal_from_rows(ideal.ring, _minimal_points(n, system))
 
 
 def symbolic_equals_ordinary(ideal, k):
@@ -340,12 +309,7 @@ def edge_ideal(graph, ring=None):
         ring = Ring(tuple(f"x{i + 1}" for i in range(graph.vertex_count)))
     elif ring.n != graph.vertex_count:
         raise ValueError("ring size does not match the vertex count")
-    rows = []
-    for u, v in graph.edges:
-        e = [0] * ring.n
-        e[u] = 1
-        e[v] = 1
-        rows.append(tuple(e))
+    rows = [tuple(int(j in edge) for j in range(ring.n)) for edge in graph.edges]
     return _ideal_from_rows(ring, rows)
 
 

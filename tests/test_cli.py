@@ -373,6 +373,42 @@ def test_bad_caps_file_exits_two(capsys, tmp_path):
     assert "caps file" in err
 
 
+@pytest.mark.parametrize("value", ["[1]", "{}", "null", '"many"'])
+def test_non_integer_caps_value_exits_two(capsys, tmp_path, value):
+    caps = tmp_path / "caps.json"
+    caps.write_text(f'{{"max_basis": {value}}}', encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "groebner", "gb", "--ring", "x", "--polys", "x", "--caps", str(caps),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: caps file value for 'max_basis' is not an integer: {value}\n"
+
+
+@pytest.mark.parametrize("value", ['"7"', "2.5", "true"])
+def test_integer_like_caps_values_still_read(capsys, tmp_path, value):
+    caps = tmp_path / "caps.json"
+    caps.write_text(f'{{"max_basis": {value}}}', encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "groebner", "gb", "--ring", "x", "--polys", "x", "--caps", str(caps),
+    )
+    assert (code, out, err) == (0, "x\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("symbolic", "edge", "--cycle", "0"),
+        ("symbolic", "theorem", "--path", "0"),
+        ("symbolic", "edge", "--complete", "0"),
+    ],
+)
+def test_empty_graph_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: graph needs at least one vertex\n")
+
+
 def test_verify_reports_every_criterion(capsys):
     code, out, err = run_cli(capsys, "verify")
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]

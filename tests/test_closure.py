@@ -14,7 +14,13 @@ from idealkit import (
     rng_from_seed,
     uniform_bs_number,
 )
-from helpers import closure_certificate, compositions, numbered_ring, scan_member
+from helpers import (
+    closure_by_box_scan,
+    closure_certificate,
+    compositions,
+    numbered_ring,
+    scan_member,
+)
 
 R2 = parse_ring("x, y")
 
@@ -84,6 +90,23 @@ def test_closure_matches_certificate_oracle():
                 assert certified == member
 
 
+def test_closure_matches_box_scan_oracle():
+    # with four variables, a facet lost to a wrong rank shows up here
+    rng = rng_from_seed("idealkit:closure:box")
+    for _ in range(400):
+        ring = numbered_ring(rng.randint(2, 4))
+        ideal = random_ideal(rng, ring, max_generators=4, max_degree=5)
+        assert integral_closure(ideal) == closure_by_box_scan(ideal)
+
+
+def test_facet_found_by_exact_rank():
+    ring = parse_ring("x0, x1, x2, x3")
+    ideal = parse_ideal(ring, "x1^2*x2^4*x3^2, x0^3*x1^2*x2, x1*x2*x3^3")
+    assert ((2, 0, 0, 3), 6) in newton_polyhedron(ideal).facets
+    # every generator has x0 or x3, so no power of x1^4*x2^10 lands in I^m
+    assert not is_integral(parse_monomial(ring, "x1^4*x2^10"), ideal)
+
+
 def test_briancon_skoda_goldens():
     assert briancon_skoda_check(parse_ideal(R2, "x^3, y^3"), 2, 5).ok
     assert briancon_skoda_check(parse_ideal(R2, "x, y"), 1, 4).ok
@@ -104,3 +127,20 @@ def test_uniform_bs_numbers():
     assert uniform_bs_number(parse_ideal(R2, "x, y"), 5) == 0
     assert uniform_bs_number(parse_ideal(R2, "x^3, y^3"), 5) == 1
     assert uniform_bs_number(parse_ideal(R2, "x^2, x*y, y^2"), 5) == 0
+
+
+def test_power_scans_match_closures_of_computed_powers():
+    # both scans take closure(I^n) from I's facets scaled by n; the
+    # reference computes each power and its own Newton polyhedron
+    rng = rng_from_seed("idealkit:closure:powers")
+    for _ in range(60):
+        ring = numbered_ring(rng.randint(2, 3))
+        ideal = random_ideal(rng, ring, max_generators=3, max_degree=3)
+        closures = {n: integral_closure(ideal.power(n)) for n in range(1, 4)}
+        k = next(k for k in range(4) if all(
+            ideal.power(n - k).contains_ideal(closures[n]) for n in range(max(k, 1), 4)))
+        assert uniform_bs_number(ideal, 3) == k
+        for ell in (1, 2):
+            failure = next(((n, g) for n in range(ell, 4) for g in closures[n].generators
+                            if g not in ideal.power(n - ell + 1)), None)
+            assert briancon_skoda_check(ideal, ell, 3).failure == failure

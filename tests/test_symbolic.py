@@ -4,6 +4,7 @@ import pytest
 
 from idealkit import (
     Graph,
+    ResourceCapError,
     edge_ideal,
     is_bipartite,
     is_packed,
@@ -20,10 +21,20 @@ from idealkit import (
     symbolic_power,
     verify_edge_theorem,
 )
-from helpers import numbered_ring, symbolic_by_intersection
+from helpers import numbered_ring, symbolic_by_box_scan, symbolic_by_intersection
 
 R3 = parse_ring("x, y, z")
 TRIANGLE = parse_ideal(R3, "x*y, x*z, y*z")
+NAMED_GRAPHS = [
+    Graph.cycle(6),
+    Graph.cycle(7),
+    Graph.cycle(8),
+    Graph.path(7),
+    Graph.complete(4),
+    Graph.complete(5),
+    Graph.complete_bipartite(2, 3),
+    Graph.complete_bipartite(3, 3),
+]
 
 
 def test_minimal_primes_golden():
@@ -84,6 +95,34 @@ def test_symbolic_matches_intersection_oracle():
             continue
         for k in (1, 2, 3):
             assert symbolic_power(ideal, k) == symbolic_by_intersection(ideal, k)
+
+
+def test_symbolic_matches_both_oracles():
+    rng = rng_from_seed("idealkit:symbolic:box")
+    for _ in range(60):
+        ring = numbered_ring(rng.randint(2, 5))
+        ideal = random_squarefree_ideal(rng, ring, max_generators=6)
+        if ideal.is_unit:
+            continue
+        for k in (1, 2, 3):
+            power = symbolic_power(ideal, k)
+            assert power == symbolic_by_box_scan(ideal, k)
+            assert power == symbolic_by_intersection(ideal, k)
+
+
+def test_symbolic_oracles_on_named_graphs():
+    for graph in NAMED_GRAPHS:
+        ideal = edge_ideal(graph)
+        for k in (2, 3) if graph.vertex_count < 8 else (2,):
+            power = symbolic_power(ideal, k)
+            assert power == symbolic_by_box_scan(ideal, k)
+            assert power == symbolic_by_intersection(ideal, k)
+
+
+def test_symbolic_power_work_cap():
+    # the first fold alone makes k + 1 rows; the second passes the cap
+    with pytest.raises(ResourceCapError):
+        symbolic_power(TRIANGLE, 10**5)
 
 
 def test_first_symbolic_power_is_the_ideal():
@@ -188,17 +227,7 @@ def test_edge_theorem_goldens():
 
 def test_edge_theorem_on_named_graphs():
     # theorem agreement for k up to 4 on a small zoo, comfortably past C6
-    zoo = [
-        Graph.cycle(6),
-        Graph.cycle(7),
-        Graph.cycle(8),
-        Graph.path(7),
-        Graph.complete(4),
-        Graph.complete(5),
-        Graph.complete_bipartite(2, 3),
-        Graph.complete_bipartite(3, 3),
-    ]
-    for graph in zoo:
+    for graph in NAMED_GRAPHS:
         assert verify_edge_theorem(graph, 4).agree
 
 
