@@ -7,12 +7,15 @@ containment scans, ``invariants`` for Hilbert/Betti data, ``groebner`` for
 polynomial experiments, and ``verify`` for the full acceptance suite.
 
 Every command is one row of ``COMMANDS``: handler, flags and caps-file
-keys.  ``main`` builds the parser from it and parses each input flag once,
-so handlers only compute and render.
+keys.  ``build_parser`` builds a fresh parser tree from it.  ``main``
+parses with one tree, built on its first call and reused for the rest of
+the process, and parses each input flag once, so handlers only compute
+and render.
 
 Exit codes: 0 when the command answered (even if the answer is "no"),
 1 when a verification subcommand found its claim false, 2 on usage or
-parse problems, 3 when a resource cap tripped.  ``--json`` reports carry
+parse problems, 3 when a resource cap tripped, 4 when an internal
+self-check failed or the recursion limit was hit.  ``--json`` reports carry
 a ``schema`` version and sort keys, so identical invocations emit
 byte-identical output.
 """
@@ -20,6 +23,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -591,10 +595,19 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The tree ``main`` parses with, built on the first call, not at import.
+
+    Parsing leaves no state in the tree, and help width is read when help is
+    printed, so one tree serves every call.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -603,6 +616,10 @@ def main(argv=None):
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:  # a failed self-check, or a RecursionError
+        message = str(exc).removeprefix("internal error: ")
+        print(f"internal error: {message}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:  # ParseError, RingMismatchError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

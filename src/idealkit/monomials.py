@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from .errors import ParseError, ResourceCapError, RingMismatchError
 
 DEFAULT_EXPONENT_CAP = 10**6
-# rows that one _minimal_points call may make, over all of its folds
+# rows that one _minimal_points call may make, over all of its folds, and
+# that one product or intersection of two ideals may pair up
 _POINT_WORK_CAP = 500_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -309,8 +310,15 @@ class MonomialIdeal:
         self._check(other)
         return all(self.contains(g) for g in other.generators)
 
-    def __mul__(self, other):
+    def _check_pairs(self, other, stage):
+        """Refuse, before forming any row, a pairing of the two generator
+        lists that would make more rows than ``_POINT_WORK_CAP``."""
         self._check(other)
+        if len(self.generators) * len(other.generators) > _POINT_WORK_CAP:
+            raise ResourceCapError(f"{stage} would make over {_POINT_WORK_CAP} rows")
+
+    def __mul__(self, other):
+        self._check_pairs(other, "product")
         cap = self.ring.max_exponent
         rows = set()
         for a in self._rows():
@@ -339,7 +347,7 @@ class MonomialIdeal:
         return self.power(k)
 
     def intersect(self, other):
-        self._check(other)
+        self._check_pairs(other, "intersection")
         rows = {_lcm_row(a, b) for a in self._rows() for b in other._rows()}
         return _ideal_from_rows(self.ring, rows)
 

@@ -7,9 +7,11 @@ plain-text renderings.
 
 import io
 import json
+import time
 
 import pytest
 
+from idealkit import ResourceCapError, invariants
 from idealkit.cli import main
 
 
@@ -321,6 +323,46 @@ def test_resource_cap_exits_three(capsys, tmp_path):
     )
     assert code == 3
     assert err == "resource cap: basis element of degree 8 exceeds cap 6\n"
+
+
+def test_unbounded_power_exits_three_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "ideal", "power", "--ring", "x,y,z", "--ideal", "x*y,x*z,y*z", "--k", "1000",
+    )
+    assert (code, out, err) == (3, "", "resource cap: product would make over 500000 rows\n")
+    assert time.perf_counter() - start < 20
+
+
+def _recurse(*args):
+    return _recurse(*args)
+
+
+def _fail_self_check(*args):
+    raise RuntimeError("internal error: series disagrees with direct count at degree 3")
+
+
+def _trip_cap(*args):
+    raise ResourceCapError("lcm lattice exceeds cap")
+
+
+@pytest.mark.parametrize(
+    "library_call,code,line",
+    [
+        (_fail_self_check, 4, "internal error: series disagrees with direct count at degree 3"),
+        (_recurse, 4, "internal error: maximum recursion depth exceeded"),
+        (_trip_cap, 3, "resource cap: lcm lattice exceeds cap"),
+    ],
+    ids=["self-check", "recursion", "cap"],
+)
+def test_runtime_failures_exit_with_one_line(capsys, monkeypatch, library_call, code, line):
+    monkeypatch.setattr(invariants, "dimension_multiplicity", library_call)
+    got, out, err = run_cli(capsys, "invariants", "mult", "--ring", "x,y", "--ideal", "x^2, y")
+    assert (got, out) == (code, "")
+    # one stderr line; Python versions word the end of the recursion message apart
+    assert err.startswith(line) and err.endswith("\n") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_frobenius_negative_e_exits_two(capsys):

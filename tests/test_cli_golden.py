@@ -1,6 +1,6 @@
 """Golden captures of the command line.
 
-Three contracts are frozen here:
+Four contracts are frozen here:
 
 * every ``$ idealkit ...`` example in the README's "Command line" block
   prints what the README shows (``...`` elides any text);
@@ -8,7 +8,9 @@ Three contracts are frozen here:
   code and stdout, and a set of single-fault invocations keep their exit
   code and stderr (``cli_goldens.json``);
 * the argparse tree keeps its commands, flags, types, defaults,
-  required-ness and choices, and its ``--help`` pages.
+  required-ness and choices, and its ``--help`` pages;
+* ``main`` builds that tree once per process, and a call leaves nothing
+  in it that changes a later call's output.
 
 To re-record after a deliberate interface change:
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -18,6 +20,7 @@ import argparse
 import io
 import json
 import os
+import random
 import re
 import shlex
 import sys
@@ -26,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from idealkit import cli
 from idealkit.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -262,3 +266,49 @@ def test_readme_example(argv, expected):
     assert got["code"] == 0
     pattern = ".*".join(re.escape(piece) for piece in expected.split("..."))
     assert re.fullmatch(pattern, got["stdout"], flags=re.DOTALL), got["stdout"]
+
+
+# ------------------------------------------------- one parser per process ---
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in (COMMANDS[0], FAULTS[0], ["ideal", "--help"], COMMANDS[1] + ["--json"]):
+            capture(argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+@same_python
+def test_one_parser_serves_every_golden_in_any_order():
+    cases = GOLDEN["commands"] + GOLDEN["faults"] + [
+        {"argv": path.split() + ["--help"], **page} for path, page in GOLDEN["help"].items()
+    ]
+    random.Random(5).shuffle(cases)
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    for case in cases:
+        got = capture(case["argv"])
+        assert got == {k: case[k] for k in ("code", "stdout", "stderr")}, case["argv"]
+    assert cli._parser() is parser
+
+
+def test_cached_parser_wraps_help_to_the_current_width(monkeypatch):
+    argv = ["groebner", "frobenius", "--help"]
+    parser = cli._parser()
+    widths = {}
+    for columns in ("60", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        lines = capture(argv)["stdout"].splitlines()
+        widths[columns] = max(len(line) for line in lines)
+    assert widths["60"] <= 60 < widths["80"] <= 80
+    assert cli._parser() is parser

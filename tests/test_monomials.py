@@ -142,6 +142,20 @@ def test_exponent_cap_guard():
         parse_ideal(R2, "x^600000").power(2)
 
 
+def test_pairing_cap_trips_before_forming_rows(monkeypatch):
+    # 3 x 3 generator pairs exceed a cap of 8; 3 x 2 pairs stay within it
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 8)
+    two = parse_ideal(R3, "x, y")
+    assert TRIANGLE * two == parse_ideal(R3, "x^2*y, x*y^2, x^2*z, x*y*z, y^2*z")
+    assert TRIANGLE & two == TRIANGLE
+    with pytest.raises(ResourceCapError, match="product would make over 8 rows"):
+        TRIANGLE * TRIANGLE
+    with pytest.raises(ResourceCapError, match="intersection would make over 8 rows"):
+        TRIANGLE & TRIANGLE
+    with pytest.raises(ResourceCapError):
+        TRIANGLE.power(2)
+
+
 def test_product_membership_matches_pairwise_scan():
     rng = rng_from_seed("idealkit:monomials:product")
     for _ in range(200):
