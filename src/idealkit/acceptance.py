@@ -301,7 +301,7 @@ _CRITERIA = (
     ("koszul-golden", 5.0, _check_koszul),
     ("hilbert-betti-numerator", 60.0, _check_hilbert_corpus),
     ("symbolic-witness", 1.0, _check_symbolic_witness),
-    ("edge-theorem-sweep", 600.0, _check_edge_sweep),
+    ("edge-theorem-sweep", 60.0, _check_edge_sweep),
     ("closure-briancon-skoda", 120.0, _check_closure),
     ("artin-rees-exercise", 30.0, _check_artin_rees),
     ("kollar-sharpness", 120.0, _check_kollar),

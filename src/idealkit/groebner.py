@@ -933,12 +933,13 @@ def frobenius_containment_check(gens, t, p, e, max_products=20_000):
             f"containment check needs {count} products, over the cap {max_products}"
         )
     gb = buchberger(bracket, gens[0].order, certify=False)
-    powers = [{0: Polynomial.constant(g.ring, g.field, g.order, 1)} for g in gens]
+    # powers[i][k] is gens[i]^k, filled upward on demand
+    powers = [[Polynomial.constant(g.ring, g.field, g.order, 1)] for g in gens]
 
     def gen_power(i, k):
         cache = powers[i]
-        if k not in cache:
-            cache[k] = gen_power(i, k - 1) * gens[i]
+        while len(cache) <= k:
+            cache.append(cache[-1] * gens[i])
         return cache[k]
 
     checked = 0

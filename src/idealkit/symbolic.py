@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ParseError
+from . import monomials
+from .errors import ParseError, ResourceCapError
 from .monomials import Monomial, MonomialIdeal, Ring, _ideal_from_rows, _minimal_points
 
 
@@ -54,61 +55,110 @@ def _require_squarefree_proper(ideal):
         raise ValueError("ideal is not square-free")
 
 
-def _minimal_covers(supports):
-    """All inclusion-minimal vertex covers of a list of nonempty vertex sets.
+def _support_mask(monomial):
+    """The support of a monomial as an int: bit i is set when x_i divides it."""
+    mask = 0
+    for i, e in enumerate(monomial.exponents):
+        if e:
+            mask |= 1 << i
+    return mask
 
-    Branch on the first uncovered set; forbidding the earlier branch
-    vertices avoids revisiting the same cover along permuted paths.  The
-    search can still emit non-minimal covers, so filter at the end.
+
+def _mask_indices(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _minimal_masks(masks):
+    """Inclusion-minimal members of a collection of distinct masks.
+
+    In ascending popcount order every subset comes before its supersets,
+    and two distinct masks of one popcount never contain one another.
+    """
+    kept = []
+    for m in sorted(masks, key=int.bit_count):
+        if all(k & ~m for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _minimal_covers(supports):
+    """All inclusion-minimal vertex covers of nonempty support masks, as masks.
+
+    Branch on each vertex of the first uncovered support, lowest first;
+    forbidding the earlier branch vertices avoids revisiting the same cover
+    along permuted paths.  The search can still emit non-minimal covers, so
+    filter at the end.
     """
     found = set()
 
     def rec(chosen, forbidden):
-        uncovered = None
         for sup in supports:
-            if not (sup & chosen):
-                uncovered = sup
+            if not sup & chosen:
                 break
-        if uncovered is None:
-            found.add(frozenset(chosen))
+        else:
+            found.add(chosen)
             return
-        if uncovered <= forbidden:
-            return
-        banned = set(forbidden)
-        for v in sorted(uncovered):
-            if v in banned:
-                continue
-            chosen.add(v)
-            rec(chosen, banned)
-            chosen.remove(v)
-            banned.add(v)
+        free = sup & ~forbidden
+        while free:
+            v = free & -free
+            free ^= v
+            rec(chosen | v, forbidden)
+            forbidden |= v
 
-    rec(set(), frozenset())
-    by_size = sorted(found, key=len)
-    minimal = []
-    for cover in by_size:
-        if not any(kept < cover for kept in minimal):
-            minimal.append(cover)
-    return minimal
+    rec(0, 0)
+    return _minimal_masks(found)
+
+
+def _cover_number(supports):
+    """Least size of a vertex cover of nonempty support masks."""
+    return min(c.bit_count() for c in _minimal_covers(supports))
+
+
+def _max_disjoint(supports):
+    """(count, indices) of a largest family of pairwise disjoint masks.
+
+    Exhaustive branch-and-bound over take-or-skip in list order, taking
+    first, so the indices are the lexicographically least largest family.
+    """
+    m = len(supports)
+    best = [0, ()]
+
+    def rec(i, used, chosen):
+        if len(chosen) + (m - i) <= best[0]:
+            return
+        if i == m:
+            best[:] = len(chosen), tuple(chosen)
+            return
+        if not supports[i] & used:
+            chosen.append(i)
+            rec(i + 1, used | supports[i], chosen)
+            chosen.pop()
+        rec(i + 1, used, chosen)
+
+    rec(0, 0, [])
+    return best[0], best[1]
 
 
 def minimal_primes(ideal):
     """Minimal primes of a square-free proper nonzero monomial ideal."""
     _require_squarefree_proper(ideal)
-    supports = [g.support for g in ideal.generators]
-    covers = _minimal_covers(supports)
-    primes = [PrimeComponent(ideal.ring, tuple(c)) for c in covers]
+    covers = _minimal_covers([_support_mask(g) for g in ideal.generators])
+    primes = [PrimeComponent(ideal.ring, _mask_indices(c)) for c in covers]
     primes.sort(key=lambda p: (len(p), p.indices))
     return tuple(primes)
 
 
 def codim(ideal):
-    """Codimension (height); the zero ideal has codimension 0 by convention."""
+    """Codimension (height); the zero ideal has codimension 0 by convention.
+
+    The minimal supports are those of the radical's generators, and the
+    height is the least size of a cover of them.
+    """
     if ideal.is_unit:
         raise ValueError("unit ideal has no codimension")
     if ideal.is_zero:
         return 0
-    return min(len(p) for p in minimal_primes(ideal.radical()))
+    return _cover_number(_minimal_masks({_support_mask(g) for g in ideal.generators}))
 
 
 def dim_quotient(ideal):
@@ -161,25 +211,8 @@ def max_disjoint_monomials(ideal):
     """
     _require_squarefree_proper(ideal)
     gens = ideal.generators
-    sups = [g.support for g in gens]
-    best = [0, ()]
-
-    def rec(i, used_vars, chosen):
-        if len(chosen) + (len(gens) - i) <= best[0]:
-            return
-        if i == len(gens):
-            if len(chosen) > best[0]:
-                best[0] = len(chosen)
-                best[1] = tuple(chosen)
-            return
-        if not (sups[i] & used_vars):
-            chosen.append(i)
-            rec(i + 1, used_vars | sups[i], chosen)
-            chosen.pop()
-        rec(i + 1, used_vars, chosen)
-
-    rec(0, frozenset(), [])
-    return best[0], tuple(gens[i] for i in best[1])
+    count, picks = _max_disjoint([_support_mask(g) for g in gens])
+    return count, tuple(gens[i] for i in picks)
 
 
 @dataclass(frozen=True)
@@ -203,29 +236,51 @@ def is_packed(ideal):
     """Check packedness over every (zeros, ones) minor.
 
     Minors are visited smallest reduction first, lexicographically over the
-    (zeros, ones) name pairs, so the returned failure is canonical.  Minors
-    that collapse to the zero or unit ideal are vacuous and skipped, as are
-    assignments touching every variable.
+    (zeros, ones) name pairs, so the returned failure is canonical.  Each
+    minor is formed on generator support masks, as the minimal masks among
+    ``g & ~ones`` over the generators g missing every zero; minors that
+    collapse to the zero or unit ideal are vacuous and skipped, as are
+    assignments touching every variable.  A mask set already checked is not
+    checked again, and only the failing minor, if any, is built as an ideal.
+    Visiting more than ``_POINT_WORK_CAP`` (zeros, ones) pairs raises
+    ``ResourceCapError``; there are 3^n - 2^n of them on n variables.
     """
     _require_squarefree_proper(ideal)
-    variables = ideal.ring.variables
+    n = ideal.ring.n
+    supports = [_support_mask(g) for g in ideal.generators]
+    bits = [1 << i for i in range(n)]
     seen = set()
-    for total in range(len(variables)):
+    visited = 0
+    for total in range(n):
         for zcount in range(total + 1):
-            for zeros in combinations(variables, zcount):
-                rest = [v for v in variables if v not in zeros]
+            for zeros in combinations(bits, zcount):
+                zmask = sum(zeros)
+                alive = [g for g in supports if not g & zmask]
+                rest = [b for b in bits if not b & zmask]
                 for ones in combinations(rest, total - zcount):
-                    minor = ideal.minor(zeros=zeros, ones=ones)
-                    if minor.is_zero or minor.is_unit:
+                    visited += 1
+                    if visited > monomials._POINT_WORK_CAP:
+                        raise ResourceCapError(
+                            f"packedness check visited over "
+                            f"{monomials._POINT_WORK_CAP} minors")
+                    keep = ~sum(ones)
+                    raw = frozenset([g & keep for g in alive])
+                    if not raw or 0 in raw or raw in seen:
                         continue
-                    key = (minor.ring.variables, minor.generators)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    c = codim(minor)
-                    d, _ = max_disjoint_monomials(minor)
+                    seen.add(raw)
+                    minor = frozenset(_minimal_masks(raw))
+                    if minor != raw:
+                        if minor in seen:
+                            continue
+                        seen.add(minor)
+                    c = _cover_number(minor)
+                    d, _ = _max_disjoint(tuple(minor))
                     if d < c:
-                        return False, MinorFailure(zeros, ones, minor, c, d)
+                        names = ideal.ring.variables
+                        zeros = tuple(names[b.bit_length() - 1] for b in zeros)
+                        ones = tuple(names[b.bit_length() - 1] for b in ones)
+                        built = ideal.minor(zeros=zeros, ones=ones)
+                        return False, MinorFailure(zeros, ones, built, c, d)
     return True, None
 
 

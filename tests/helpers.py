@@ -5,9 +5,10 @@ implementations have something independent to disagree with.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from idealkit import (
+    MinorFailure,
     Monomial,
     MonomialIdeal,
     minimal_primes,
@@ -129,3 +130,72 @@ def closure_certificate(ideal, exps, m_max):
         if scan_member(ideal.power(m), scaled):
             return True
     return False
+
+
+def minimal_covers_by_subsets(ideal):
+    """Inclusion-minimal variable sets meeting every generator's support,
+    from all subsets in ascending size, as sorted index tuples."""
+    supports = [g.support for g in ideal.generators]
+    covers = []
+    for size in range(ideal.ring.n + 1):
+        for subset in combinations(range(ideal.ring.n), size):
+            chosen = set(subset)
+            if all(s & chosen for s in supports) and not any(
+                    set(c) <= chosen for c in covers):
+                covers.append(subset)
+    return covers
+
+
+def codim_by_subsets(ideal):
+    """Least size of a variable set meeting every generator's support."""
+    supports = [g.support for g in ideal.generators]
+    for size in range(ideal.ring.n + 1):
+        for subset in combinations(range(ideal.ring.n), size):
+            if all(s & set(subset) for s in supports):
+                return size
+    raise ValueError("the unit ideal has no cover")
+
+
+def disjoint_by_subsets(ideal):
+    """(count, generators) of the lexicographically least largest family of
+    generators with pairwise disjoint supports, over all index subsets.
+
+    Disjoint supports of at least s variables each number at most n // s.
+    """
+    gens = ideal.generators
+    sups = [g.support for g in gens]
+    top = min(len(gens), ideal.ring.n // min(map(len, sups)))
+    for size in range(top, 0, -1):
+        for picks in combinations(range(len(gens)), size):
+            chosen = [sups[i] for i in picks]
+            if sum(map(len, chosen)) == len(set().union(*chosen)):
+                return size, tuple(gens[i] for i in picks)
+    return 0, ()
+
+
+def packed_by_minor_ideals(ideal):
+    """Packedness by building every (zeros, ones) minor as an ideal.
+
+    Same visiting order and failure as ``is_packed``, deduplicated on the
+    minor's ring and generators, with codim and disjoint counts from the
+    subset scans above.
+    """
+    variables = ideal.ring.variables
+    seen = set()
+    for total in range(len(variables)):
+        for zcount in range(total + 1):
+            for zeros in combinations(variables, zcount):
+                rest = [v for v in variables if v not in zeros]
+                for ones in combinations(rest, total - zcount):
+                    minor = ideal.minor(zeros=zeros, ones=ones)
+                    if minor.is_zero or minor.is_unit:
+                        continue
+                    key = (minor.ring.variables, minor.generators)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    c = codim_by_subsets(minor)
+                    d, _ = disjoint_by_subsets(minor)
+                    if d < c:
+                        return False, MinorFailure(zeros, ones, minor, c, d)
+    return True, None

@@ -335,6 +335,29 @@ def test_unbounded_power_exits_three_quickly(capsys):
     assert time.perf_counter() - start < 20
 
 
+def test_packedness_cap_exits_three(capsys, monkeypatch):
+    # the 6-vertex path is packed, so the check visits all 3^6 - 2^6 pairs
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 100)
+    code, out, err = run_cli(
+        capsys,
+        "symbolic", "packed",
+        "--ring", "a,b,c,d,e,f", "--ideal", "a*b, b*c, c*d, d*e, e*f",
+    )
+    assert (code, out) == (3, "")
+    assert err == "resource cap: packedness check visited over 100 minors\n"
+
+
+def test_frobenius_long_power_chain_answers(capsys):
+    code, payload = run_json(
+        capsys,
+        "groebner", "frobenius",
+        "--ring", "x", "--polys", "x", "--p", "2", "--e", "11",
+    )
+    assert code == 0
+    assert payload["contained"] is True
+    assert payload["products_checked"] == 1
+
+
 def _recurse(*args):
     return _recurse(*args)
 

@@ -313,3 +313,11 @@ def test_frobenius_containment():
         frobenius_containment_check(gens, 2, 2, -1)
     with pytest.raises(ValueError, match="characteristic"):
         frobenius_containment_check(gens, 2, 3, 40)
+
+
+def test_frobenius_containment_with_a_long_power_chain():
+    # x^2048 is one product, but 2048 multiplications away from x^0
+    f2 = parse_field("fp:2")
+    report = frobenius_containment_check([poly("x", field=f2)], 1, 2, 11)
+    assert report.contained and report.exponent == 2048
+    assert report.products_checked == 1

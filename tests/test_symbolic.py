@@ -5,6 +5,7 @@ import pytest
 from idealkit import (
     Graph,
     ResourceCapError,
+    connected_graph_reps,
     edge_ideal,
     is_bipartite,
     is_packed,
@@ -15,13 +16,22 @@ from idealkit import (
     parse_graph,
     parse_ideal,
     parse_ring,
+    random_ideal,
     random_squarefree_ideal,
     rng_from_seed,
     symbolic_equals_ordinary,
     symbolic_power,
     verify_edge_theorem,
 )
-from helpers import numbered_ring, symbolic_by_box_scan, symbolic_by_intersection
+from helpers import (
+    codim_by_subsets,
+    disjoint_by_subsets,
+    minimal_covers_by_subsets,
+    numbered_ring,
+    packed_by_minor_ideals,
+    symbolic_by_box_scan,
+    symbolic_by_intersection,
+)
 
 R3 = parse_ring("x, y, z")
 TRIANGLE = parse_ideal(R3, "x*y, x*z, y*z")
@@ -169,6 +179,51 @@ def test_is_packed():
     assert failure.codim == 2 and failure.disjoint == 1
     assert is_packed(edge_ideal(Graph.cycle(4)))[0]
     assert is_packed(parse_ideal(R3, "x"))[0]
+
+
+def _packing_corpus():
+    for n in range(2, 7):
+        for graph in connected_graph_reps(n):
+            yield edge_ideal(graph)
+    for graph in NAMED_GRAPHS:
+        yield edge_ideal(graph)
+    # hypergraphs: supports of one to three variables
+    rng = rng_from_seed("idealkit:symbolic:packed")
+    for _ in range(300):
+        ring = numbered_ring(rng.randint(4, 5))
+        yield random_squarefree_ideal(rng, ring, max_generators=8, max_support=3)
+
+
+def test_packing_kernels_match_subset_oracles():
+    for ideal in _packing_corpus():
+        assert is_packed(ideal) == packed_by_minor_ideals(ideal), ideal
+        assert codim(ideal) == codim_by_subsets(ideal), ideal
+        assert max_disjoint_monomials(ideal) == disjoint_by_subsets(ideal), ideal
+        primes = [p.indices for p in minimal_primes(ideal)]
+        assert primes == minimal_covers_by_subsets(ideal), ideal
+
+
+def test_codim_of_non_squarefree_ideals_matches_subset_oracle():
+    rng = rng_from_seed("idealkit:symbolic:codim")
+    for _ in range(100):
+        ideal = random_ideal(rng, numbered_ring(rng.randint(2, 5)), 5, 4)
+        assert codim(ideal) == codim_by_subsets(ideal), ideal
+
+
+def test_packed_iff_bipartite_on_larger_graphs():
+    # Simis-Vasconcelos-Villarreal: an edge ideal is packed iff the graph is bipartite
+    for graph in (Graph.cycle(9), Graph.cycle(10), Graph.path(10)):
+        assert is_packed(edge_ideal(graph))[0] == is_bipartite(graph)[0]
+
+
+def test_packedness_minor_cap(monkeypatch):
+    # the 4-vertex path is packed, so every one of its 3^4 - 2^4 = 65 pairs is visited
+    path = edge_ideal(Graph.path(4))
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 64)
+    with pytest.raises(ResourceCapError, match="packedness check visited over 64 minors"):
+        is_packed(path)
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 65)
+    assert is_packed(path) == (True, None)
 
 
 def test_edge_ideal_construction():
