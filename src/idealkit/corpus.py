@@ -51,14 +51,11 @@ def random_ideal(rng, ring, max_generators, max_degree):
     return MonomialIdeal.from_generators(ring, gens)
 
 
-def random_squarefree_ideal(rng, ring, max_generators, max_support=None):
-    """Up to max_generators square-free generators, each on a random set of
-    1..max_support variables (default: up to all of them)."""
-    largest = ring.n if max_support is None else min(max_support, ring.n)
+def random_squarefree_ideal(rng, ring, max_generators):
     count = rng.randint(1, max_generators)
     gens = []
     for _ in range(count):
-        size = rng.randint(1, largest)
+        size = rng.randint(1, ring.n)
         support = rng.sample(range(ring.n), size)
         exps = tuple(1 if i in support else 0 for i in range(ring.n))
         gens.append(Monomial(ring, exps))

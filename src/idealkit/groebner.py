@@ -927,7 +927,9 @@ def frobenius_containment_check(gens, t, p, e, max_products=20_000):
     # validates e and the characteristic before p**e feeds the count
     bracket = frobenius_power(gens, p, e)
     exponent = t * p**e
-    count = comb(exponent + t - 1, t - 1)
+    # the power chains take up to `exponent` multiplications; for t >= 2
+    # the product count already exceeds that, for t = 1 it is a single product
+    count = max(comb(exponent + t - 1, t - 1), exponent)
     if count > max_products:
         raise ResourceCapError(
             f"containment check needs {count} products, over the cap {max_products}"

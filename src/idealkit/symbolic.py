@@ -151,14 +151,14 @@ def minimal_primes(ideal):
 def codim(ideal):
     """Codimension (height); the zero ideal has codimension 0 by convention.
 
-    The minimal supports are those of the radical's generators, and the
-    height is the least size of a cover of them.
+    The height is the least size of a cover of the generator supports,
+    which are the radical's generators up to non-minimal ones.
     """
     if ideal.is_unit:
         raise ValueError("unit ideal has no codimension")
     if ideal.is_zero:
         return 0
-    return _cover_number(_minimal_masks({_support_mask(g) for g in ideal.generators}))
+    return _cover_number([_support_mask(g) for g in ideal.generators])
 
 
 def dim_quotient(ideal):
@@ -237,11 +237,13 @@ def is_packed(ideal):
 
     Minors are visited smallest reduction first, lexicographically over the
     (zeros, ones) name pairs, so the returned failure is canonical.  Each
-    minor is formed on generator support masks, as the minimal masks among
-    ``g & ~ones`` over the generators g missing every zero; minors that
-    collapse to the zero or unit ideal are vacuous and skipped, as are
-    assignments touching every variable.  A mask set already checked is not
-    checked again, and only the failing minor, if any, is built as an ideal.
+    minor is formed on generator support masks, as the set of ``g & ~ones``
+    over the generators g missing every zero; minors that collapse to the
+    zero or unit ideal are vacuous and skipped, as are assignments touching
+    every variable.  The set need not be minimal: non-minimal masks change
+    neither the cover number nor the largest disjoint count.  A mask set
+    already checked is not checked again, and only the failing minor, if
+    any, is built as an ideal.
     Visiting more than ``_POINT_WORK_CAP`` (zeros, ones) pairs raises
     ``ResourceCapError``; there are 3^n - 2^n of them on n variables.
     """
@@ -264,15 +266,10 @@ def is_packed(ideal):
                             f"packedness check visited over "
                             f"{monomials._POINT_WORK_CAP} minors")
                     keep = ~sum(ones)
-                    raw = frozenset([g & keep for g in alive])
-                    if not raw or 0 in raw or raw in seen:
+                    minor = frozenset([g & keep for g in alive])
+                    if not minor or 0 in minor or minor in seen:
                         continue
-                    seen.add(raw)
-                    minor = frozenset(_minimal_masks(raw))
-                    if minor != raw:
-                        if minor in seen:
-                            continue
-                        seen.add(minor)
+                    seen.add(minor)
                     c = _cover_number(minor)
                     d, _ = _max_disjoint(tuple(minor))
                     if d < c:

@@ -173,6 +173,16 @@ def disjoint_by_subsets(ideal):
     return 0, ()
 
 
+def random_hypergraph_ideal(rng, ring, max_generators, max_support):
+    """Up to max_generators square-free generators, each on a random set of
+    1..max_support variables."""
+    gens = []
+    for _ in range(rng.randint(1, max_generators)):
+        support = rng.sample(range(ring.n), rng.randint(1, min(max_support, ring.n)))
+        gens.append(Monomial(ring, tuple(int(i in support) for i in range(ring.n))))
+    return MonomialIdeal.from_generators(ring, gens)
+
+
 def packed_by_minor_ideals(ideal):
     """Packedness by building every (zeros, ones) minor as an ideal.
 

@@ -358,6 +358,18 @@ def test_frobenius_long_power_chain_answers(capsys):
     assert payload["products_checked"] == 1
 
 
+def test_frobenius_huge_power_chain_exits_three_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "groebner", "frobenius",
+        "--ring", "x", "--polys", "x", "--p", "32003", "--e", "2",
+    )
+    assert (code, out) == (3, "")
+    assert err == "resource cap: containment check needs 1024192009 products, over the cap 20000\n"
+    assert time.perf_counter() - start < 5
+
+
 def _recurse(*args):
     return _recurse(*args)
 

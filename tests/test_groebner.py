@@ -321,3 +321,10 @@ def test_frobenius_containment_with_a_long_power_chain():
     report = frobenius_containment_check([poly("x", field=f2)], 1, 2, 11)
     assert report.contained and report.exponent == 2048
     assert report.products_checked == 1
+
+
+def test_frobenius_power_chain_counts_against_the_cap():
+    # one product, but 2^30 multiplications to form it
+    f2 = parse_field("fp:2")
+    with pytest.raises(ResourceCapError, match="needs 1073741824 products, over the cap 20000"):
+        frobenius_containment_check([poly("x", field=f2)], 1, 2, 30)

@@ -29,6 +29,7 @@ from helpers import (
     minimal_covers_by_subsets,
     numbered_ring,
     packed_by_minor_ideals,
+    random_hypergraph_ideal,
     symbolic_by_box_scan,
     symbolic_by_intersection,
 )
@@ -191,7 +192,7 @@ def _packing_corpus():
     rng = rng_from_seed("idealkit:symbolic:packed")
     for _ in range(300):
         ring = numbered_ring(rng.randint(4, 5))
-        yield random_squarefree_ideal(rng, ring, max_generators=8, max_support=3)
+        yield random_hypergraph_ideal(rng, ring, max_generators=8, max_support=3)
 
 
 def test_packing_kernels_match_subset_oracles():
