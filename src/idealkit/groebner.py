@@ -1,10 +1,14 @@
 """Exact Groebner engine over Q and GF(p), plus the experiments built on it.
 
 Buchberger with the normal pair-selection strategy (least lcm degree, ties
-by index), coprime-leading-term skipping, and full interreduction, so the
+by index) over a heap of pairs, the Gebauer-Moeller pair criteria (chain,
+B-criterion and coprime leading terms), and full interreduction, so the
 returned basis is the reduced Groebner basis and normal forms are canonical.
-Every construction re-checks that all S-polynomials of the final basis
-reduce to zero unless the caller opts out.
+Reduction pops the largest remaining term from a heap keyed by the term
+order, computing each monomial's key once per call.  Every construction
+re-checks the result unless the caller opts out: all S-polynomials of the
+final basis and all input generators must reduce to zero against it, so it
+is a Groebner basis and generates the input ideal.
 
 On top of the engine:
 
@@ -27,7 +31,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, prod
+from operator import add, le, neg, sub
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 from .fields import QQ
@@ -59,11 +65,11 @@ class MonomialOrder:
         return cls("grevlex", _check_permutation(ring, permutation))
 
     def key(self, exps):
-        permuted = tuple(exps[i] for i in self.permutation)
+        permuted = tuple(map(exps.__getitem__, self.permutation))
         if self.kind == "lex":
             return permuted
         # grevlex: total degree, then smallest trailing exponent wins
-        return (sum(exps), tuple(-e for e in reversed(permuted)))
+        return (sum(exps), tuple(map(neg, reversed(permuted))))
 
     def __str__(self):
         return self.kind
@@ -76,6 +82,21 @@ def _check_permutation(ring, permutation):
     if sorted(perm) != list(range(ring.n)):
         raise ValueError(f"{perm} is not a permutation of 0..{ring.n - 1}")
     return perm
+
+
+def _sorted_terms(acc, order):
+    """The nonzero terms of ``{exponents: coefficient}``, largest first.
+
+    Coefficients are Fractions or ints, so zero is the falsy one.
+    """
+    key = order.key
+    return tuple(
+        sorted(
+            ((e, c) for e, c in acc.items() if c),
+            key=lambda t: key(t[0]),
+            reverse=True,
+        )
+    )
 
 
 class Polynomial:
@@ -103,13 +124,27 @@ class Polynomial:
         self.ring = ring
         self.field = field
         self.order = order
-        self.terms = tuple(
-            sorted(
-                ((e, c) for e, c in acc.items() if c != field.zero),
-                key=lambda t: order.key(t[0]),
-                reverse=True,
-            )
-        )
+        self.terms = _sorted_terms(acc, order)
+
+    @classmethod
+    def _trusted(cls, ring, field, order, terms):
+        """Wrap a tuple of nonzero field-element terms already sorted descending.
+
+        Internal results (products, S-polynomials, remainders, scalings)
+        come out in that shape, so they skip the coercing, validating and
+        re-sorting of ``__init__``.
+        """
+        poly = object.__new__(cls)
+        poly.ring = ring
+        poly.field = field
+        poly.order = order
+        poly.terms = terms
+        return poly
+
+    @classmethod
+    def _from_dict(cls, ring, field, order, acc):
+        """Polynomial of field-element terms ``{exponents: coefficient}``."""
+        return cls._trusted(ring, field, order, _sorted_terms(acc, order))
 
     @classmethod
     def zero(cls, ring, field, order):
@@ -165,16 +200,19 @@ class Polynomial:
 
     def __add__(self, other):
         self._check_mate(other)
-        return Polynomial(
-            self.ring, self.field, self.order, list(self.terms) + list(other.terms)
-        )
+        field = self.field
+        acc = dict(self.terms)
+        for exps, coeff in other.terms:
+            acc[exps] = field.add(acc[exps], coeff) if exps in acc else coeff
+        return Polynomial._from_dict(self.ring, field, self.order, acc)
 
     def __neg__(self):
-        return Polynomial(
+        neg = self.field.neg
+        return Polynomial._trusted(
             self.ring,
             self.field,
             self.order,
-            [(e, self.field.neg(c)) for e, c in self.terms],
+            tuple((e, neg(c)) for e, c in self.terms),
         )
 
     def __sub__(self, other):
@@ -188,24 +226,29 @@ class Polynomial:
         field = self.field
         for ea, ca in self.terms:
             for eb, cb in other.terms:
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 c = field.mul(ca, cb)
                 if key in acc:
                     acc[key] = field.add(acc[key], c)
                 else:
                     acc[key] = c
-        return Polynomial(self.ring, field, self.order, acc)
+        return Polynomial._from_dict(self.ring, field, self.order, acc)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, value):
-        c = self.field.coerce(value)
-        return Polynomial(
+        field = self.field
+        c = field.coerce(value)
+        if not c:
+            return Polynomial.zero(self.ring, field, self.order)
+        # a nonzero multiple keeps every term nonzero and the order intact
+        mul = field.mul
+        return Polynomial._trusted(
             self.ring,
-            self.field,
+            field,
             self.order,
-            [(e, self.field.mul(c, v)) for e, v in self.terms],
+            tuple((e, mul(c, v)) for e, v in self.terms),
         )
 
     def __pow__(self, k):
@@ -243,7 +286,7 @@ class Polynomial:
                 acc[key] = field.add(acc[key], c)
             else:
                 acc[key] = c
-        return Polynomial(self.ring, field, self.order, acc)
+        return Polynomial._from_dict(self.ring, field, self.order, acc)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -385,53 +428,87 @@ def _tokenize(text):
     return tokens
 
 
+def _heap_key(order):
+    """Exponents -> ``order.key`` negated, so a min-heap pops the largest term."""
+    key = order.key
+    if order.kind == "lex":
+        return lambda exps: tuple(map(neg, key(exps)))
+
+    def grevlex(exps):
+        degree, rest = key(exps)
+        return (-degree, tuple(map(neg, rest)))
+
+    return grevlex
+
+
 def _reduce_full(f, basis):
     """Full normal form of f against a list of polynomials.
 
     Deterministic: always reduces the largest remaining term by the first
-    listed reducer whose leading monomial divides it.
+    listed reducer whose leading monomial divides it.  Terms wait in a heap
+    under their negated order keys, each key computed once: a reduction
+    step only adds terms below the one it removes, so a monomial is pushed
+    at most once and a popped one never returns.  A term cancelled while
+    waiting keeps a zero coefficient and is dropped when popped.
     """
     field = f.field
-    order = f.order
+    div, mul, neg_ = field.div, field.mul, field.neg
+    heap_key = _heap_key(f.order)
+    # (leading monomial, leading coefficient unless 1, tail) per reducer;
+    # both fields' unit equals the int 1, which a Fraction compares fastest
+    reducers = [
+        (g.terms[0][0], None if g.terms[0][1] == 1 else g.terms[0][1], g.terms[1:])
+        for g in basis
+    ]
     work = dict(f.terms)
-    remainder = {}
-    while work:
-        exps = max(work, key=order.key)
-        coeff = work.pop(exps)
-        reducer = None
-        for g in basis:
-            if _divides_row(g.terms[0][0], exps):
-                reducer = g
-                break
-        if reducer is None:
-            remainder[exps] = coeff
+    heap = [(heap_key(exps), exps) for exps in work]
+    heapify(heap)
+    remainder = []
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = work[exps]
+        if not coeff:
             continue
-        lm, lc = reducer.terms[0]
-        shift = tuple(x - y for x, y in zip(exps, lm))
-        factor = field.div(coeff, lc)
-        for mexps, mcoeff in reducer.terms[1:]:
-            key = tuple(x + y for x, y in zip(shift, mexps))
-            value = field.sub(work.get(key, field.zero), field.mul(factor, mcoeff))
-            if value == field.zero:
-                work.pop(key, None)
+        for lm, lc, tail in reducers:
+            if all(map(le, lm, exps)):
+                break
+        else:
+            remainder.append((exps, coeff))
+            continue
+        shift = tuple(map(sub, exps, lm))
+        factor = coeff if lc is None else div(coeff, lc)
+        for mexps, mcoeff in tail:
+            term = tuple(map(add, shift, mexps))
+            old = work.get(term)
+            if old is None:
+                work[term] = neg_(mul(factor, mcoeff))
+                heappush(heap, (heap_key(term), term))
             else:
-                work[key] = value
-    return Polynomial(f.ring, field, order, remainder)
+                work[term] = field.sub(old, mul(factor, mcoeff))
+    return Polynomial._trusted(f.ring, field, f.order, tuple(remainder))
 
 
 def _s_polynomial(f, g):
     field = f.field
+    mul, neg_ = field.mul, field.neg
     lmf, lcf = f.terms[0]
     lmg, lcg = g.terms[0]
     lcm = _lcm_row(lmf, lmg)
-    sf = tuple(a - b for a, b in zip(lcm, lmf))
-    sg = tuple(a - b for a, b in zip(lcm, lmg))
-    left = [(tuple(a + b for a, b in zip(sf, e)), field.div(c, lcf)) for e, c in f.terms]
-    right = [
-        (tuple(a + b for a, b in zip(sg, e)), field.neg(field.div(c, lcg)))
-        for e, c in g.terms
-    ]
-    return Polynomial(f.ring, field, f.order, left + right)
+    sf = tuple(map(sub, lcm, lmf))
+    sg = tuple(map(sub, lcm, lmg))
+    # the leading terms cancel by construction; basis elements are monic,
+    # so the scalings are mostly 1 (see _reduce_full on comparing with 1)
+    inv_f = None if lcf == 1 else field.inv(lcf)
+    inv_g = None if lcg == 1 else field.inv(lcg)
+    acc = {
+        tuple(map(add, sf, e)): c if inv_f is None else mul(c, inv_f)
+        for e, c in f.terms[1:]
+    }
+    for e, c in g.terms[1:]:
+        exps = tuple(map(add, sg, e))
+        c = neg_(c if inv_g is None else mul(c, inv_g))
+        acc[exps] = field.add(acc[exps], c) if exps in acc else c
+    return Polynomial._from_dict(f.ring, field, f.order, acc)
 
 
 @dataclass(frozen=True)
@@ -483,9 +560,14 @@ def buchberger(
 
     Pair selection is the normal strategy: least degree of the leading-term
     lcm, ties broken by pair index, so output is deterministic for a fixed
-    input order.  Pairs with coprime leading terms are skipped.  The basis
-    is certified on construction (every S-polynomial of the result reduces
-    to zero) unless ``certify`` is false.
+    input order.  Each pair enters a heap once under that fixed key.  The
+    Gebauer-Moeller update (J. Symbolic Comput. 6, 1988) drops pairs before
+    they are reduced: the chain criterion on the pairs each new polynomial
+    brings, the B-criterion on the queued ones, and every pair with coprime
+    leading terms.  Every polynomial stays a reducer, in insertion order.
+    The basis is certified on construction unless ``certify`` is false:
+    every S-polynomial of the result and every generator reduce to zero
+    against it, so it is a Groebner basis of the input ideal.
     """
     gens = list(gens)
     if not gens:
@@ -496,24 +578,18 @@ def buchberger(
             raise RingMismatchError("generators live in different rings or fields")
     if order is None:
         order = gens[0].order
-    basis = [
-        Polynomial(ring, field, order, dict(g.terms)).monic()
-        for g in gens
-        if not g.is_zero
-    ]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                sum(_lcm_row(basis[p[0]].terms[0][0], basis[p[1]].terms[0][0])),
-                p,
-            ),
-        )
-        pairs.remove((i, j))
-        lmi, lmj = basis[i].terms[0][0], basis[j].terms[0][0]
-        if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
-            continue  # coprime leading terms: S-polynomial reduces to zero
+    basis = [_in_order(g, order).monic() for g in gens if not g.is_zero]
+    inputs = list(basis)
+    leads = [p.terms[0][0] for p in basis]
+    queue = []  # heap of (lcm degree, i, j)
+    queued = {}  # live pairs (i, j) -> lcm of their leading monomials
+    active = []  # indices whose leading monomial no later one divides
+    for new in range(len(basis)):
+        _gebauer_moeller(leads, new, active, queued, queue)
+    while queue:
+        _, i, j = heappop(queue)
+        if queued.pop((i, j), None) is None:
+            continue  # dropped by the B-criterion after it was queued
         remainder = _reduce_full(_s_polynomial(basis[i], basis[j]), basis)
         if remainder.is_zero:
             continue
@@ -525,13 +601,61 @@ def buchberger(
         basis.append(remainder.monic())
         if len(basis) > max_basis:
             raise ResourceCapError(f"basis grew past {max_basis} polynomials")
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        leads.append(remainder.terms[0][0])
+        _gebauer_moeller(leads, len(basis) - 1, active, queued, queue)
     reduced = _interreduce(basis)
     gb = GroebnerBasis(ring, field, order, tuple(reduced), certified=bool(certify))
     if certify:
-        _certify(gb)
+        _certify(gb, inputs)
     return gb
+
+
+def _in_order(f, order):
+    if f.order == order:
+        return f
+    return Polynomial._from_dict(f.ring, f.field, order, dict(f.terms))
+
+
+def _coprime(a, b):
+    return not any(map(min, a, b))
+
+
+def _gebauer_moeller(leads, new, active, queued, queue):
+    """Queue the useful pairs of polynomial ``new``; drop the useless ones.
+
+    Gebauer-Moeller update (Becker-Weispfenning, "Groebner Bases", p. 230).
+    A new pair (i, new) is dropped when the lcm of another new pair divides
+    its lcm (chain criterion, one survivor among equal lcms), or when its
+    leading monomials are coprime.  A queued pair (i, j) is dropped when
+    the new leading monomial divides its lcm but neither (i, new) nor
+    (j, new) has that same lcm.  Indices whose leading monomial the new one
+    divides stop taking new pairs.
+    """
+    h = leads[new]
+    lcms = {i: _lcm_row(leads[i], h) for i in active}
+    kept = []
+    rest = list(active)
+    while rest:
+        i = rest.pop()
+        m = lcms[i]
+        if _coprime(leads[i], h) or not (
+            any(all(map(le, lcms[k], m)) for k in rest)
+            or any(all(map(le, lcms[k], m)) for k in kept)
+        ):
+            kept.append(i)
+    for (i, j), m in list(queued.items()):
+        if all(map(le, h, m)):
+            mi = lcms[i] if i in lcms else _lcm_row(leads[i], h)
+            mj = lcms[j] if j in lcms else _lcm_row(leads[j], h)
+            if mi != m and mj != m:
+                del queued[(i, j)]
+    for i in kept:
+        if not _coprime(leads[i], h):
+            m = lcms[i]
+            queued[(i, new)] = m
+            heappush(queue, (sum(m), i, new))
+    active[:] = [i for i in active if not all(map(le, h, leads[i]))]
+    active.append(new)
 
 
 def _interreduce(basis):
@@ -553,16 +677,21 @@ def _interreduce(basis):
     out = []
     for i, p in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        head = dict([p.terms[0]])
-        tail = Polynomial(p.ring, p.field, p.order, dict(p.terms[1:]))
-        reduced_tail = _reduce_full(tail, others)
-        head.update(dict(reduced_tail.terms))
-        out.append(Polynomial(p.ring, p.field, p.order, head).monic())
+        tail = Polynomial._trusted(p.ring, p.field, p.order, p.terms[1:])
+        # reduction only lowers terms, so the head stays in front
+        terms = p.terms[:1] + _reduce_full(tail, others).terms
+        out.append(Polynomial._trusted(p.ring, p.field, p.order, terms).monic())
     out.sort(key=lambda p: p.order.key(p.terms[0][0]))
     return out
 
 
-def _certify(gb):
+def _certify(gb, gens):
+    """Raise unless gb is a Groebner basis of the ideal of ``gens``.
+
+    Every S-polynomial of the basis must reduce to zero (the Groebner
+    property), and so must every generator, which puts (gens) inside the
+    basis's ideal; the basis is built from the generators, so the two agree.
+    """
     polys = gb.polys
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
@@ -572,6 +701,12 @@ def _certify(gb):
                     "internal error: an S-polynomial of the reduced basis "
                     "does not reduce to zero"
                 )
+    for g in gens:
+        if not _reduce_full(_in_order(g, gb.order), polys).is_zero:
+            raise RuntimeError(
+                "internal error: an input generator does not reduce to zero "
+                "against the reduced basis"
+            )
 
 
 def normal_form(f, gb):
@@ -641,27 +776,34 @@ def power_membership_index(f, gens, n_max):
 
 
 def _exact_quotient(h, g):
-    # h must be a polynomial multiple of g
-    ring, field, order = h.ring, h.field, h.order
-    glm = g.leading_monomial()
-    glc = g.leading_coefficient()
-    quotient = {}
+    # h must be a polynomial multiple of g; terms wait in a heap as in
+    # _reduce_full, and the quotient comes out largest term first
+    field = h.field
+    heap_key = _heap_key(h.order)
+    glm, glc = g.terms[0]
     rest = dict(h.terms)
-    while rest:
-        lm = max(rest, key=order.key)
-        if not _divides_row(glm, lm):
+    heap = [(heap_key(exps), exps) for exps in rest]
+    heapify(heap)
+    quotient = []
+    while heap:
+        lm = heappop(heap)[1]
+        coeff = rest[lm]
+        if not coeff:
+            continue
+        if not all(map(le, glm, lm)):
             raise ValueError("quotient is not exact")
-        shift = tuple(a - b for a, b in zip(lm, glm))
-        coeff = field.div(rest[lm], glc)
-        quotient[shift] = coeff
-        for exps, c in g.terms:
-            key = tuple(a + b for a, b in zip(shift, exps))
-            acc = field.sub(rest.get(key, field.zero), field.mul(coeff, c))
-            if acc == field.zero:
-                rest.pop(key, None)
+        shift = tuple(map(sub, lm, glm))
+        factor = field.div(coeff, glc)
+        quotient.append((shift, factor))
+        for exps, c in g.terms[1:]:
+            term = tuple(map(add, shift, exps))
+            old = rest.get(term)
+            if old is None:
+                rest[term] = field.neg(field.mul(factor, c))
+                heappush(heap, (heap_key(term), term))
             else:
-                rest[key] = acc
-    return Polynomial(ring, field, order, quotient)
+                rest[term] = field.sub(old, field.mul(factor, c))
+    return Polynomial._trusted(h.ring, field, h.order, tuple(quotient))
 
 
 def _intersection_basis(gens_a, gens_b, *, max_basis, max_degree):

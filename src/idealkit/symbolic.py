@@ -119,24 +119,36 @@ def _max_disjoint(supports):
 
     Exhaustive branch-and-bound over take-or-skip in list order, taking
     first, so the indices are the lexicographically least largest family.
+    The search keeps its own stack.  A branch is cut unless it can beat the
+    best family so far: from position i, at most the remaining masks can be
+    added, and at most popcount(free variables) // (least popcount among
+    masks i..) of them, as disjoint masks use disjoint variables.
     """
     m = len(supports)
-    best = [0, ()]
-
-    def rec(i, used, chosen):
-        if len(chosen) + (m - i) <= best[0]:
-            return
+    least = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        size = supports[i].bit_count()
+        least[i] = size if i == m - 1 else min(size, least[i + 1])
+    universe = 0
+    for sup in supports:
+        universe |= sup
+    best, best_picks = 0, ()
+    stack = [(0, 0, ())]
+    while stack:
+        i, used, chosen = stack.pop()
+        room = m - i
+        if least[i]:
+            room = min(room, (universe & ~used).bit_count() // least[i])
+        if len(chosen) + room <= best:
+            continue
         if i == m:
-            best[:] = len(chosen), tuple(chosen)
-            return
+            best, best_picks = len(chosen), chosen
+            continue
+        # popped last, so the skip branch runs after the take branch
+        stack.append((i + 1, used, chosen))
         if not supports[i] & used:
-            chosen.append(i)
-            rec(i + 1, used | supports[i], chosen)
-            chosen.pop()
-        rec(i + 1, used, chosen)
-
-    rec(0, 0, [])
-    return best[0], best[1]
+            stack.append((i + 1, used | supports[i], chosen + (i,)))
+    return best, best_picks
 
 
 def minimal_primes(ideal):

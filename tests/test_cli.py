@@ -6,12 +6,13 @@ plain-text renderings.
 """
 
 import io
+import itertools
 import json
 import time
 
 import pytest
 
-from idealkit import ResourceCapError, invariants
+from idealkit import ResourceCapError, groebner, invariants
 from idealkit.cli import main
 
 
@@ -398,6 +399,29 @@ def test_runtime_failures_exit_with_one_line(capsys, monkeypatch, library_call, 
     # one stderr line; Python versions word the end of the recursion message apart
     assert err.startswith(line) and err.endswith("\n") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_failed_groebner_certificate_exits_four(capsys, monkeypatch):
+    interreduce = groebner._interreduce
+    monkeypatch.setattr(groebner, "_interreduce", lambda basis: interreduce(basis)[:-1])
+    code, out, err = run_cli(
+        capsys, "groebner", "gb", "--ring", "x,y", "--polys", "x^2 - y; y^2 - 1",
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:") and err.count("\n") == 1
+    assert err.endswith("\n") and "Traceback" not in err
+
+
+def test_packedness_of_many_generators_answers(capsys):
+    # the 1,287 five-variable square-free monomials of 13 variables: the
+    # largest disjoint family has 2 members, against a cover number of 9
+    ring = ",".join(f"x{i}" for i in range(1, 14))
+    ideal = ", ".join(
+        "*".join(f"x{i + 1}" for i in c) for c in itertools.combinations(range(13), 5)
+    )
+    code, out, err = run_cli(capsys, "symbolic", "packed", "--ring", ring, "--ideal", ideal)
+    assert (code, err) == (0, "")
+    assert out == "not packed: minor zeros=[] ones=[]: codim 9 but only 2 disjoint generators\n"
 
 
 def test_frobenius_negative_e_exits_two(capsys):

@@ -38,6 +38,7 @@ from idealkit import (
     random_monomial,
     rng_from_seed,
 )
+from idealkit import groebner
 from helpers import numbered_ring
 
 R2 = parse_ring("x, y")
@@ -195,6 +196,60 @@ def test_resource_caps_abort():
             [poly("x^3 - y^2"), poly("x*y^4 - x - 1"), poly("y^6 - x^5")],
             max_basis=2,
         )
+
+
+def test_certificate_fires_on_a_dropped_basis_element(monkeypatch):
+    # {y^2 - 1} passes the S-polynomial check but misses x^2 - y
+    interreduce = groebner._interreduce
+    monkeypatch.setattr(groebner, "_interreduce", lambda basis: interreduce(basis)[:-1])
+    with pytest.raises(RuntimeError, match="^internal error: an input generator"):
+        buchberger([poly("x^2 - y"), poly("y^2 - 1")])
+    assert len(buchberger([poly("x^2 - y"), poly("y^2 - 1")], certify=False)) == 1
+
+
+def test_certificate_fires_on_a_perturbed_tail_coefficient(monkeypatch):
+    interreduce = groebner._interreduce
+
+    def perturbed(basis):
+        out = interreduce(basis)
+        last = out[-1]  # x^2 - y, which becomes x^2 - 2*y
+        terms = list(last.terms)
+        terms[1] = (terms[1][0], 2 * terms[1][1])
+        out[-1] = Polynomial(last.ring, last.field, last.order, terms)
+        return out
+
+    monkeypatch.setattr(groebner, "_interreduce", perturbed)
+    lex3 = MonomialOrder.lex(R3)
+    twisted = [
+        parse_polynomial(R3, "-x^2 + y", order=lex3),
+        parse_polynomial(R3, "-x^3 + z", order=lex3),
+    ]
+    with pytest.raises(RuntimeError, match="^internal error: an S-polynomial"):
+        buchberger(twisted)
+
+
+def test_pair_criteria_skip_pairs_without_changing_the_basis(monkeypatch):
+    # reducing every non-coprime pair would form 35 S-polynomials on
+    # cyclic-4; the Gebauer-Moeller criteria leave 11
+    calls = []
+    s_polynomial = groebner._s_polynomial
+    monkeypatch.setattr(
+        groebner, "_s_polynomial", lambda f, g: calls.append(1) or s_polynomial(f, g)
+    )
+    ring = parse_ring("a, b, c, d")
+    texts = ["a + b + c + d", "a*b + b*c + c*d + d*a",
+             "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]
+    basis = buchberger([parse_polynomial(ring, t) for t in texts], certify=False)
+    assert [str(p) for p in basis] == [
+        "a + b + c + d",
+        "b^2 + 2*b*d + d^2",
+        "b*c^2 + c^2*d - b*d^2 - d^3",
+        "b*c*d^2 + c^2*d^2 - b*d^3 + c*d^3 - d^4 - 1",
+        "b*d^4 + d^5 - b - d",
+        "c^3*d^2 + c^2*d^3 - c - d",
+        "c^2*d^4 + b*c - b*d + c*d - 2*d^2",
+    ]
+    assert len(calls) == 11
 
 
 def test_radical_membership():

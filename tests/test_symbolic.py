@@ -1,9 +1,13 @@
 """Symbolic powers, minimal primes, packing, and the bipartite edge theorem."""
 
+from itertools import combinations
+
 import pytest
 
 from idealkit import (
     Graph,
+    Monomial,
+    MonomialIdeal,
     ResourceCapError,
     connected_graph_reps,
     edge_ideal,
@@ -170,6 +174,21 @@ def test_max_disjoint_monomials():
     assert count == 2
     assert not (picks[0].support & picks[1].support)
     assert max_disjoint_monomials(parse_ideal(R3, "x, y, z"))[0] == 3
+
+
+def test_disjoint_search_on_many_generators():
+    # 1,287 generators: the search once recursed once per generator
+    ring = numbered_ring(13)
+    ideal = MonomialIdeal(
+        ring, [Monomial(ring, tuple(int(i in c) for i in range(13)))
+               for c in combinations(range(13), 5)]
+    )
+    gens = ideal.generators
+    first = next(g for g in gens[1:] if not g.support & gens[0].support)
+    assert max_disjoint_monomials(ideal) == (2, (gens[0], first))
+    packed, failure = is_packed(ideal)
+    assert not packed
+    assert (failure.zeros, failure.ones, failure.codim, failure.disjoint) == ((), (), 9, 2)
 
 
 def test_is_packed():
