@@ -299,7 +299,7 @@ def _check_structural(seed):
 
 _CRITERIA = (
     ("koszul-golden", 5.0, _check_koszul),
-    ("hilbert-betti-numerator", 60.0, _check_hilbert_corpus),
+    ("hilbert-betti-numerator", 10.0, _check_hilbert_corpus),
     ("symbolic-witness", 1.0, _check_symbolic_witness),
     ("edge-theorem-sweep", 60.0, _check_edge_sweep),
     ("closure-briancon-skoda", 120.0, _check_closure),

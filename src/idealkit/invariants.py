@@ -4,12 +4,16 @@ The Hilbert numerator comes from the pivot recursion
 ``N(I) = N(I + (p)) + z^deg(p) * N(I : p)`` with the pivot a pure power of
 the variable hitting the most generators; the recursion bottoms out on
 pairwise-coprime generator sets, where the numerator is a product of
-``1 - z^deg``.  Every computed series is checked on the spot against an
-independent inclusion-exclusion count of standard monomials.
+``1 - z^deg``.  Every computed series is checked on the spot against the
+standard-monomial counts of an independent numerator: the colon recursion
+of Bayer and Stillman, ``N(J + (m)) = N(J) - z^deg(m) * N(J : m)``, which
+adds one generator at a time and shares no pivot logic with the above.
 
 Graded Betti numbers are computed over the lcm lattice: for a multidegree a
 let K^a be the simplicial complex of square-free vectors b <= a with
 x^(a-b) in I; then beta_{i,a}(S/I) = dim Htilde_{i-2}(K^a) for i >= 1.
+K^a is the union of the full simplices on {i : r_i < a_i} over the
+generators r dividing x^a, so its faces are the submasks of those facets.
 With this convention the (x_1..x_n) table is the binomial row C(n, i) in
 total degree j = i, which the tests pin down.  Homology ranks are exact:
 fraction-free integer elimination over Q, modular elimination over F_p.
@@ -19,17 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial, prod
 
 from .errors import ResourceCapError
 from .fields import QQ
 from .linalg import rank_over
-from .monomials import MonomialIdeal, _compositions, _divides_row, _minimal_rows
+from .monomials import MonomialIdeal, _minimal_rows
 from .symbolic import codim as _codim
 from .symbolic import minimal_primes as _minimal_primes
 
-_INCLUSION_EXCLUSION_CAP = 12
 _LATTICE_CAP = 100_000
 
 
@@ -90,42 +92,34 @@ def _numerator(rows, n):
     return _poly_add(upper, shifted)
 
 
-def _standard_counts(rows, n, degrees):
-    """Exact counts of degree-d monomials outside the ideal, one per degree.
+def _colon_numerator(rows, n):
+    """Hilbert numerator of S/I (over (1-z)^n) by the colon recursion.
 
-    Inclusion-exclusion over generator subsets when the generator count
-    allows; direct enumeration otherwise.  Both routes are exact and
-    independent of the pivot recursion.
+    Generators join in lexicographic order, each by
+    ``N(J + (m)) = N(J) - z^deg(m) * N(J : m)``, where J : m is generated by
+    the rows ``max(g - m, 0)`` of the generators g already in J.
     """
-    if any(sum(r) == 0 for r in rows):
-        return [0] * len(degrees)
-    s = len(rows)
-    if s <= _INCLUSION_EXCLUSION_CAP:
-        weight = {}
-        lcms = [(0,) * n] * (1 << s)
-        for mask in range(1, 1 << s):
-            low = (mask & -mask).bit_length() - 1
-            prev = lcms[mask ^ (1 << low)]
-            cur = tuple(max(a, b) for a, b in zip(prev, rows[low]))
-            lcms[mask] = cur
-            d = sum(cur)
-            weight[d] = weight.get(d, 0) + (-1 if bin(mask).count("1") % 2 else 1)
-        out = []
-        for d in degrees:
-            total = comb(n - 1 + d, n - 1)
-            for deg, w in weight.items():
-                if deg <= d:
-                    total += w * comb(n - 1 + d - deg, n - 1)
-            out.append(total)
-        return out
-    out = []
-    for d in degrees:
-        count = 0
-        for point in _compositions(d, n):
-            if not any(_divides_row(r, point) for r in rows):
-                count += 1
-        out.append(count)
-    return out
+    num = [1]
+    done = []
+    for m in sorted(rows):
+        if not any(m):
+            return []
+        colon = _minimal_rows([tuple(max(a - b, 0) for a, b in zip(g, m)) for g in done])
+        inner = _colon_numerator(colon, n) if colon else [1]
+        num = _poly_add(num, [0] * sum(m) + [-c for c in inner])
+        done.append(m)
+    return num
+
+
+def _standard_counts(rows, n, degrees):
+    """Exact counts of degree-d monomials outside the ideal, one per degree,
+    read off the colon-recursion numerator, independent of the pivot
+    recursion."""
+    num = _colon_numerator(rows, n)
+    return [
+        sum(c * comb(n - 1 + d - j, n - 1) for j, c in enumerate(num) if j <= d)
+        for d in degrees
+    ]
 
 
 def hilbert_function(ideal, d):
@@ -363,14 +357,16 @@ class BettiTable:
 def _homology_dims(faces, field):
     """Reduced homology dimensions of an explicit simplicial complex.
 
-    ``faces`` must be downward closed and contain the empty face; the
-    reduced chain complex therefore starts at dimension -1.
+    ``faces`` are vertex bitmasks, downward closed and holding the empty
+    face 0, so the reduced chain complex starts at dimension -1.  A face's
+    vertices are read from its highest bit down, so each dimension's masks
+    in descending order list the faces lexicographically.
     """
     by_dim = {}
     for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
     for d in by_dim:
-        by_dim[d].sort()
+        by_dim[d].sort(reverse=True)
     top = max(by_dim)
     ranks = {}
     for d in range(0, top + 1):
@@ -382,9 +378,12 @@ def _homology_dims(faces, field):
         index = {f: r for r, f in enumerate(rows)}
         matrix = [[0] * len(cols) for _ in rows]
         for c, face in enumerate(cols):
-            for pos in range(len(face)):
-                sub = face[:pos] + face[pos + 1 :]
-                matrix[index[sub]][c] = 1 if pos % 2 == 0 else -1
+            rest, sign = face, 1
+            while rest:
+                bit = 1 << (rest.bit_length() - 1)
+                rest ^= bit
+                matrix[index[face ^ bit]][c] = sign
+                sign = -sign
         ranks[d] = rank_over(matrix, field)
     dims = {}
     for d in range(-1, top + 1):
@@ -429,23 +428,29 @@ def graded_betti(ideal, field=None, max_generators=20):
         )
     entries = {(0, 0): 1}
     n = ideal.ring.n
+    # variable i is bit n-1-i, the vertex order _homology_dims reads
+    bits = [1 << (n - 1 - i) for i in range(n)]
     for a in sorted(_lcm_lattice(rows)):
-        supp = [i for i in range(n) if a[i] > 0]
-        top = tuple(v - 1 if i in supp else v for i, v in enumerate(a))
-        if any(_divides_row(r, top) for r in rows):
-            continue  # the complex is the full simplex, hence acyclic
-        faces = []
-        for bits in product((0, 1), repeat=len(supp)):
-            shifted = list(a)
-            members = []
-            for flag, i in zip(bits, supp):
-                if flag:
-                    shifted[i] -= 1
-                    members.append(i)
-            if any(_divides_row(r, tuple(shifted)) for r in rows):
-                faces.append(frozenset(members))
-        if not faces:
+        facets = set()
+        for r in rows:
+            mask = 0
+            for bit, x, y in zip(bits, r, a):
+                if x > y:
+                    break
+                if x < y:
+                    mask |= bit
+            else:
+                facets.add(mask)
+        if not facets:
             raise RuntimeError("internal error: lattice point outside the ideal")
+        if sum(bit for bit, v in zip(bits, a) if v) in facets:
+            continue  # the complex is the full simplex, hence acyclic
+        faces = {0}
+        for facet in facets:
+            sub = facet
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & facet
         degree = sum(a)
         for d, h in _homology_dims(faces, field).items():
             key = (d + 2, degree)

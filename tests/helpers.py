@@ -1,20 +1,24 @@
 """Brute-force oracles shared across the test modules.
 
 Each routine recomputes an answer by direct enumeration, so the fast
-implementations have something independent to disagree with.
+implementations have something independent to disagree with.  The last
+one corrupts an intermediate instead, so a self-check has to fire.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from idealkit import (
     MinorFailure,
     Monomial,
     MonomialIdeal,
+    invariants,
     minimal_primes,
     newton_polyhedron,
     parse_ring,
 )
+from idealkit.linalg import rank_over
 
 
 def numbered_ring(n):
@@ -46,6 +50,23 @@ def standard_count(ideal, degree):
         for exps in compositions(degree, ideal.ring.n)
         if not scan_member(ideal, exps)
     )
+
+
+def standard_counts_by_inclusion_exclusion(rows, n, degrees):
+    """Degree-d standard-monomial counts of the ideal on ``rows``: the sum
+    over generator subsets T of (-1)^|T| times the number of degree-d
+    multiples of lcm(T)."""
+    weight = {0: 1}
+    lcms = [(0,) * n] * (1 << len(rows))
+    for mask in range(1, 1 << len(rows)):
+        low = (mask & -mask).bit_length() - 1
+        lcms[mask] = tuple(max(a, b) for a, b in zip(lcms[mask ^ (1 << low)], rows[low]))
+        d = sum(lcms[mask])
+        weight[d] = weight.get(d, 0) + (-1) ** bin(mask).count("1")
+    return [
+        sum(w * comb(n - 1 + d - deg, n - 1) for deg, w in weight.items() if deg <= d)
+        for d in degrees
+    ]
 
 
 def intersect_fold(ideals):
@@ -117,6 +138,61 @@ def rank_by_fractions(rows):
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def upper_koszul_faces_by_subsets(ideal, a):
+    """Faces of K^a, as frozensets of variable indices, by testing every
+    subset b of supp(a) for x^(a-b) in the ideal."""
+    supp = [i for i, v in enumerate(a) if v > 0]
+    faces = []
+    for size in range(len(supp) + 1):
+        for members in combinations(supp, size):
+            shifted = tuple(v - (i in members) for i, v in enumerate(a))
+            if scan_member(ideal, shifted):
+                faces.append(frozenset(members))
+    return faces
+
+
+def reduced_homology_by_elimination(faces, field):
+    """{dimension: reduced Betti number} over the field of a complex given
+    by all of its faces."""
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    ranks = {}
+    for d, cols in by_dim.items():
+        rows = by_dim.get(d - 1, [])
+        index = {f: r for r, f in enumerate(rows)}
+        matrix = [[0] * len(cols) for _ in rows]
+        for c, face in enumerate(cols):
+            for pos in range(len(face)):
+                matrix[index[face[:pos] + face[pos + 1:]]][c] = (-1) ** pos
+        ranks[d] = rank_over(matrix, field) if rows else 0
+    dims = {}
+    for d, cells in by_dim.items():
+        h = len(cells) - ranks[d] - ranks.get(d + 1, 0)
+        if h:
+            dims[d] = h
+    return dims
+
+
+def betti_by_subset_scan(ideal, field):
+    """{(i, j): beta_ij(S/I)} over the field from the upper Koszul complexes
+    of all lcms of generator subsets, faces found by the subset scan above.
+    Ranks come from the library's ``rank_over``, which test_linalg checks
+    against ``rank_by_fractions``."""
+    rows = [g.exponents for g in ideal.generators]
+    lattice = set()
+    for size in range(1, len(rows) + 1):
+        for chosen in combinations(rows, size):
+            lattice.add(tuple(max(col) for col in zip(*chosen)))
+    table = {(0, 0): 1}
+    for a in lattice:
+        faces = upper_koszul_faces_by_subsets(ideal, a)
+        for d, h in reduced_homology_by_elimination(faces, field).items():
+            key = (d + 2, sum(a))
+            table[key] = table.get(key, 0) + h
+    return table
 
 
 def closure_certificate(ideal, exps, m_max):
@@ -209,3 +285,22 @@ def packed_by_minor_ideals(ideal):
                     if d < c:
                         return False, MinorFailure(zeros, ones, minor, c, d)
     return True, None
+
+
+def corrupt_numerator(monkeypatch, name, index):
+    """Rebind the numerator routine ``invariants.<name>`` so that only its
+    outermost call returns coefficient ``index`` raised by one."""
+    real = getattr(invariants, name)
+    depth = [0]
+
+    def corrupt(rows, n):
+        depth[0] += 1
+        try:
+            out = list(real(rows, n))
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            out[index] += 1
+        return out
+
+    monkeypatch.setattr(invariants, name, corrupt)

@@ -14,6 +14,7 @@ import pytest
 
 from idealkit import ResourceCapError, groebner, invariants
 from idealkit.cli import main
+from helpers import corrupt_numerator
 
 
 def run_cli(capsys, *argv):
@@ -399,6 +400,16 @@ def test_runtime_failures_exit_with_one_line(capsys, monkeypatch, library_call, 
     # one stderr line; Python versions word the end of the recursion message apart
     assert err.startswith(line) and err.endswith("\n") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["_numerator", "_colon_numerator"])
+def test_corrupt_hilbert_numerator_exits_four(capsys, monkeypatch, name):
+    corrupt_numerator(monkeypatch, name, 0)
+    code, out, err = run_cli(
+        capsys, "invariants", "hilbert", "--ring", "x,y,z", "--ideal", "x*y, x*z, y*z",
+    )
+    assert (code, out) == (4, "")
+    assert err == "internal error: series disagrees with direct count at degree 0\n"
 
 
 def test_failed_groebner_certificate_exits_four(capsys, monkeypatch):

@@ -1,13 +1,20 @@
 """Hilbert data, graded Betti numbers, and the identities tying them together."""
 
+import sys
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from idealkit import (
+    QQ,
+    Graph,
+    Monomial,
     MonomialIdeal,
+    PrimeField,
     dimension_multiplicity,
+    edge_ideal,
     graded_betti,
     hilbert_function,
     hilbert_polynomial,
@@ -25,7 +32,15 @@ from idealkit import (
     stillman_monomial_check,
     verify_betti_hilbert_identity,
 )
-from helpers import numbered_ring, standard_count
+from idealkit import invariants
+from helpers import (
+    betti_by_subset_scan,
+    compositions,
+    corrupt_numerator,
+    numbered_ring,
+    standard_count,
+    standard_counts_by_inclusion_exclusion,
+)
 
 R2 = parse_ring("x, y")
 R3 = parse_ring("x, y, z")
@@ -176,3 +191,89 @@ def test_table_render_and_json():
     assert payload["field"] == "QQ"
     assert payload["proj_dim"] == 2 and payload["regularity"] == 1
     assert [1, 2, 3] in payload["entries"]
+
+
+def _rows(ideal):
+    return [g.exponents for g in ideal.generators]
+
+
+def _check_corpus():
+    """200 seeded ideals in 2-5 variables; every tenth has 13 generators,
+    all of one degree, so none is dropped as a multiple."""
+    rng = rng_from_seed("idealkit:invariants:colon")
+    ideals = []
+    for index in range(200):
+        ring = numbered_ring(rng.randint(2, 5))
+        if index % 10 == 0:
+            ring = numbered_ring(rng.randint(4, 5))
+            rows = rng.sample(list(compositions(3, ring.n)), 13)
+            ideals.append(MonomialIdeal.from_generators(
+                ring, [Monomial(ring, r) for r in rows]))
+        else:
+            ideals.append(random_ideal(rng, ring, max_generators=8, max_degree=5))
+    return ideals
+
+
+CYCLE10 = edge_ideal(Graph.cycle(10))
+TABLE = parse_ideal(R3, "x^2, y^3, z^4, x*y*z")
+STAIRCASE301 = parse_ideal(R2, ", ".join(f"x^{i}*y^{300 - i}" for i in range(301)))
+
+
+def test_standard_counts_match_enumeration_and_inclusion_exclusion():
+    ideals = _check_corpus()
+    assert sum(len(i.generators) > 12 for i in ideals) == 20
+    for ideal in ideals:
+        rows, n = _rows(ideal), ideal.ring.n
+        degrees = list(range(len(invariants._numerator(rows, n)) + 2))
+        counts = invariants._standard_counts(rows, n, degrees)
+        assert counts == standard_counts_by_inclusion_exclusion(rows, n, degrees)
+        assert counts[:7] == [standard_count(ideal, d) for d in degrees[:7]]
+
+
+def test_colon_numerator_matches_pivot_numerator():
+    extra = [CYCLE10.power(2), TABLE.power(6), STAIRCASE301]
+    for ideal in _check_corpus() + extra:
+        rows, n = _rows(ideal), ideal.ring.n
+        assert invariants._strip(invariants._colon_numerator(rows, n)) == \
+            invariants._strip(invariants._numerator(rows, n))
+
+
+def test_betti_matches_subset_scan_builder():
+    rng = rng_from_seed("idealkit:invariants:faces")
+    ideals = [edge_ideal(Graph.cycle(n)) for n in range(5, 10)]
+    for _ in range(40):
+        ring = numbered_ring(rng.randint(2, 5))
+        ideals.append(random_ideal(rng, ring, max_generators=7, max_degree=4))
+    for ideal in ideals:
+        for field in (QQ, PrimeField(32003)):
+            assert graded_betti(ideal, field).as_dict() == betti_by_subset_scan(ideal, field)
+
+
+@pytest.mark.parametrize("name", ["_numerator", "_colon_numerator"])
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_self_check_fires_on_a_corrupt_numerator(monkeypatch, name, index):
+    corrupt_numerator(monkeypatch, name, index)
+    with pytest.raises(RuntimeError, match="internal error: series disagrees"):
+        hilbert_series(TRIANGLE)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+@pytest.mark.parametrize("ideal", [STAIRCASE301, CYCLE10.power(3)],
+                         ids=["staircase301", "C10^3"])
+def test_check_answers_at_default_recursion_limit(default_recursion_limit, ideal):
+    # hilbert_series raises unless the colon-recursion counts agree
+    assert hilbert_series(ideal).numerator[0] == 1
+
+
+def test_hilbert_series_of_c10_square_is_checked_quickly():
+    start = time.perf_counter()
+    series = hilbert_series(CYCLE10.power(2))
+    assert time.perf_counter() - start < 5
+    assert series.coefficient(4) == standard_count(CYCLE10.power(2), 4)
