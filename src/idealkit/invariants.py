@@ -28,7 +28,7 @@ from math import comb, factorial, prod
 from .errors import ResourceCapError
 from .fields import QQ
 from .linalg import rank_over
-from .monomials import MonomialIdeal, _minimal_rows
+from .monomials import _colon_row, _lcm_row, _minimal_rows
 from .symbolic import codim as _codim
 from .symbolic import minimal_primes as _minimal_primes
 
@@ -63,33 +63,39 @@ def _poly_mul(a, b):
 
 
 def _numerator(rows, n):
-    """Hilbert numerator of S/I (over (1-z)^n) by the pivot recursion."""
-    if not rows:
-        return [1]
-    if any(sum(r) == 0 for r in rows):
-        return []
-    counts = [0] * n
-    for r in rows:
-        for i, e in enumerate(r):
-            if e > 0:
-                counts[i] += 1
-    if max(counts) <= 1:
-        # pairwise-coprime generators: complete-intersection product formula
-        poly = [1]
-        for r in rows:
-            factor = [1] + [0] * (sum(r) - 1) + [-1]
-            poly = _poly_mul(poly, factor)
-        return poly
-    j = counts.index(max(counts))
-    e = min(r[j] for r in rows if r[j] > 0)
-    pivot = tuple(e if i == j else 0 for i in range(n))
-    left = _minimal_rows([r for r in rows if r[j] < e] + [pivot])
-    right = _minimal_rows(
-        [tuple(max(v - e, 0) if i == j else v for i, v in enumerate(r)) for r in rows]
-    )
-    upper = _numerator(left, n)
-    shifted = [0] * e + _numerator(right, n)
-    return _poly_add(upper, shifted)
+    """Hilbert numerator of S/I (over (1-z)^n) by the pivot recursion.
+
+    The recursion runs on a worklist of (rows, shift) pairs, so its depth
+    costs no Python stack: the numerator is the sum over the leaves of
+    z^shift times the leaf's numerator.
+    """
+    total = []
+    work = [(rows, 0)]
+    while work:
+        rows, shift = work.pop()
+        if not rows:
+            leaf = [1]
+        elif any(sum(r) == 0 for r in rows):
+            leaf = []
+        else:
+            counts = [len(rows) - column.count(0) for column in zip(*rows)]
+            if max(counts) > 1:
+                j = counts.index(max(counts))
+                e = min(r[j] for r in rows if r[j] > 0)
+                pivot = tuple(e if i == j else 0 for i in range(n))
+                work.append((_minimal_rows([r for r in rows if r[j] < e] + [pivot]), shift))
+                work.append((_minimal_rows(
+                    [r[:j] + (max(r[j] - e, 0),) + r[j + 1:] for r in rows]), shift + e))
+                continue
+            # pairwise-coprime generators: complete-intersection product formula
+            leaf = [1]
+            for r in rows:
+                leaf = _poly_mul(leaf, [1] + [0] * (sum(r) - 1) + [-1])
+        if len(total) < shift + len(leaf):
+            total.extend([0] * (shift + len(leaf) - len(total)))
+        for i, c in enumerate(leaf, shift):
+            total[i] += c
+    return total
 
 
 def _colon_numerator(rows, n):
@@ -104,7 +110,7 @@ def _colon_numerator(rows, n):
     for m in sorted(rows):
         if not any(m):
             return []
-        colon = _minimal_rows([tuple(max(a - b, 0) for a, b in zip(g, m)) for g in done])
+        colon = _minimal_rows([_colon_row(g, m) for g in done])
         inner = _colon_numerator(colon, n) if colon else [1]
         num = _poly_add(num, [0] * sum(m) + [-c for c in inner])
         done.append(m)
@@ -257,8 +263,10 @@ def hilbert_polynomial(ideal):
     n = ideal.ring.n
     d0 = max(0, len(series.numerator) - 1 - n + 1)
     poly = HilbertPolynomial(ideal.ring, series.numerator, d0)
-    for d in (d0, d0 + 1, d0 + 2):
-        if poly(d) != hilbert_function(ideal, d):
+    rows = [g.exponents for g in ideal.generators]
+    degrees = [d0, d0 + 1, d0 + 2]
+    for d, want in zip(degrees, _standard_counts(rows, n, degrees)):
+        if poly(d) != want:
             raise RuntimeError(
                 f"internal error: polynomial disagrees with function at degree {d}"
             )
@@ -401,7 +409,7 @@ def _lcm_lattice(rows):
         new = set()
         for a in frontier:
             for g in base:
-                joined = tuple(max(x, y) for x, y in zip(a, g))
+                joined = _lcm_row(a, g)
                 if joined not in lattice:
                     new.add(joined)
         lattice |= new

@@ -8,16 +8,35 @@ minimal antichain under divisibility, sorted in descending graded-lex order
 
 The zero ideal (no generators) and the unit ideal (generated by 1) are
 distinct values, and ``I**0`` is the unit ideal by convention.
+
+Every operation ends in ``_minimal_rows``, which keeps the rows that no
+other row divides.  It visits rows by ascending (degree, tuple) and tests
+each only against kept rows of strictly lower degree: a row never divides
+another of its own degree.  The first ``_PACK_AT`` of those are tried one
+by one, which settles most small inputs and most staircases.  The others
+are tested all at once in one int.  Each exponent takes a field of
+``w = max_exponent.bit_length() + 1`` bits whose top bit is a guard, a row
+is the n fields with the first variable's highest, and the kept rows sit
+in blocks of ``n*w + 1`` bits (the spare bit catches a carry) of ``K``.  A
+candidate r with its guards set, ``pack(r) | G``, copied into every block
+by multiplying with the repunit U, minus K, leaves field i's guard set
+exactly when ``k_i <= r_i``; no field or block borrows.  Masking with
+``G*U`` and adding ``(2^(n*w) - G)*U`` carries into a block's spare bit
+exactly when all of that block's guards are set, i.e. when that kept row
+divides r.  So a handful of big-int operations replace the pairwise scan.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import add, le, lshift, mul
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 
 DEFAULT_EXPONENT_CAP = 10**6
+# kept rows that _minimal_rows scans one by one before packing the rest
+_PACK_AT = 16
 # rows that one _minimal_points call may make, over all of its folds, and
 # that one product or intersection of two ideals may pair up
 _POINT_WORK_CAP = 500_000
@@ -179,20 +198,49 @@ def _minimal_rows(rows):
 
     Processing in ascending (degree, tuple) order means any divisor of a
     candidate was already seen, so one pass against the kept rows of lower
-    degree, ``lower``, suffices: no row divides another of its own degree.
+    degree suffices: no row divides another of its own degree.  The first
+    ``_PACK_AT`` of those rows are scanned one by one; the rest are tested
+    all at once in a packed int (see the module docstring), built only when
+    a candidate gets past the scan, and extended, never rebuilt, as the
+    degree rises.
     """
-    kept, lower, degree = [], [], None
-    for d, r in sorted((sum(t), t) for t in set(rows)):
+    uniq = set(rows)
+    kept, head, degree, lower = [], [], None, 0
+    packed = _PACK_AT  # kept[_PACK_AT:packed] are the blocks of K
+    for d, r in sorted(zip(map(sum, uniq), uniq)):
         if d != degree:
-            degree, lower = d, kept[:]
-        if not any(_divides_row(k, r) for k in lower):
-            kept.append(r)
+            degree, lower, head = d, len(kept), kept[:_PACK_AT]
+        if head and any(all(map(le, k, r)) for k in head):
+            continue
+        if lower > _PACK_AT:
+            if packed == _PACK_AT:
+                w = max(map(max, uniq)).bit_length() + 1
+                shifts = range((len(r) - 1) * w, -1, -w)
+                width = len(r) * w
+                guard = sum(1 << s + w - 1 for s in shifts)
+                fmt, K = "0%db" % (width + 1), 0
+            if packed < lower:
+                chunk = "".join(format(sum(map(lshift, k, shifts)), fmt)
+                                for k in reversed(kept[packed:lower]))
+                K |= int(chunk, 2) << (packed - _PACK_AT) * (width + 1)
+                packed = lower
+                U = int(("0" * width + "1") * (lower - _PACK_AT), 2)
+                grep, hrep, top = guard * U, ((1 << width) - guard) * U, U << width
+            cand = sum(map(lshift, r, shifts)) | guard
+            if (((cand * U - K) & grep) + hrep) & top:
+                continue
+        kept.append(r)
     return kept
 
 
 def _lcm_row(a, b):
     """Exponents of lcm(x^a, x^b)."""
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+def _colon_row(g, m):
+    """Exponents of x^g / gcd(x^g, x^m), the generator of (x^g) : x^m."""
+    return tuple(a - b if a > b else 0 for a, b in zip(g, m))
 
 
 def _minimal_lifts(weights, deficit):
@@ -220,13 +268,13 @@ def _minimal_points(n, inequalities):
     rows, made, pending = [(0,) * n], 0, list(inequalities)
     while pending:
         coeffs, bound = min(pending, key=lambda q: sum(
-            sum(c * e for c, e in zip(q[0], g)) < q[1] for g in rows))
+            sum(map(mul, q[0], g)) < q[1] for g in rows))
         pending.remove((coeffs, bound))
         support = [j for j, c in enumerate(coeffs) if c]
         weights = [coeffs[j] for j in support]
         lifted = []
         for g in rows:
-            deficit = bound - sum(c * e for c, e in zip(coeffs, g))
+            deficit = bound - sum(map(mul, coeffs, g))
             for r in _minimal_lifts(weights, deficit):
                 made += 1
                 if made > _POINT_WORK_CAP:
@@ -320,13 +368,13 @@ class MonomialIdeal:
     def __mul__(self, other):
         self._check_pairs(other, "product")
         cap = self.ring.max_exponent
-        rows = set()
-        for a in self._rows():
-            for b in other._rows():
-                s = tuple(x + y for x, y in zip(a, b))
-                if any(e > cap for e in s):
-                    raise ResourceCapError(f"exponent exceeds cap {cap} in product")
-                rows.add(s)
+        left, right = self._rows(), other._rows()
+        # some pair sums past the cap exactly when some column's maxima do
+        if left and right and any(
+            a + b > cap for a, b in zip(map(max, zip(*left)), map(max, zip(*right)))
+        ):
+            raise ResourceCapError(f"exponent exceeds cap {cap} in product")
+        rows = {tuple(map(add, a, b)) for a in left for b in right}
         return _ideal_from_rows(self.ring, rows)
 
     def power(self, k):
@@ -359,10 +407,7 @@ class MonomialIdeal:
         if m.ring != self.ring:
             raise RingMismatchError("monomial from a different ring")
         me = m.exponents
-        rows = {
-            tuple(max(a - b, 0) for a, b in zip(g.exponents, me))
-            for g in self.generators
-        }
+        rows = {_colon_row(g.exponents, me) for g in self.generators}
         return _ideal_from_rows(self.ring, rows)
 
     def radical(self):

@@ -69,6 +69,19 @@ def standard_counts_by_inclusion_exclusion(rows, n, degrees):
     ]
 
 
+def minimal_rows_by_scan(rows):
+    """Divisibility-minimal antichain of exponent tuples, in ascending
+    (degree, tuple) order: each row is tested against every kept row of
+    lower degree, one pair at a time."""
+    kept, lower, degree = [], [], None
+    for d, r in sorted((sum(t), t) for t in set(rows)):
+        if d != degree:
+            degree, lower = d, kept[:]
+        if not any(all(a <= b for a, b in zip(k, r)) for k in lower):
+            kept.append(r)
+    return kept
+
+
 def intersect_fold(ideals):
     acc = ideals[0]
     for other in ideals[1:]:

@@ -272,6 +272,56 @@ def test_check_answers_at_default_recursion_limit(default_recursion_limit, ideal
     assert hilbert_series(ideal).numerator[0] == 1
 
 
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_pivot_recursion_needs_no_stack():
+    # the pivot recursion on the staircase is 300 levels deep
+    want = hilbert_series(STAIRCASE301)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        got = hilbert_series(STAIRCASE301)
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == want
+
+
+def _count_standard_counts(monkeypatch, corrupt_call=None, index=0):
+    real = invariants._standard_counts
+    calls = []
+
+    def counted(rows, n, degrees):
+        calls.append(list(degrees))
+        out = real(rows, n, degrees)
+        if len(calls) == corrupt_call:
+            out[index] += 1
+        return out
+
+    monkeypatch.setattr(invariants, "_standard_counts", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ideal", [TRIANGLE, CYCLE10.power(2), TABLE],
+                         ids=["triangle", "C10^2", "table"])
+def test_hilbert_polynomial_counts_once_for_its_check(monkeypatch, ideal):
+    calls = _count_standard_counts(monkeypatch)
+    poly = hilbert_polynomial(ideal)
+    d0 = poly.stability
+    assert len(calls) == 2 and calls[1] == [d0, d0 + 1, d0 + 2]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_polynomial_check_fires_on_a_corrupt_count(monkeypatch, index):
+    _count_standard_counts(monkeypatch, corrupt_call=2, index=index)
+    with pytest.raises(RuntimeError, match="internal error: polynomial disagrees"):
+        hilbert_polynomial(TABLE)
+
+
 def test_hilbert_series_of_c10_square_is_checked_quickly():
     start = time.perf_counter()
     series = hilbert_series(CYCLE10.power(2))

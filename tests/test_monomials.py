@@ -15,7 +15,8 @@ from idealkit import (
     random_monomial,
     rng_from_seed,
 )
-from helpers import numbered_ring, scan_member
+from idealkit.monomials import _PACK_AT, _minimal_rows
+from helpers import compositions, minimal_rows_by_scan, numbered_ring, scan_member
 
 R2 = parse_ring("x, y")
 R3 = parse_ring("x, y, z")
@@ -140,6 +141,62 @@ def test_cross_ring_operations_are_rejected():
 def test_exponent_cap_guard():
     with pytest.raises(ResourceCapError):
         parse_ideal(R2, "x^600000").power(2)
+
+
+def test_product_cap_boundary():
+    r1 = parse_ring("x")
+    half = parse_ideal(r1, "x^500000")
+    assert half * half == parse_ideal(r1, "x^1000000")
+    over = parse_ideal(r1, "x^500001")
+    with pytest.raises(ResourceCapError, match="exponent exceeds cap 1000000 in product"):
+        over * over
+    # only the pair x^600000 * x^400001 crosses the cap
+    with pytest.raises(ResourceCapError, match="exponent exceeds cap 1000000 in product"):
+        parse_ideal(R3, "x^600000, y") * parse_ideal(R3, "x^400001, z")
+
+
+def _seeded_rows(rng, n, count, top):
+    """``count`` rows in n variables: points of degree ``top`` to
+    ``top`` + 3, few of which divide each other, small multiples of earlier
+    rows, and repeats."""
+    rows = []
+    while len(rows) < count:
+        pick = rng.random()
+        if rows and pick < 0.3:
+            rows.append(tuple(e + rng.randint(0, 2) for e in rng.choice(rows)))
+        elif rows and pick < 0.4:
+            rows.append(rng.choice(rows))
+        else:
+            cuts = sorted(rng.randint(0, top) for _ in range(n - 1))
+            row = [b - a for a, b in zip([0] + cuts, cuts + [top])]
+            row[rng.randrange(n)] += rng.randint(0, 3)
+            rows.append(tuple(row))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_minimal_rows_match_the_scan():
+    rng = rng_from_seed("idealkit:monomials:minimal-rows")
+    counts = [1, 2, _PACK_AT - 1, _PACK_AT, _PACK_AT + 1, 2 * _PACK_AT + 1, 60, 150, 300]
+    tops = [1, 3, 12, 1000, 10**6 - 5]
+    for n in range(1, 7):
+        for trial, count in enumerate(counts * 2):
+            rows = _seeded_rows(rng, n, count, rng.choice(tops))
+            if trial % 4 == 0:
+                rows.append((0,) * n)
+            assert _minimal_rows(rows) == minimal_rows_by_scan(rows)
+    # staircases: one degree, so nothing divides anything; then their
+    # multiples of higher degree, each divided by one step far along
+    for n, d in ((2, 200), (3, 22), (4, 9)):
+        steps = list(compositions(d, n))
+        assert _minimal_rows(steps) == sorted(steps)
+        lifted = [tuple(e + rng.randint(0, 1) for e in t) for t in steps]
+        fresh = [tuple(rng.randint(0, d + 1) for _ in range(n)) for _ in range(50)]
+        rows = steps + lifted + fresh
+        assert _minimal_rows(rows) == minimal_rows_by_scan(rows)
+    # exponents at the default cap
+    big = [(10**6 - i, i) for i in range(40)] + [(10**6, 10**6), (10**6, 0)]
+    assert _minimal_rows(big) == minimal_rows_by_scan(big)
 
 
 def test_pairing_cap_trips_before_forming_rows(monkeypatch):

@@ -306,6 +306,14 @@ def test_edge_theorem_on_named_graphs():
         assert verify_edge_theorem(graph, 4).agree
 
 
+def test_edge_theorem_on_the_ten_cycle():
+    # Simis-Vasconcelos-Villarreal: C10 is bipartite, so I^(k) = I^k for
+    # every k
+    report = verify_edge_theorem(Graph.cycle(10), 4)
+    assert report.bipartite and report.packed
+    assert report.equal_up_to == 4 and report.agree
+
+
 def test_packing_is_necessary_for_equality():
     # one direction of the equivalence, scanned on the random corpus
     rng = rng_from_seed("idealkit:symbolic:packing")
