@@ -15,8 +15,16 @@ x^(a-b) in I; then beta_{i,a}(S/I) = dim Htilde_{i-2}(K^a) for i >= 1.
 K^a is the union of the full simplices on {i : r_i < a_i} over the
 generators r dividing x^a, so its faces are the submasks of those facets.
 With this convention the (x_1..x_n) table is the binomial row C(n, i) in
-total degree j = i, which the tests pin down.  Homology ranks are exact:
-fraction-free integer elimination over Q, modular elimination over F_p.
+total degree j = i, which the tests pin down.
+
+Each K^a is first shrunk to a strong-collapse core: dominated vertices are
+deleted from its facet bitmasks, which keeps reduced homology over every
+field, torsion included.  A core that is one nonempty simplex is acyclic
+and skipped; every other core has its faces listed.  Their boundary maps
+are ranked exactly by sparse column elimination on unit pivots
+(``linalg.rank_sparse``): every pivot over F_p, pivots of +-1 over Q; the
+columns left over over Q are ranked by fraction-free integer elimination
+(``rank_over``).
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from math import comb, factorial, prod
 
 from .errors import ResourceCapError
 from .fields import QQ
-from .linalg import rank_over
+from .linalg import rank_over, rank_sparse
 from .monomials import _colon_row, _lcm_row, _minimal_rows
 from .symbolic import codim as _codim
 from .symbolic import minimal_primes as _minimal_primes
@@ -362,43 +370,101 @@ class BettiTable:
         }
 
 
+def _boundary(face):
+    """Boundary of a face as a ``{face: sign}`` column, vertices read from the
+    highest bit down."""
+    col = {}
+    rest, sign = face, 1
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        rest ^= bit
+        col[face ^ bit] = sign
+        sign = -sign
+    return col
+
+
 def _homology_dims(faces, field):
     """Reduced homology dimensions of an explicit simplicial complex.
 
     ``faces`` are vertex bitmasks, downward closed and holding the empty
     face 0, so the reduced chain complex starts at dimension -1.  A face's
-    vertices are read from its highest bit down, so each dimension's masks
-    in descending order list the faces lexicographically.
+    vertices are read from its highest bit down.  Each boundary map is
+    ranked by ``rank_sparse`` with faces as row keys, so a mask's numeric
+    order, in which every face precedes its cofaces, is the pivot order;
+    only what is left without a unit pivot over Q reaches ``rank_over``.
+    Maps are ranked from the top dimension down, and a d-face that is the
+    pivot row of a (d+1)-column is skipped as a column of the d-th map: that
+    reduced column is a boundary, hence a cycle, whose highest face is the
+    d-face, so the d-face's boundary is a combination of lower columns.
     """
     by_dim = {}
     for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    for d in by_dim:
-        by_dim[d].sort(reverse=True)
     top = max(by_dim)
     ranks = {}
-    for d in range(0, top + 1):
-        cols = by_dim.get(d, [])
-        rows = by_dim.get(d - 1, [])
-        if not cols or not rows:
-            ranks[d] = 0
-            continue
-        index = {f: r for r, f in enumerate(rows)}
-        matrix = [[0] * len(cols) for _ in rows]
-        for c, face in enumerate(cols):
-            rest, sign = face, 1
-            while rest:
-                bit = 1 << (rest.bit_length() - 1)
-                rest ^= bit
-                matrix[index[face ^ bit]][c] = sign
-                sign = -sign
-        ranks[d] = rank_over(matrix, field)
+    cleared = ()
+    for d in range(top, -1, -1):
+        cols = sorted(f for f in by_dim[d] if f not in cleared)
+        ranks[d], cleared = rank_sparse(map(_boundary, cols), field, rank_over)
     dims = {}
     for d in range(-1, top + 1):
-        h = len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        h = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if h:
             dims[d] = h
     return dims
+
+
+def _core(facets):
+    """Maximal facets of a strong-collapse core of the complex with these
+    facets, or of one simplex.
+
+    Facets are vertex bitmasks.  A vertex v is dominated when some other
+    vertex lies in every maximal facet through v; deleting it is a strong
+    collapse (Barmak and Minian, "Strong homotopy types, nerves and
+    collapses", Discrete Comput. Geom. 47, 2012), a strong deformation
+    retract, so reduced homology is unchanged over every coefficient ring.
+    Dominated vertices are deleted one at a time until none is left, or
+    until one facet, a simplex, is left.
+    """
+    kept = []
+    for f in sorted(facets, key=int.bit_count, reverse=True):
+        for g in kept:
+            if f & g == f:
+                break
+        else:
+            kept.append(f)
+    facets = kept
+    shrinking = len(facets) > 1
+    while shrinking:
+        shrinking = False
+        rest = 0
+        for f in facets:
+            rest |= f
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            common = -1
+            for f in facets:
+                if f & bit:
+                    common &= f
+            if common == bit:
+                continue
+            # only a facet through v can become a face of another facet,
+            # and only of one that misses v
+            away = [f for f in facets if not f & bit]
+            for f in facets:
+                if f & bit:
+                    f ^= bit
+                    for g in away:
+                        if f & g == f:
+                            break
+                    else:
+                        away.append(f)
+            facets = away
+            if len(facets) == 1:
+                return facets
+            shrinking = True
+    return facets
 
 
 def _lcm_lattice(rows):
@@ -451,10 +517,11 @@ def graded_betti(ideal, field=None, max_generators=20):
                 facets.add(mask)
         if not facets:
             raise RuntimeError("internal error: lattice point outside the ideal")
-        if sum(bit for bit, v in zip(bits, a) if v) in facets:
-            continue  # the complex is the full simplex, hence acyclic
+        core = _core(facets)
+        if len(core) == 1 and core[0]:
+            continue  # one nonempty simplex: a cone, hence acyclic
         faces = {0}
-        for facet in facets:
+        for facet in core:
             sub = facet
             while sub:
                 faces.add(sub)

@@ -6,7 +6,7 @@ one corrupts an intermediate instead, so a self-check has to fire.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 from idealkit import (
@@ -151,6 +151,27 @@ def rank_by_fractions(rows):
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def rank_by_minors(rows, p=0):
+    """Rank over F_p (over Q for p = 0): the largest k with some k x k minor
+    nonzero, each minor expanded over all permutations."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    for k in range(min(m, n), 0, -1):
+        for picked in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                det = 0
+                for perm in permutations(range(k)):
+                    inversions = sum(
+                        perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+                    term = (-1) ** inversions
+                    for i in range(k):
+                        term *= rows[picked[i]][cols[perm[i]]]
+                    det += term
+                if (det % p if p else det) != 0:
+                    return k
+    return 0
 
 
 def upper_koszul_faces_by_subsets(ideal, a):

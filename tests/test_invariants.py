@@ -33,11 +33,13 @@ from idealkit import (
     verify_betti_hilbert_identity,
 )
 from idealkit import invariants
+from idealkit.linalg import rank_over
 from helpers import (
     betti_by_subset_scan,
     compositions,
     corrupt_numerator,
     numbered_ring,
+    reduced_homology_by_elimination,
     standard_count,
     standard_counts_by_inclusion_exclusion,
 )
@@ -327,3 +329,99 @@ def test_hilbert_series_of_c10_square_is_checked_quickly():
     series = hilbert_series(CYCLE10.power(2))
     assert time.perf_counter() - start < 5
     assert series.coefficient(4) == standard_count(CYCLE10.power(2), 4)
+
+
+def _faces_of(facets):
+    """All faces of the complex with these facet bitmasks, the empty face
+    included."""
+    faces = {0}
+    for facet in facets:
+        sub = facet
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & facet
+    return faces
+
+
+def _vertex_sets(faces):
+    return [frozenset(i for i in range(f.bit_length()) if f >> i & 1) for f in faces]
+
+
+FIELDS = (QQ, PrimeField(2), PrimeField(32003))
+
+
+def test_core_keeps_reduced_homology():
+    rng = rng_from_seed("idealkit:invariants:core")
+    collapsed = 0
+    for _ in range(300):
+        vertices = rng.randint(1, 8)
+        facets = [rng.randrange(1 << vertices) for _ in range(rng.randint(1, 7))]
+        core = invariants._core(facets)
+        assert _faces_of(core) <= _faces_of(facets)
+        assert not any(f != g and f & g == f for f in core for g in core)
+        if len(core) > 1:
+            # a core: no vertex has another vertex in every facet through it
+            span = 0
+            for f in core:
+                span |= f
+            for v in range(vertices):
+                bit = 1 << v
+                if span & bit:
+                    common = -1
+                    for f in core:
+                        if f & bit:
+                            common &= f
+                    assert common == bit
+        collapsed += len(_faces_of(core)) < len(_faces_of(facets))
+        full = _vertex_sets(_faces_of(facets))
+        for field in FIELDS:
+            assert invariants._homology_dims(_faces_of(core), field) == \
+                reduced_homology_by_elimination(full, field)
+    assert collapsed > 100
+
+
+# the 6-vertex real projective plane: every vertex link is a 5-cycle, so no
+# vertex is dominated and H_1 has 2-torsion
+RP2 = [sum(1 << v for v in t) for t in (
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3))]
+
+
+def test_projective_plane_pins_torsion(monkeypatch):
+    assert sorted(invariants._core(RP2)) == sorted(RP2)
+    faces = _faces_of(RP2)
+    dense = []
+
+    def counted(rows, field):
+        dense.append(field.label)
+        return rank_over(rows, field)
+
+    monkeypatch.setattr(invariants, "rank_over", counted)
+    assert invariants._homology_dims(faces, QQ) == {}
+    # over Q no unit-pivot elimination can rank the 2-torsion boundary alone
+    assert dense == ["QQ"]
+    assert invariants._homology_dims(faces, PrimeField(2)) == {1: 1, 2: 1}
+    assert invariants._homology_dims(faces, PrimeField(32003)) == {}
+    assert dense == ["QQ"]
+    for field in FIELDS:
+        assert reduced_homology_by_elimination(_vertex_sets(faces), field) == \
+            invariants._homology_dims(faces, field)
+
+
+# graded_betti(I(C12)) as computed by the dense-rank implementation this
+# one replaced (about 10 s there)
+CYCLE12_BETTI = {
+    (0, 0): 1, (1, 2): 12, (2, 3): 12, (2, 4): 42, (3, 5): 84, (3, 6): 40,
+    (4, 6): 42, (4, 7): 120, (4, 8): 3, (5, 8): 120, (5, 9): 12, (6, 9): 40,
+    (6, 10): 18, (7, 11): 12, (8, 12): 2,
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=lambda f: f.label)
+def test_cycle12_betti_table(field):
+    ideal = edge_ideal(Graph.cycle(12))
+    start = time.perf_counter()
+    table = graded_betti(ideal, field)
+    assert time.perf_counter() - start < 5
+    assert table.as_dict() == CYCLE12_BETTI
+    assert table.alternating_numerator() == hilbert_series(ideal).numerator
