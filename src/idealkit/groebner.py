@@ -4,11 +4,28 @@ Buchberger with the normal pair-selection strategy (least lcm degree, ties
 by index) over a heap of pairs, the Gebauer-Moeller pair criteria (chain,
 B-criterion and coprime leading terms), and full interreduction, so the
 returned basis is the reduced Groebner basis and normal forms are canonical.
-Reduction pops the largest remaining term from a heap keyed by the term
-order, computing each monomial's key once per call.  Every construction
-re-checks the result unless the caller opts out: all S-polynomials of the
-final basis and all input generators must reduce to zero against it, so it
-is a Groebner basis and generates the input ideal.
+Every construction re-checks the result unless the caller opts out: all
+S-polynomials of the final basis and all input generators must reduce to
+zero against it, so it is a Groebner basis and generates the input ideal.
+
+Inside the engine (reduction, S-polynomials, the pair criteria,
+interreduction, the certificate, normal forms and exact quotients) a
+monomial is one int whose integer order is the term order: the
+``monomials.PackedLayout`` of the order, after Bachmann and Schoenemann,
+"Monomial representations for Groebner bases computations" (ISSAC 1998).
+Lex puts the exponents in permutation order; grevlex puts the degree on
+top, then cap - x_i with the last variable most significant.  Each field
+has a guard bit, so a shifted term is ``t - lm + m``, the heap key is the
+negated int, and divisibility is one subtraction and mask.  Polynomials
+are packed on the way in and unpacked on the way out; ``Polynomial.terms``
+stays the public exponent-tuple view.
+
+Field widths are derived, never set: the cap is at least twice the larger
+of ``max_degree`` and the input degree, which holds every exponent of an
+S-polynomial, and grevlex reduction never raises a degree.  Lex reduction
+can raise an exponent past the cap; the new term then sets its guard bit,
+nothing wraps, and the entry point reruns on a layout of twice the width.
+GF(p) coefficients are plain ints, reduced mod p when a term is popped.
 
 On top of the engine:
 
@@ -33,11 +50,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, prod
-from operator import add, le, neg, sub
+from operator import add, neg
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 from .fields import QQ
-from .monomials import _NAME_RE, Ring, _compositions, _divides_row, _lcm_row
+from .monomials import _NAME_RE, PackedLayout, Ring, _compositions, _lcm_row
 from .monomials import _monomial_text
 
 DEFAULT_BASIS_CAP = 5000
@@ -87,16 +104,14 @@ def _check_permutation(ring, permutation):
 def _sorted_terms(acc, order):
     """The nonzero terms of ``{exponents: coefficient}``, largest first.
 
-    Coefficients are Fractions or ints, so zero is the falsy one.
+    Coefficients are Fractions or ints, so zero is the falsy one.  Terms
+    sort by their packed keys, whose integer order is the term order.
     """
-    key = order.key
-    return tuple(
-        sorted(
-            ((e, c) for e, c in acc.items() if c),
-            key=lambda t: key(t[0]),
-            reverse=True,
-        )
-    )
+    terms = [(e, c) for e, c in acc.items() if c]
+    if len(terms) > 1:
+        pack = _layout(order, max(map(sum, acc))).pack
+        terms.sort(key=lambda t: pack(t[0]), reverse=True)
+    return tuple(terms)
 
 
 class Polynomial:
@@ -222,8 +237,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_mate(other)
-        acc = {}
         field = self.field
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # a monomial factor keeps the term order: no dict, no re-sort
+            if len(self.terms) == 1:
+                (mono, coeff), many = self.terms[0], other.terms
+            else:
+                (mono, coeff), many = other.terms[0], self.terms
+            mul = field.mul
+            terms = tuple((tuple(map(add, e, mono)), mul(c, coeff)) for e, c in many)
+            return Polynomial._trusted(self.ring, field, self.order, terms)
+        acc = {}
         for ea, ca in self.terms:
             for eb, cb in other.terms:
                 key = tuple(map(add, ea, eb))
@@ -428,92 +452,207 @@ def _tokenize(text):
     return tokens
 
 
-def _heap_key(order):
-    """Exponents -> ``order.key`` negated, so a min-heap pops the largest term."""
-    key = order.key
-    if order.kind == "lex":
-        return lambda exps: tuple(map(neg, key(exps)))
-
-    def grevlex(exps):
-        degree, rest = key(exps)
-        return (-degree, tuple(map(neg, rest)))
-
-    return grevlex
+class _FieldOverflow(Exception):
+    """A new term's exponent left its packed field; nothing was stored."""
 
 
-def _reduce_full(f, basis):
-    """Full normal form of f against a list of polynomials.
+def _widening(run, layout):
+    """``run(layout)``, rerun on the layout of twice the field width for as
+    long as a term overflows a field.  Every packed entry point (buchberger,
+    the certificate, normal forms, exact quotients) goes through here, so no
+    answer is ever computed on a wrapped key."""
+    while True:
+        try:
+            return run(layout)
+        except _FieldOverflow:
+            layout = layout.wider()
+
+
+def _layout(order, bound):
+    """The shared packed layout of ``order`` whose fields hold ``bound``."""
+    return PackedLayout.fitting(order.kind, order.permutation, bound)
+
+
+class _Packed:
+    """A polynomial inside the engine: (key, coefficient) terms, keys descending.
+
+    Keys come from ``layout``, whose integer order is the term order; the
+    engine packs at its boundary with ``_pack`` and hands back ``unpack()``.
+    Coefficients are field elements and never zero.
+    """
+
+    __slots__ = ("ring", "field", "order", "layout", "terms")
+
+    def __init__(self, ring, field, order, layout, terms):
+        self.ring, self.field, self.order = ring, field, order
+        self.layout, self.terms = layout, terms
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def _with(self, terms):
+        return _Packed(self.ring, self.field, self.order, self.layout, terms)
+
+    def total_degree(self):
+        return max(map(self.layout.degree, (k for k, _ in self.terms)), default=-1)
+
+    def monic(self):
+        lc = self.terms[0][1]
+        if lc == 1:
+            return self
+        field = self.field
+        inv, mul = field.inv(lc), field.mul
+        return self._with(tuple((k, mul(c, inv)) for k, c in self.terms))
+
+    def unpack(self, shared=None):
+        """The Polynomial; ``shared`` maps keys to exponent tuples that
+        polynomials unpacked together share."""
+        unpack = self.layout.unpack
+        if shared is None:
+            shared = {}
+        terms = tuple(
+            (shared[k] if k in shared else shared.setdefault(k, unpack(k)), c)
+            for k, c in self.terms
+        )
+        return Polynomial._trusted(self.ring, self.field, self.order, terms)
+
+
+def _pack(f, layout):
+    """f on ``layout``, whose order must be f's and whose cap must reach
+    f's total degree."""
+    pack = layout.pack
+    terms = tuple([(pack(e), c) for e, c in f.terms])
+    return _Packed(f.ring, f.field, f.order, layout, terms)
+
+
+class _Reducers:
+    """Packed polynomials to reduce by, in list order.
+
+    Their leading monomials also sit side by side in ``leads``, in blocks of
+    ``layout.top + 1`` bits with the degree bits dropped, as the kept rows
+    of ``_minimal_rows`` do: a term x with its guards set, copied into
+    every block by the repunit, minus ``leads``, masked to the guards, plus
+    the complement of the guards carries into a block's spare top bit
+    exactly when that block's monomial divides x.  The lowest carry names
+    the first divisor.
+    """
+
+    __slots__ = ("layout", "heads", "leads", "repunit")
+
+    def __init__(self, layout, polys=()):
+        self.layout = layout
+        # (lead, 1/lead coefficient or None for 1, tail with negated coefficients)
+        self.heads = []
+        self.leads = self.repunit = 0
+        for g in polys:
+            self.add(g)
+
+    def add(self, g):
+        layout = self.layout
+        lm, lc = g.terms[0]
+        shift = len(self.heads) * (layout.top + 1)
+        self.leads |= ((lm ^ layout.flip) & layout.low) << shift
+        self.repunit |= 1 << shift
+        # both fields' unit equals the int 1, which a Fraction compares fastest
+        inv = None if lc == 1 else g.field.inv(lc)
+        # a negative int stands for its residue mod p until the term is popped
+        self.heads.append((lm, inv, tuple([(m, -c) for m, c in g.terms[1:]])))
+
+    def skipping(self, i):
+        """These reducers with the i-th never chosen: its block holds the
+        guards, which no term's fields reach."""
+        out = _Reducers(self.layout)
+        out.heads, out.repunit = self.heads, self.repunit
+        top = self.layout.top
+        shift = i * (top + 1)
+        lead = self.leads >> shift & self.layout.low
+        out.leads = self.leads + (self.layout.guard - lead << shift)
+        return out
+
+
+def _reduce_full(f, reducers):
+    """Full normal form of packed f against ``_Reducers``.
 
     Deterministic: always reduces the largest remaining term by the first
     listed reducer whose leading monomial divides it.  Terms wait in a heap
-    under their negated order keys, each key computed once: a reduction
-    step only adds terms below the one it removes, so a monomial is pushed
-    at most once and a popped one never returns.  A term cancelled while
-    waiting keeps a zero coefficient and is dropped when popped.
+    of negated keys: a reduction step only adds terms below the one it
+    removes, so a key is pushed at most once and a popped one never
+    returns.  A term cancelled while waiting keeps a zero coefficient and
+    is dropped when popped; GF(p) coefficients wait unreduced and are
+    reduced mod p when popped.  A new term whose exponent overflows its
+    field raises _FieldOverflow before it is stored.
     """
-    field = f.field
-    div, mul, neg_ = field.div, field.mul, field.neg
-    heap_key = _heap_key(f.order)
-    # (leading monomial, leading coefficient unless 1, tail) per reducer;
-    # both fields' unit equals the int 1, which a Fraction compares fastest
-    reducers = [
-        (g.terms[0][0], None if g.terms[0][1] == 1 else g.terms[0][1], g.terms[1:])
-        for g in basis
-    ]
+    layout = f.layout
+    flip, guard, low = layout.flip, layout.guard, layout.low
+    block = layout.top + 1
+    heads, leads, repunit = reducers.heads, reducers.leads, reducers.repunit
+    guards, fill = guard * repunit, (low + 1 - guard) * repunit
+    spares = repunit << layout.top
+    p = f.field.characteristic
     work = dict(f.terms)
-    heap = [(heap_key(exps), exps) for exps in work]
+    get = work.get
+    heap = [-k for k in work]
     heapify(heap)
     remainder = []
     while heap:
-        exps = heappop(heap)[1]
-        coeff = work[exps]
-        if not coeff:
+        t = -heappop(heap)
+        c = work.pop(t) % p if p else work.pop(t)
+        if not c:
             continue
-        for lm, lc, tail in reducers:
-            if all(map(le, lm, exps)):
-                break
-        else:
-            remainder.append((exps, coeff))
+        x = ((t ^ flip) & low) | guard
+        hit = (((x * repunit - leads) & guards) + fill) & spares
+        if not hit:
+            remainder.append((t, c))
             continue
-        shift = tuple(map(sub, exps, lm))
-        factor = coeff if lc is None else div(coeff, lc)
-        for mexps, mcoeff in tail:
-            term = tuple(map(add, shift, mexps))
-            old = work.get(term)
+        lm, inv, tail = heads[(hit & -hit).bit_length() // block - 1]
+        shift = t - lm
+        if inv is not None:
+            c = c * inv % p if p else c * inv
+        for m, mc in tail:
+            k = shift + m
+            old = get(k)
             if old is None:
-                work[term] = neg_(mul(factor, mcoeff))
-                heappush(heap, (heap_key(term), term))
+                if k & guard:
+                    raise _FieldOverflow
+                work[k] = c * mc
+                heappush(heap, -k)
             else:
-                work[term] = field.sub(old, mul(factor, mcoeff))
-    return Polynomial._trusted(f.ring, field, f.order, tuple(remainder))
+                work[k] = old + c * mc
+    return f._with(tuple(remainder))
 
 
 def _s_polynomial(f, g):
-    field = f.field
-    mul, neg_ = field.mul, field.neg
-    lmf, lcf = f.terms[0]
-    lmg, lcg = g.terms[0]
-    lcm = _lcm_row(lmf, lmg)
-    sf = tuple(map(sub, lcm, lmf))
-    sg = tuple(map(sub, lcm, lmg))
-    # the leading terms cancel by construction; basis elements are monic,
-    # so the scalings are mostly 1 (see _reduce_full on comparing with 1)
-    inv_f = None if lcf == 1 else field.inv(lcf)
-    inv_g = None if lcg == 1 else field.inv(lcg)
-    acc = {
-        tuple(map(add, sf, e)): c if inv_f is None else mul(c, inv_f)
-        for e, c in f.terms[1:]
-    }
-    for e, c in g.terms[1:]:
-        exps = tuple(map(add, sg, e))
-        c = neg_(c if inv_g is None else mul(c, inv_g))
-        acc[exps] = field.add(acc[exps], c) if exps in acc else c
-    return Polynomial._from_dict(f.ring, field, f.order, acc)
+    """S-polynomial of packed f and g.
+
+    Callers size the layout at twice the degree of every polynomial they
+    pair, which holds every exponent of an S-polynomial, so no check here.
+    """
+    # the leading terms cancel by construction; basis elements are monic
+    f, g = f.monic(), g.monic()
+    layout = f.layout
+    lmf, lmg = f.terms[0][0], g.terms[0][0]
+    lcm = layout.pack(_lcm_row(layout.unpack(lmf), layout.unpack(lmg)))
+    sf, sg = lcm - lmf, lcm - lmg
+    acc = {sf + k: c for k, c in f.terms[1:]}
+    get = acc.get
+    for k, c in g.terms[1:]:
+        k += sg
+        old = get(k)
+        acc[k] = -c if old is None else old - c
+    p = f.field.characteristic
+    terms = [(k, acc[k] % p if p else acc[k]) for k in sorted(acc, reverse=True)]
+    return f._with(tuple([t for t in terms if t[1]]))
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis; normal forms against it are canonical."""
+    """Reduced Groebner basis; normal forms against it are canonical.
+
+    The basis is packed on first use and the packing kept on the object, so
+    repeated membership tests pack it once; only a polynomial of higher
+    degree than the kept layout holds, or a lex overflow, repacks it wider.
+    """
 
     ring: object
     field: object
@@ -521,16 +660,43 @@ class GroebnerBasis:
     polys: tuple
     certified: bool
 
+    def __post_init__(self):
+        object.__setattr__(self, "_packing", None)
+
     def _check(self, f):
         if f.ring != self.ring or f.field != self.field or f.order != self.order:
             raise RingMismatchError("polynomial does not match the basis ring/order")
 
-    def normal_form(self, f):
+    def _layout(self, bound):
+        """The kept layout if its cap reaches ``bound``, else one that holds
+        ``bound`` and the basis."""
+        packing = self._packing
+        if packing is not None and packing[0].cap >= bound:
+            return packing[0]
+        degree = max((p.total_degree() for p in self.polys), default=0)
+        return _layout(self.order, max(bound, degree))
+
+    def _reducers(self, layout):
+        """The basis as reducers on ``layout``, kept for the next call."""
+        packing = self._packing
+        if packing is None or packing[0] is not layout:
+            reducers = _Reducers(layout, [_pack(p, layout) for p in self.polys])
+            packing = (layout, reducers)
+            object.__setattr__(self, "_packing", packing)
+        return packing[1]
+
+    def _reduce(self, f):
         self._check(f)
-        return _reduce_full(f, self.polys)
+        return _widening(
+            lambda layout: _reduce_full(_pack(f, layout), self._reducers(layout)),
+            self._layout(f.total_degree()),
+        )
+
+    def normal_form(self, f):
+        return self._reduce(f).unpack()
 
     def contains(self, f):
-        return self.normal_form(f).is_zero
+        return self._reduce(f).is_zero
 
     def is_unit_ideal(self):
         # a reduced basis of the unit ideal is exactly {1}
@@ -578,36 +744,49 @@ def buchberger(
             raise RingMismatchError("generators live in different rings or fields")
     if order is None:
         order = gens[0].order
-    basis = [_in_order(g, order).monic() for g in gens if not g.is_zero]
-    inputs = list(basis)
-    leads = [p.terms[0][0] for p in basis]
-    queue = []  # heap of (lcm degree, i, j)
-    queued = {}  # live pairs (i, j) -> lcm of their leading monomials
-    active = []  # indices whose leading monomial no later one divides
-    for new in range(len(basis)):
-        _gebauer_moeller(leads, new, active, queued, queue)
-    while queue:
-        _, i, j = heappop(queue)
-        if queued.pop((i, j), None) is None:
-            continue  # dropped by the B-criterion after it was queued
-        remainder = _reduce_full(_s_polynomial(basis[i], basis[j]), basis)
-        if remainder.is_zero:
-            continue
-        if remainder.total_degree() > max_degree:
-            raise ResourceCapError(
-                f"basis element of degree {remainder.total_degree()} exceeds "
-                f"cap {max_degree}"
-            )
-        basis.append(remainder.monic())
-        if len(basis) > max_basis:
-            raise ResourceCapError(f"basis grew past {max_basis} polynomials")
-        leads.append(remainder.terms[0][0])
-        _gebauer_moeller(leads, len(basis) - 1, active, queued, queue)
-    reduced = _interreduce(basis)
+    inputs = [_in_order(g, order).monic() for g in gens if not g.is_zero]
+    # basis elements stay within max(max_degree, input degree), so every
+    # exponent of an S-polynomial within twice that
+    bound = 2 * max([max_degree] + [g.total_degree() for g in inputs])
+    reduced = _widening(
+        lambda layout: _buchberger_on(inputs, layout, max_basis, max_degree),
+        _layout(order, bound),
+    )
     gb = GroebnerBasis(ring, field, order, tuple(reduced), certified=bool(certify))
     if certify:
         _certify(gb, inputs)
     return gb
+
+
+def _buchberger_on(inputs, layout, max_basis, max_degree):
+    basis = [_pack(g, layout) for g in inputs]
+    reducers = _Reducers(layout, basis)
+    flip, low = layout.flip, layout.low
+    leads = [(g.terms[0][0] ^ flip) & low for g in basis]
+    queue = []  # heap of (lcm degree, i, j)
+    queued = {}  # live pairs (i, j) -> lcm of their leading monomials
+    active = []  # indices whose leading monomial no later one divides
+    for new in range(len(basis)):
+        _gebauer_moeller(layout, leads, new, active, queued, queue)
+    while queue:
+        _, i, j = heappop(queue)
+        if queued.pop((i, j), None) is None:
+            continue  # dropped by the B-criterion after it was queued
+        remainder = _reduce_full(_s_polynomial(basis[i], basis[j]), reducers)
+        if remainder.is_zero:
+            continue
+        degree = remainder.total_degree()
+        if degree > max_degree:
+            raise ResourceCapError(
+                f"basis element of degree {degree} exceeds cap {max_degree}"
+            )
+        basis.append(remainder.monic())
+        reducers.add(basis[-1])
+        if len(basis) > max_basis:
+            raise ResourceCapError(f"basis grew past {max_basis} polynomials")
+        leads.append((remainder.terms[0][0] ^ flip) & low)
+        _gebauer_moeller(layout, leads, len(basis) - 1, active, queued, queue)
+    return _interreduce(basis)
 
 
 def _in_order(f, order):
@@ -616,11 +795,7 @@ def _in_order(f, order):
     return Polynomial._from_dict(f.ring, f.field, order, dict(f.terms))
 
 
-def _coprime(a, b):
-    return not any(map(min, a, b))
-
-
-def _gebauer_moeller(leads, new, active, queued, queue):
+def _gebauer_moeller(layout, leads, new, active, queued, queue):
     """Queue the useful pairs of polynomial ``new``; drop the useless ones.
 
     Gebauer-Moeller update (Becker-Weispfenning, "Groebner Bases", p. 230).
@@ -630,59 +805,82 @@ def _gebauer_moeller(leads, new, active, queued, queue):
     the new leading monomial divides its lcm but neither (i, new) nor
     (j, new) has that same lcm.  Indices whose leading monomial the new one
     divides stop taking new pairs.
+
+    Leading monomials and lcms are plain exponent fields of ``layout``
+    (``(key ^ flip) & low``): a divides b when ``((b | G) - a) & G == G``,
+    and the guards of ``(a | G) - b`` pick, field by field, the lcm's side.
     """
+    guard, half = layout.guard, layout.width - 1
+    ones = guard >> half
     h = leads[new]
-    lcms = {i: _lcm_row(leads[i], h) for i in active}
+    support = ((h | guard) - ones) & guard  # guards of h's nonzero fields
+
+    def lcm(a):
+        larger = ((a | guard) - h) & guard
+        larger -= larger >> half
+        return (a & larger) | (h & ~larger)
+
+    def coprime(a):
+        return not ((a | guard) - ones) & support
+
+    lcms = {i: lcm(leads[i]) for i in active}
     kept = []
     rest = list(active)
     while rest:
         i = rest.pop()
-        m = lcms[i]
-        if _coprime(leads[i], h) or not (
-            any(all(map(le, lcms[k], m)) for k in rest)
-            or any(all(map(le, lcms[k], m)) for k in kept)
+        m = lcms[i] | guard
+        if coprime(leads[i]) or not (
+            any((m - lcms[k]) & guard == guard for k in rest)
+            or any((m - lcms[k]) & guard == guard for k in kept)
         ):
             kept.append(i)
     for (i, j), m in list(queued.items()):
-        if all(map(le, h, m)):
-            mi = lcms[i] if i in lcms else _lcm_row(leads[i], h)
-            mj = lcms[j] if j in lcms else _lcm_row(leads[j], h)
+        if ((m | guard) - h) & guard == guard:
+            mi = lcms[i] if i in lcms else lcm(leads[i])
+            mj = lcms[j] if j in lcms else lcm(leads[j])
             if mi != m and mj != m:
                 del queued[(i, j)]
     for i in kept:
-        if not _coprime(leads[i], h):
+        if not coprime(leads[i]):
             m = lcms[i]
             queued[(i, new)] = m
-            heappush(queue, (sum(m), i, new))
-    active[:] = [i for i in active if not all(map(le, h, leads[i]))]
+            heappush(queue, (sum(layout.unpack(m ^ layout.flip)), i, new))
+    active[:] = [i for i in active if ((leads[i] | guard) - h) & guard != guard]
     active.append(new)
 
 
 def _interreduce(basis):
+    """The reduced basis, as Polynomials, of a packed Groebner basis.
+
+    Runs inside buchberger's ``_widening``, which reruns the whole
+    computation on a wider layout if a lex tail reduction overflows.
+    """
+    if not basis:
+        return []
+    layout = basis[0].layout
+    flip, guard = layout.flip, layout.guard
+    leads = [p.terms[0][0] for p in basis]
     # minimal: no leading monomial divides another
     keep = []
-    for i, p in enumerate(basis):
-        lm = p.terms[0][0]
-        dominated = False
-        for j, q in enumerate(basis):
-            if i == j:
-                continue
-            lmq = q.terms[0][0]
-            if _divides_row(lmq, lm) and (lmq != lm or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(p)
+    for i, lm in enumerate(leads):
+        tg = (lm ^ flip) | guard
+        if not any(
+            (tg - (lmq ^ flip)) & guard == guard and (lmq != lm or j < i)
+            for j, lmq in enumerate(leads)
+            if j != i
+        ):
+            keep.append(basis[i])
     # reduced: tails carry no term divisible by another leading monomial
     out = []
+    reducers = _Reducers(layout, keep)
     for i, p in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        tail = Polynomial._trusted(p.ring, p.field, p.order, p.terms[1:])
+        others = reducers.skipping(i)
         # reduction only lowers terms, so the head stays in front
-        terms = p.terms[:1] + _reduce_full(tail, others).terms
-        out.append(Polynomial._trusted(p.ring, p.field, p.order, terms).monic())
-    out.sort(key=lambda p: p.order.key(p.terms[0][0]))
-    return out
+        terms = p.terms[:1] + _reduce_full(p._with(p.terms[1:]), others).terms
+        out.append(p._with(terms).monic())
+    out.sort(key=lambda p: p.terms[0][0])
+    shared = {}
+    return [p.unpack(shared) for p in out]
 
 
 def _certify(gb, gens):
@@ -692,21 +890,30 @@ def _certify(gb, gens):
     property), and so must every generator, which puts (gens) inside the
     basis's ideal; the basis is built from the generators, so the two agree.
     """
-    polys = gb.polys
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            s = _s_polynomial(polys[i], polys[j])
-            if not _reduce_full(s, polys).is_zero:
+    gens = [_in_order(g, gb.order) for g in gens]
+    degree = max((p.total_degree() for p in gb.polys), default=0)
+    bound = max([2 * degree] + [g.total_degree() for g in gens])
+
+    def run(layout):
+        # packed here, not kept on gb: most bases are never queried again
+        polys = [_pack(p, layout) for p in gb.polys]
+        reducers = _Reducers(layout, polys)
+        for i in range(len(polys)):
+            for j in range(i + 1, len(polys)):
+                s = _s_polynomial(polys[i], polys[j])
+                if not _reduce_full(s, reducers).is_zero:
+                    raise RuntimeError(
+                        "internal error: an S-polynomial of the reduced basis "
+                        "does not reduce to zero"
+                    )
+        for g in gens:
+            if not _reduce_full(_pack(g, layout), reducers).is_zero:
                 raise RuntimeError(
-                    "internal error: an S-polynomial of the reduced basis "
-                    "does not reduce to zero"
+                    "internal error: an input generator does not reduce to zero "
+                    "against the reduced basis"
                 )
-    for g in gens:
-        if not _reduce_full(_in_order(g, gb.order), polys).is_zero:
-            raise RuntimeError(
-                "internal error: an input generator does not reduce to zero "
-                "against the reduced basis"
-            )
+
+    _widening(run, _layout(gb.order, bound))
 
 
 def normal_form(f, gb):
@@ -714,7 +921,7 @@ def normal_form(f, gb):
 
 
 def ideal_member(f, gb):
-    return gb.normal_form(f).is_zero
+    return gb.contains(f)
 
 
 def radical_member(f, gens, *, max_basis=DEFAULT_BASIS_CAP, max_degree=DEFAULT_DEGREE_CAP):
@@ -776,34 +983,46 @@ def power_membership_index(f, gens, n_max):
 
 
 def _exact_quotient(h, g):
-    # h must be a polynomial multiple of g; terms wait in a heap as in
-    # _reduce_full, and the quotient comes out largest term first
-    field = h.field
-    heap_key = _heap_key(h.order)
+    """h / g, for h a polynomial multiple of g."""
+    g = _in_order(g, h.order)
+    return _widening(
+        lambda layout: _exact_quotient_on(_pack(h, layout), _pack(g, layout)),
+        _layout(h.order, max(h.total_degree(), g.total_degree())),
+    ).unpack()
+
+
+def _exact_quotient_on(h, g):
+    # terms wait in a heap as in _reduce_full, and the quotient comes out
+    # largest term first
+    field, layout = h.field, h.layout
+    flip, guard = layout.flip, layout.guard
     glm, glc = g.terms[0]
+    glmx, inv = glm ^ flip, field.inv(glc)
     rest = dict(h.terms)
-    heap = [(heap_key(exps), exps) for exps in rest]
+    heap = [-k for k in rest]
     heapify(heap)
     quotient = []
     while heap:
-        lm = heappop(heap)[1]
-        coeff = rest[lm]
+        t = -heappop(heap)
+        coeff = rest.pop(t)
         if not coeff:
             continue
-        if not all(map(le, glm, lm)):
+        if (((t ^ flip) | guard) - glmx) & guard != guard:
             raise ValueError("quotient is not exact")
-        shift = tuple(map(sub, lm, glm))
-        factor = field.div(coeff, glc)
-        quotient.append((shift, factor))
-        for exps, c in g.terms[1:]:
-            term = tuple(map(add, shift, exps))
-            old = rest.get(term)
+        shift = t - glm
+        factor = field.mul(coeff, inv)
+        quotient.append((shift + layout.offset, factor))
+        for m, c in g.terms[1:]:
+            k = shift + m
+            old = rest.get(k)
             if old is None:
-                rest[term] = field.neg(field.mul(factor, c))
-                heappush(heap, (heap_key(term), term))
+                if k & guard:
+                    raise _FieldOverflow
+                rest[k] = field.neg(field.mul(factor, c))
+                heappush(heap, -k)
             else:
-                rest[term] = field.sub(old, field.mul(factor, c))
-    return Polynomial._trusted(h.ring, field, h.order, tuple(quotient))
+                rest[k] = field.sub(old, field.mul(factor, c))
+    return h._with(tuple(quotient))
 
 
 def _intersection_basis(gens_a, gens_b, *, max_basis, max_degree):

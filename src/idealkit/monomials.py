@@ -24,12 +24,18 @@ exactly when ``k_i <= r_i``; no field or block borrows.  Masking with
 ``G*U`` and adding ``(2^(n*w) - G)*U`` carries into a block's spare bit
 exactly when all of that block's guards are set, i.e. when that kept row
 divides r.  So a handful of big-int operations replace the pairwise scan.
+
+``PackedLayout`` shares that guard layout with the Groebner engine: there a
+monomial is one int whose integer order is a term order (lex, or grevlex
+with the degree above the fields), so the engine's heap keys, shifts,
+divisibility tests and first-divisor search are int operations on it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import add, le, lshift, mul
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
@@ -231,6 +237,78 @@ def _minimal_rows(rows):
                 continue
         kept.append(r)
     return kept
+
+
+class PackedLayout:
+    """Monomials as single ints whose integer order is a term order.
+
+    ``kind`` is "lex" or "grevlex" and ``permutation`` lists variable
+    indices from most to least significant, as in ``MonomialOrder``.  Each
+    variable owns a field of ``width`` bits whose top bit is a guard, so a
+    field holds 0..``cap`` with cap = 2^(width-1) - 1.  Lex puts x_i in the
+    fields in permutation order, most significant first.  Grevlex puts
+    cap - x_i in the fields, the last variable most significant, and the
+    total degree above them all, where nothing can overflow.
+
+    Packing is affine, ``key = offset + sum(e_i * weights[i])``, so the
+    key of x^t / x^lm * x^m is ``t - lm + m`` whenever that monomial fits.
+    ``key ^ flip`` holds the plain exponents in the fields under either
+    kind, so lm divides t exactly when the guard test of ``_minimal_rows``,
+    ``(((t ^ flip) | guard) - (lm ^ flip)) & guard == guard``, holds; the
+    grevlex degree bits above the guards do not touch it.  Under lex an
+    exponent of t - lm + m past ``cap`` is at most 2 * cap, so it sets its
+    field's guard without reaching the next field: that is how callers see
+    an overflow.  Grevlex keys stay exact while degrees stay within ``cap``.
+    """
+
+    __slots__ = ("kind", "permutation", "width", "cap", "guard", "flip",
+                 "offset", "weights", "shifts", "top", "low")
+
+    def __init__(self, kind, permutation, width):
+        n = len(permutation)
+        cap = (1 << width - 1) - 1
+        shifts = [0] * n  # variable -> lowest bit of its field
+        for rank, var in enumerate(permutation):
+            shifts[var] = (n - 1 - rank if kind == "lex" else rank) * width
+        self.kind, self.permutation = kind, permutation
+        self.width, self.cap = width, cap
+        self.shifts = tuple(shifts)
+        self.top = n * width
+        self.low = (1 << self.top) - 1  # the fields, without grevlex's degree
+        self.guard = sum(1 << s + width - 1 for s in shifts)
+        if kind == "lex":
+            self.flip = self.offset = 0
+            self.weights = tuple(1 << s for s in shifts)
+        else:
+            self.flip = self.offset = sum(cap << s for s in shifts)
+            self.weights = tuple((1 << self.top) - (1 << s) for s in shifts)
+
+    @staticmethod
+    def fitting(kind, permutation, bound):
+        """The shared layout whose cap is the least 2^k - 1 >= ``bound``."""
+        return _packed_layout(kind, permutation, max(bound, 1).bit_length() + 1)
+
+    def wider(self):
+        """The shared layout of the same order at twice the field width."""
+        return _packed_layout(self.kind, self.permutation, 2 * self.width)
+
+    def pack(self, exps):
+        return self.offset + sum(map(mul, exps, self.weights))
+
+    def unpack(self, key):
+        key ^= self.flip
+        cap = self.cap
+        return tuple([key >> s & cap for s in self.shifts])
+
+    def degree(self, key):
+        if self.kind == "lex":
+            return sum(self.unpack(key))
+        return key >> self.top
+
+
+@lru_cache(maxsize=256)
+def _packed_layout(kind, permutation, width):
+    return PackedLayout(kind, permutation, width)
 
 
 def _lcm_row(a, b):

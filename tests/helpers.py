@@ -6,13 +6,16 @@ one corrupts an intermediate instead, so a self-check has to fire.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product
 from math import comb
+from operator import add, le, neg, sub
 
 from idealkit import (
     MinorFailure,
     Monomial,
     MonomialIdeal,
+    Polynomial,
     invariants,
     minimal_primes,
     newton_polyhedron,
@@ -338,3 +341,55 @@ def corrupt_numerator(monkeypatch, name, index):
         return out
 
     monkeypatch.setattr(invariants, name, corrupt)
+
+
+def tuple_heap_key(order):
+    """Exponents -> ``order.key`` negated, so a min-heap pops the largest term."""
+    key = order.key
+    if order.kind == "lex":
+        return lambda exps: tuple(map(neg, key(exps)))
+
+    def grevlex(exps):
+        degree, rest = key(exps)
+        return (-degree, tuple(map(neg, rest)))
+
+    return grevlex
+
+
+def reduce_by_tuples(f, basis):
+    """Full normal form of f against a list of polynomials, on exponent
+    tuples and order keys, through the field's methods.
+
+    Always reduces the largest remaining term by the first listed reducer
+    whose leading monomial divides it, as the packed reducer does, so the
+    two remainders agree term for term even against a non-Groebner list.
+    """
+    field = f.field
+    heap_key = tuple_heap_key(f.order)
+    reducers = [(g.terms[0][0], g.terms[0][1], g.terms[1:]) for g in basis]
+    work = dict(f.terms)
+    heap = [(heap_key(exps), exps) for exps in work]
+    heapify(heap)
+    remainder = []
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = work[exps]
+        if not coeff:
+            continue
+        for lm, lc, tail in reducers:
+            if all(map(le, lm, exps)):
+                break
+        else:
+            remainder.append((exps, coeff))
+            continue
+        shift = tuple(map(sub, exps, lm))
+        factor = field.div(coeff, lc)
+        for mexps, mcoeff in tail:
+            term = tuple(map(add, shift, mexps))
+            old = work.get(term)
+            if old is None:
+                work[term] = field.neg(field.mul(factor, mcoeff))
+                heappush(heap, (heap_key(term), term))
+            else:
+                work[term] = field.sub(old, field.mul(factor, mcoeff))
+    return Polynomial._trusted(f.ring, field, f.order, tuple(remainder))

@@ -1,0 +1,161 @@
+"""The packed Groebner engine against the tuple-key reducer it replaced.
+
+Inside the engine a monomial is one int whose integer order is the term
+order (``monomials.PackedLayout``).  ``helpers.reduce_by_tuples`` is the
+reducer on exponent tuples and order keys; both reduce the largest term by
+the first listed divisor, so their remainders agree term for term, also
+against lists that are not Groebner bases.
+"""
+
+import pytest
+
+from idealkit import (
+    GroebnerBasis,
+    MonomialOrder,
+    Polynomial,
+    PrimeField,
+    QQ,
+    ResourceCapError,
+    buchberger,
+    groebner,
+    parse_polynomial,
+    parse_ring,
+    rng_from_seed,
+)
+from helpers import numbered_ring, reduce_by_tuples
+
+FIELDS = (QQ, PrimeField(32003), PrimeField(2))
+SYSTEMS = 100  # two reductions each
+
+
+def _random_poly(rng, ring, field, order, degree, terms):
+    acc = {}
+    for _ in range(terms):
+        exps = [0] * ring.n
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(ring.n)] += 1
+        acc[tuple(exps)] = rng.choice([c for c in range(-9, 10) if c])
+    return Polynomial(ring, field, order, acc)
+
+
+def _case(index):
+    """A seeded reducer list and two polynomials to reduce against it.
+
+    The list is the reduced basis of a random system (or the system itself
+    when the basis hits a cap), with its last 0-2 elements dropped, so
+    some remainders are not zero, and on odd systems every element scaled
+    so that leading coefficients are not 1.
+    """
+    rng = rng_from_seed(f"idealkit:groebner:packed:{index}")
+    field = FIELDS[index % 3]
+    ring = numbered_ring(rng.randint(2, 4))
+    permutation = rng.sample(range(ring.n), ring.n)
+    kind = ("lex", "grevlex")[index // 3 % 2]
+    order = getattr(MonomialOrder, kind)(ring, permutation)
+    gens = [
+        _random_poly(rng, ring, field, order, rng.randint(1, 3), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 3))
+    ]
+    gens = [g for g in gens if not g.is_zero]
+    gens = gens or [Polynomial.constant(ring, field, order, 1)]
+    try:
+        polys = list(buchberger(gens, max_basis=40, max_degree=12, certify=False))
+    except ResourceCapError:
+        polys = gens
+    polys = polys[: len(polys) - index % 3] or polys[:1]
+    if index % 2:
+        polys = [p.scale(rng.choice([2, 3, 5, 7])) for p in polys]
+        polys = [p for p in polys if not p.is_zero] or gens[:1]
+    targets = [
+        gens[0] * _random_poly(rng, ring, field, order, 2, 3),
+        _random_poly(rng, ring, field, order, 5, 6),
+    ]
+    return ring, field, order, polys, targets
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_packed_reduction_matches_the_tuple_reducer(block):
+    for index in range(block, SYSTEMS, 4):
+        ring, field, order, polys, targets = _case(index)
+        basis = GroebnerBasis(ring, field, order, tuple(polys), certified=False)
+        for f in targets:
+            want = reduce_by_tuples(f, polys)
+            assert basis.normal_form(f).terms == want.terms, index
+            assert basis.contains(f) == want.is_zero, index
+
+
+def test_differential_cases_cover_every_field_order_and_remainder():
+    seen = set()
+    for index in range(SYSTEMS):
+        ring, field, order, polys, targets = _case(index)
+        for f in targets:
+            zero = reduce_by_tuples(f, polys).is_zero
+            seen.add((field.characteristic, order.kind, zero))
+    assert seen == {(p, kind, zero) for p in (0, 32003, 2)
+                    for kind in ("lex", "grevlex") for zero in (False, True)}
+
+
+def test_lex_overflow_widens_and_matches_the_tuple_reducer():
+    ring = parse_ring("x, y")
+    lex = MonomialOrder.lex(ring)
+    gb = buchberger([parse_polynomial(ring, "x - y^40", order=lex)])
+    f = parse_polynomial(ring, "x^10", order=lex)
+    first = gb._layout(f.total_degree())
+    assert first.cap < 400
+    # on the layout sized for the inputs the reduction refuses, never wraps
+    with pytest.raises(groebner._FieldOverflow):
+        groebner._reduce_full(
+            groebner._pack(f, first),
+            groebner._Reducers(first, [groebner._pack(p, first) for p in gb.polys]),
+        )
+    remainder = gb.normal_form(f)
+    assert str(remainder) == "y^400"
+    assert remainder.terms == reduce_by_tuples(f, gb.polys).terms
+    assert gb._packing[0].width == 2 * first.width
+
+
+def test_grevlex_normal_form_past_the_kept_cap_repacks():
+    ring = parse_ring("x, y")
+    gb = buchberger([parse_polynomial(ring, t) for t in ("x^2 - y", "y^2 - 1")])
+    small = parse_polynomial(ring, "x^3 + x*y")
+    assert gb.normal_form(small).terms == reduce_by_tuples(small, gb.polys).terms
+    kept = gb._packing[0]
+    big = parse_polynomial(ring, "x^100 + 3*x^41*y^59 - y^7")
+    assert big.total_degree() > kept.cap
+    assert gb.normal_form(big).terms == reduce_by_tuples(big, gb.polys).terms
+    wide = gb._packing[0]
+    assert wide is not kept and wide.cap >= 100
+    # a later polynomial within the wider cap reuses the kept packing
+    assert gb.contains(small * big - small * big)
+    assert gb._packing[0] is wide
+
+
+def test_exact_quotient_recovers_the_cofactor():
+    ring = parse_ring("x, y, z")
+    for kind in ("lex", "grevlex"):
+        order = getattr(MonomialOrder, kind)(ring, (2, 0, 1))
+        g = parse_polynomial(ring, "x^2*y - 3*z + 1", order=order)
+        q = parse_polynomial(ring, "y^3 - x*z^2 + 2*x", order=order)
+        assert groebner._exact_quotient(g * q, g) == q
+        y = parse_polynomial(ring, "y", order=order)
+        with pytest.raises(ValueError, match="not exact"):
+            groebner._exact_quotient(g * q + y, g)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_monomial_products_match_the_general_product(field):
+    for index in range(40):
+        rng = rng_from_seed(f"idealkit:groebner:monomial-product:{index}")
+        ring = numbered_ring(rng.randint(1, 4))
+        kind = ("lex", "grevlex")[index % 2]
+        order = getattr(MonomialOrder, kind)(ring, rng.sample(range(ring.n), ring.n))
+        many = _random_poly(rng, ring, field, order, 4, rng.randint(0, 6))
+        mono = _random_poly(rng, ring, field, order, 4, 1)
+        acc = {}
+        for ea, ca in many.terms:
+            for eb, cb in mono.terms:
+                e = tuple(a + b for a, b in zip(ea, eb))
+                acc[e] = field.add(acc.get(e, field.zero), field.mul(ca, cb))
+        want = Polynomial(ring, field, order, acc)
+        assert (many * mono).terms == want.terms, index
+        assert (mono * many).terms == want.terms, index

@@ -112,3 +112,14 @@ def test_named_systems_match_sympy_over_gf_p(name):
     order = MonomialOrder.grevlex(ring)
     gens = [parse_polynomial(ring, t, GFP, order).monic() for t in texts]
     assert _ours(gens) == _sympy_basis(gens, "grevlex")
+
+
+@pytest.mark.parametrize("field", [GFP, QQ], ids=str)
+def test_certified_cyclic5_matches_sympy(field):
+    ring_text, texts = _cyclic(5)
+    ring = parse_ring(ring_text)
+    order = MonomialOrder.grevlex(ring)
+    gens = [parse_polynomial(ring, t, field, order) for t in texts]
+    gb = buchberger(gens)
+    assert gb.certified
+    assert sorted(str(p) for p in gb) == _sympy_basis(gens, "grevlex")
