@@ -204,11 +204,9 @@ class Polynomial:
         return self.field.zero
 
     def _check_mate(self, other):
-        if (
-            self.ring != other.ring
-            or self.field != other.field
-            or self.order != other.order
-        ):
+        # tuple equality skips __eq__ on identical members, the usual case
+        mine = (self.ring, self.field, self.order)
+        if mine != (other.ring, other.field, other.order):
             raise RingMismatchError(
                 "polynomials live in different rings, fields, or orders"
             )
@@ -664,7 +662,7 @@ class GroebnerBasis:
         object.__setattr__(self, "_packing", None)
 
     def _check(self, f):
-        if f.ring != self.ring or f.field != self.field or f.order != self.order:
+        if (f.ring, f.field, f.order) != (self.ring, self.field, self.order):
             raise RingMismatchError("polynomial does not match the basis ring/order")
 
     def _layout(self, bound):
