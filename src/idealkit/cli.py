@@ -287,7 +287,8 @@ def _cmd_invariants_hilbert(args):
     }
     lines = [f"series: {series}", f"polynomial: {poly} for d >= {poly.stability}"]
     if args.degree is not None:
-        value = invariants.hilbert_function(args.ideal, args.degree)
+        # the checked series gives h(d) without another colon recursion
+        value = series.coefficient(args.degree)
         payload["degree"] = args.degree
         payload["value"] = value
         lines.append(f"h({args.degree}) = {value}")

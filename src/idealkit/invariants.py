@@ -8,6 +8,20 @@ pairwise-coprime generator sets, where the numerator is a product of
 standard-monomial counts of an independent numerator: the colon recursion
 of Bayer and Stillman, ``N(J + (m)) = N(J) - z^deg(m) * N(J : m)``, which
 adds one generator at a time and shares no pivot logic with the above.
+One run of it serves a request: ``hilbert_polynomial`` takes its samples
+from the run that checks the series.
+
+The colon recursion runs on packed rows: each exponent vector is one int in
+the guard-bit layout of ``monomials._guard_fields``, with fields wide
+enough for the largest degree.  A colon row ``max(g - m, 0)`` is one
+saturating subtraction: in ``d = (g | G) - m`` field i's guard is set
+exactly when g_i >= m_i, and ``d & (s - (s >> (w - 1)))`` with
+``s = d & G`` keeps the fields below those guards and clears the rest.
+The packed integer order is the lexicographic order and refines
+divisibility, so a colon ideal is minimalized by visiting its rows in
+ascending order and testing each against the rows kept before it with
+one guard test, ``((c | G) - k) & G == G``.  A degree is the top field of
+the row times the repunit of the fields.
 
 Graded Betti numbers are computed over the lcm lattice: for a multidegree a
 let K^a be the simplicial complex of square-free vectors b <= a with
@@ -17,7 +31,14 @@ generators r dividing x^a, so its faces are the submasks of those facets.
 With this convention the (x_1..x_n) table is the binomial row C(n, i) in
 total degree j = i, which the tests pin down.
 
-Each K^a is first shrunk to a strong-collapse core: dominated vertices are
+The lattice is built in one pass: each generator joins the lcms formed
+before it, and itself.  Facets come from packed rows with the guard bits
+as vertices: for ``d = (pack(a) | G) - pack(r)``, r divides x^a exactly
+when ``d & G == G``, and then ``(d - L) & G``, with L the lowest bit of
+every field, holds guard i exactly when r_i < a_i.  So one subtraction per
+generator tests divisibility, and one more gives the facet.
+
+Each K^a is then shrunk to a strong-collapse core: dominated vertices are
 deleted from its facet bitmasks, which keeps reduced homology over every
 field, torsion included.  A core that is one nonempty simplex is acyclic
 and skipped; every other core has its faces listed.  Their boundary maps
@@ -32,11 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import lshift
 
 from .errors import ResourceCapError
 from .fields import QQ
 from .linalg import rank_over, rank_sparse
-from .monomials import _colon_row, _lcm_row, _minimal_rows
+from .monomials import _guard_fields, _minimal_rows
 from .symbolic import codim as _codim
 from .symbolic import minimal_primes as _minimal_primes
 
@@ -111,18 +133,53 @@ def _colon_numerator(rows, n):
 
     Generators join in lexicographic order, each by
     ``N(J + (m)) = N(J) - z^deg(m) * N(J : m)``, where J : m is generated by
-    the rows ``max(g - m, 0)`` of the generators g already in J.
+    the rows ``max(g - m, 0)`` of the generators g already in J.  Rows are
+    packed into the guard layout of ``_guard_fields``, wide enough for the
+    largest degree; the packed integer order is the lexicographic order.
     """
-    num = [1]
-    done = []
-    for m in sorted(rows):
-        if not any(m):
-            return []
-        colon = _minimal_rows([_colon_row(g, m) for g in done])
-        inner = _colon_numerator(colon, n) if colon else [1]
-        num = _poly_add(num, [0] * sum(m) + [-c for c in inner])
-        done.append(m)
-    return num
+    if not rows:
+        return [1]
+    w, shifts, guard = _guard_fields(n, max(map(sum, rows)))
+    low = guard >> w - 1  # the lowest bit of every field
+    top, field, spill = shifts[0], (1 << w) - 1, w - 1
+
+    def minimal(keys):
+        # ascending integer order visits every divisor of a row before it
+        kept = []
+        for c in sorted(set(keys)):
+            c_guard = c | guard
+            for k in kept:
+                if (c_guard - k) & guard == guard:
+                    break
+            else:
+                kept.append(c)
+        return kept
+
+    def numerator(keys):
+        num, done = [1], []
+        for m in keys:
+            if not m:
+                return []
+            inner = [1]
+            if done:
+                colon = []
+                for g in done:
+                    # field i of d is 2^(w-1) + g_i - m_i; keep g_i - m_i
+                    # where that is nonnegative, 0 elsewhere
+                    d = (g | guard) - m
+                    kept = d & guard
+                    colon.append(d & (kept - (kept >> spill)))
+                inner = numerator(minimal(colon))
+            # the top field of m * low holds the sum of m's fields
+            degree = (m * low >> top) & field
+            if len(num) < degree + len(inner):
+                num.extend([0] * (degree + len(inner) - len(num)))
+            for i, c in enumerate(inner, degree):
+                num[i] -= c
+            done.append(m)
+        return num
+
+    return numerator(sorted({sum(map(lshift, r, shifts)) for r in rows}))
 
 
 def _standard_counts(rows, n, degrees):
@@ -192,20 +249,35 @@ def _format_poly(coeffs, var="z"):
     return " ".join(parts)
 
 
-def hilbert_series(ideal):
-    """Hilbert series of S/I, self-checked against direct monomial counts."""
+def _stability(coeffs, n):
+    """Degree from which the Hilbert polynomial and function agree."""
+    return max(0, len(coeffs) - n)
+
+
+def _checked_series(ideal, sample_stability=False):
+    """The pivot-recursion series, checked degree by degree against one run
+    of the colon recursion.  With ``sample_stability`` that run also counts
+    the stability degree and the two after it, returned as (degree, count)
+    pairs for the Hilbert polynomial's check."""
     rows = [g.exponents for g in ideal.generators]
     n = ideal.ring.n
     coeffs = _strip(_numerator(rows, n))
     degrees = list(range(len(coeffs) + 2))
-    expected = _standard_counts(rows, n, degrees)
+    d0 = _stability(coeffs, n)
+    extra = [d0, d0 + 1, d0 + 2] if sample_stability else []
+    counts = _standard_counts(rows, n, degrees + extra)
     series = HilbertSeries(ideal.ring, tuple(coeffs))
-    for d, want in zip(degrees, expected):
+    for d, want in zip(degrees, counts):
         if series.coefficient(d) != want:
             raise RuntimeError(
                 f"internal error: series disagrees with direct count at degree {d}"
             )
-    return series
+    return series, list(zip(extra, counts[len(degrees):]))
+
+
+def hilbert_series(ideal):
+    """Hilbert series of S/I, self-checked against direct monomial counts."""
+    return _checked_series(ideal)[0]
 
 
 def _binom_poly(m, k):
@@ -266,14 +338,15 @@ class HilbertPolynomial:
 
 
 def hilbert_polynomial(ideal):
-    """Hilbert polynomial plus its stability threshold, verified on samples."""
-    series = hilbert_series(ideal)
-    n = ideal.ring.n
-    d0 = max(0, len(series.numerator) - 1 - n + 1)
+    """Hilbert polynomial plus its stability threshold, verified on samples.
+
+    The samples at the stability degree and the two after it come from the
+    same colon-recursion run that checks the series.
+    """
+    series, samples = _checked_series(ideal, sample_stability=True)
+    d0 = _stability(series.numerator, ideal.ring.n)
     poly = HilbertPolynomial(ideal.ring, series.numerator, d0)
-    rows = [g.exponents for g in ideal.generators]
-    degrees = [d0, d0 + 1, d0 + 2]
-    for d, want in zip(degrees, _standard_counts(rows, n, degrees)):
+    for d, want in samples:
         if poly(d) != want:
             raise RuntimeError(
                 f"internal error: polynomial disagrees with function at degree {d}"
@@ -468,20 +541,15 @@ def _core(facets):
 
 
 def _lcm_lattice(rows):
-    base = {tuple(r) for r in rows}
-    lattice = set(base)
-    frontier = base
-    while frontier:
-        new = set()
-        for a in frontier:
-            for g in base:
-                joined = _lcm_row(a, g)
-                if joined not in lattice:
-                    new.add(joined)
-        lattice |= new
+    """Every lcm of a nonempty set of the rows, as exponent tuples: each row
+    joins the lcms formed before it, then itself."""
+    lattice = set()
+    for g in rows:
+        g = tuple(g)
+        lattice |= {tuple(map(max, a, g)) for a in lattice}
+        lattice.add(g)
         if len(lattice) > _LATTICE_CAP:
             raise ResourceCapError("lcm lattice exceeds cap")
-        frontier = new
     return lattice
 
 
@@ -501,20 +569,16 @@ def graded_betti(ideal, field=None, max_generators=20):
             f"{len(rows)} generators exceed the enumeration cap {max_generators}"
         )
     entries = {(0, 0): 1}
-    n = ideal.ring.n
-    # variable i is bit n-1-i, the vertex order _homology_dims reads
-    bits = [1 << (n - 1 - i) for i in range(n)]
-    for a in sorted(_lcm_lattice(rows)):
-        facets = set()
-        for r in rows:
-            mask = 0
-            for bit, x, y in zip(bits, r, a):
-                if x > y:
-                    break
-                if x < y:
-                    mask |= bit
-            else:
-                facets.add(mask)
+    w, shifts, guard = _guard_fields(ideal.ring.n, max(map(max, rows), default=0))
+    low = guard >> w - 1  # the lowest bit of every field
+    packed = [sum(map(lshift, r, shifts)) for r in rows]
+    for a in _lcm_lattice(rows):
+        # guard i of d = (a | G) - r is set iff r_i <= a_i, and guard i of
+        # d - low iff r_i < a_i: variable i is guard bit i, the first
+        # variable highest, the vertex order _homology_dims reads
+        top = sum(map(lshift, a, shifts)) | guard
+        facets = {(d - low) & guard for d in map(top.__sub__, packed)
+                  if d & guard == guard}
         if not facets:
             raise RuntimeError("internal error: lattice point outside the ideal")
         core = _core(facets)

@@ -199,6 +199,21 @@ def _compositions(total, parts):
     return _minimal_lifts((1,) * parts, total)
 
 
+def _guard_fields(n, top):
+    """The guard-bit layout for n exponents of at most ``top``.
+
+    Returns ``(w, shifts, guard)``: fields of ``w = top.bit_length() + 1``
+    bits, ``shifts`` their lowest bits with the first variable's highest, and
+    ``guard`` the mask of their top bits.  A row packs as
+    ``sum(map(lshift, row, shifts))`` and leaves every guard clear; for packed
+    rows r and a, ``((a | guard) - r) & guard`` holds field i's guard exactly
+    when r_i <= a_i, and no field borrows from the next.
+    """
+    w = top.bit_length() + 1
+    shifts = range((n - 1) * w, -1, -w)
+    return w, shifts, sum(1 << s + w - 1 for s in shifts)
+
+
 def _minimal_rows(rows):
     """Divisibility-minimal antichain of exponent tuples, as a list.
 
@@ -220,10 +235,8 @@ def _minimal_rows(rows):
             continue
         if lower > _PACK_AT:
             if packed == _PACK_AT:
-                w = max(map(max, uniq)).bit_length() + 1
-                shifts = range((len(r) - 1) * w, -1, -w)
+                w, shifts, guard = _guard_fields(len(r), max(map(max, uniq)))
                 width = len(r) * w
-                guard = sum(1 << s + w - 1 for s in shifts)
                 fmt, K = "0%db" % (width + 1), 0
             if packed < lower:
                 chunk = "".join(format(sum(map(lshift, k, shifts)), fmt)
@@ -452,7 +465,10 @@ class MonomialIdeal:
             a + b > cap for a, b in zip(map(max, zip(*left)), map(max, zip(*right)))
         ):
             raise ResourceCapError(f"exponent exceeds cap {cap} in product")
-        rows = {tuple(map(add, a, b)) for a in left for b in right}
+        if other is self:  # a square: each unordered pair once
+            rows = {tuple(map(add, a, b)) for i, a in enumerate(left) for b in left[i:]}
+        else:
+            rows = {tuple(map(add, a, b)) for a in left for b in right}
         return _ideal_from_rows(self.ring, rows)
 
     def power(self, k):

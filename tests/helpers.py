@@ -1,13 +1,14 @@
 """Brute-force oracles shared across the test modules.
 
-Each routine recomputes an answer by direct enumeration, so the fast
-implementations have something independent to disagree with.  The last
-one corrupts an intermediate instead, so a self-check has to fire.
+Each routine recomputes an answer by direct enumeration, or by the plainer
+implementation a faster one replaced, so the fast implementations have
+something independent to disagree with.  ``corrupt_numerator`` corrupts an
+intermediate instead, so a self-check has to fire.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, zip_longest
 from math import comb
 from operator import add, le, neg, sub
 
@@ -22,6 +23,7 @@ from idealkit import (
     parse_ring,
 )
 from idealkit.linalg import rank_over
+from idealkit.monomials import _colon_row, _minimal_rows
 
 
 def numbered_ring(n):
@@ -322,6 +324,34 @@ def packed_by_minor_ideals(ideal):
                     if d < c:
                         return False, MinorFailure(zeros, ones, minor, c, d)
     return True, None
+
+
+def colon_numerator_by_tuples(rows, n):
+    """Hilbert numerator of S/I (over (1-z)^n) by the Bayer-Stillman colon
+    recursion on exponent tuples: generators join in lexicographic order,
+    each by N(J + (m)) = N(J) - z^deg(m) * N(J : m)."""
+    num = [1]
+    done = []
+    for m in sorted(rows):
+        if not any(m):
+            return []
+        colon = _minimal_rows([_colon_row(g, m) for g in done])
+        inner = colon_numerator_by_tuples(colon, n) if colon else [1]
+        shifted = [0] * sum(m) + [-c for c in inner]
+        num = [a + b for a, b in zip_longest(num, shifted, fillvalue=0)]
+        done.append(m)
+    return num
+
+
+def lcm_lattice_by_frontier(rows):
+    """Every lcm of a nonempty set of the rows: the rows, then rounds that
+    join each lcm found in the last round with every row."""
+    base = {tuple(r) for r in rows}
+    lattice, frontier = set(base), base
+    while frontier:
+        frontier = {tuple(map(max, a, g)) for a in frontier for g in base} - lattice
+        lattice |= frontier
+    return lattice
 
 
 def corrupt_numerator(monkeypatch, name, index):

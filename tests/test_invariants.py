@@ -36,8 +36,10 @@ from idealkit import invariants
 from idealkit.linalg import rank_over
 from helpers import (
     betti_by_subset_scan,
+    colon_numerator_by_tuples,
     compositions,
     corrupt_numerator,
+    lcm_lattice_by_frontier,
     numbered_ring,
     reduced_homology_by_elimination,
     standard_count,
@@ -133,6 +135,10 @@ def test_koszul_betti_table():
         assert table.as_dict() == {(i, i): comb(n, i) for i in range(n + 1)}
         assert table.proj_dim() == n
         assert table.regularity() == 0
+
+
+def test_zero_ideal_betti_table():
+    assert graded_betti(MonomialIdeal.zero(R3)).as_dict() == {(0, 0): 1}
 
 
 def test_triangle_betti_table():
@@ -240,6 +246,38 @@ def test_colon_numerator_matches_pivot_numerator():
             invariants._strip(invariants._numerator(rows, n))
 
 
+def _oracle_corpus():
+    """The 200 ideals of _check_corpus plus 200 seeded row lists on 1-5
+    variables, unminimalized, with repeats, multiples and sometimes the unit
+    row."""
+    rng = rng_from_seed("idealkit:invariants:packed")
+    lists = [(_rows(ideal), ideal.ring.n) for ideal in _check_corpus()]
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(0, 4) for _ in range(n))
+                for _ in range(rng.randint(1, 9))]
+        rows += rng.sample(rows, rng.randint(0, len(rows)))
+        lists.append((rows, n))
+    return lists
+
+
+def test_packed_colon_numerator_matches_tuple_recursion():
+    lists = _oracle_corpus()
+    assert any(not any(r) for rows, _ in lists for r in rows)
+    for rows, n in lists:
+        assert invariants._colon_numerator(rows, n) == colon_numerator_by_tuples(rows, n)
+    for ideal in (CYCLE10.power(2), TABLE.power(6), STAIRCASE301):
+        rows, n = _rows(ideal), ideal.ring.n
+        assert invariants._colon_numerator(rows, n) == colon_numerator_by_tuples(rows, n)
+
+
+def test_one_pass_lattice_matches_frontier_rounds():
+    for rows, n in _oracle_corpus():
+        lattice = invariants._lcm_lattice(rows)
+        assert lattice == lcm_lattice_by_frontier(rows)
+        assert all(type(a) is tuple and len(a) == n for a in lattice)
+
+
 def test_betti_matches_subset_scan_builder():
     rng = rng_from_seed("idealkit:invariants:faces")
     ideals = [edge_ideal(Graph.cycle(n)) for n in range(5, 10)]
@@ -293,15 +331,17 @@ def test_pivot_recursion_needs_no_stack():
     assert got == want
 
 
-def _count_standard_counts(monkeypatch, corrupt_call=None, index=0):
+def _count_standard_counts(monkeypatch, corrupt_index=None):
+    """Record the degree lists of ``_standard_counts`` calls; with
+    ``corrupt_index``, raise the count at that list position by one."""
     real = invariants._standard_counts
     calls = []
 
     def counted(rows, n, degrees):
         calls.append(list(degrees))
         out = real(rows, n, degrees)
-        if len(calls) == corrupt_call:
-            out[index] += 1
+        if corrupt_index is not None:
+            out[corrupt_index] += 1
         return out
 
     monkeypatch.setattr(invariants, "_standard_counts", counted)
@@ -311,15 +351,23 @@ def _count_standard_counts(monkeypatch, corrupt_call=None, index=0):
 @pytest.mark.parametrize("ideal", [TRIANGLE, CYCLE10.power(2), TABLE],
                          ids=["triangle", "C10^2", "table"])
 def test_hilbert_polynomial_counts_once_for_its_check(monkeypatch, ideal):
+    # the series check and the polynomial's samples share one colon run
+    real = invariants._colon_numerator
+    runs = []
+    monkeypatch.setattr(invariants, "_colon_numerator",
+                        lambda rows, n: runs.append(n) or real(rows, n))
     calls = _count_standard_counts(monkeypatch)
     poly = hilbert_polynomial(ideal)
     d0 = poly.stability
-    assert len(calls) == 2 and calls[1] == [d0, d0 + 1, d0 + 2]
+    assert len(runs) == 1 and len(calls) == 1
+    series_degrees = list(range(len(poly.numerator) + 2))
+    assert calls[0] == series_degrees + [d0, d0 + 1, d0 + 2]
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])
 def test_polynomial_check_fires_on_a_corrupt_count(monkeypatch, index):
-    _count_standard_counts(monkeypatch, corrupt_call=2, index=index)
+    # the last three counts are the polynomial's samples
+    _count_standard_counts(monkeypatch, corrupt_index=index - 3)
     with pytest.raises(RuntimeError, match="internal error: polynomial disagrees"):
         hilbert_polynomial(TABLE)
 
@@ -380,6 +428,19 @@ def test_core_keeps_reduced_homology():
     assert collapsed > 100
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label)
+def test_simplex_boundaries_are_cores_with_one_homology_class(field):
+    # the boundary of a simplex on m vertices, its m facets of m - 1
+    # vertices spread over 12 bits, is its own core, with reduced homology
+    # one copy of the field in dimension m - 2 ({empty face} for m = 1)
+    rng = rng_from_seed("idealkit:invariants:sphere")
+    for m in range(1, 8):
+        vertices = [1 << b for b in rng.sample(range(12), m)]
+        facets = [sum(vertices) ^ v for v in vertices] if m > 1 else [0]
+        assert sorted(invariants._core(facets)) == sorted(facets)
+        assert invariants._homology_dims(_faces_of(facets), field) == {m - 2: 1}
+
+
 # the 6-vertex real projective plane: every vertex link is a 5-cycle, so no
 # vertex is dominated and H_1 has 2-torsion
 RP2 = [sum(1 << v for v in t) for t in (
@@ -425,3 +486,24 @@ def test_cycle12_betti_table(field):
     assert time.perf_counter() - start < 5
     assert table.as_dict() == CYCLE12_BETTI
     assert table.alternating_numerator() == hilbert_series(ideal).numerator
+
+
+# Beyarslan, Ha and Trung, "Regularity of powers of forests and cycles",
+# J. Algebraic Combin. 42 (2015): reg(I(C_n)^s) = 2s + floor(n/3) - 1 for
+# n >= 5 and s >= 2, and reg(I(P_n)^s) = 2s + floor((n+1)/3) - 1 for s >= 1,
+# where reg(I) = reg(S/I) + 1
+REGULARITY_CASES = (
+    [("cycle", n, 2) for n in range(5, 10)]
+    + [("cycle", n, 3) for n in range(5, 8)]
+    + [("path", n, s) for n in range(3, 9) for s in (1, 2, 3) if n < 8 or s < 3]
+)
+
+
+def test_regularity_of_powers_of_cycles_and_paths():
+    start = time.perf_counter()
+    for kind, n, s in REGULARITY_CASES:
+        ideal = edge_ideal(getattr(Graph, kind)(n)).power(s)
+        table = graded_betti(ideal, max_generators=len(ideal.generators))
+        offset = n // 3 if kind == "cycle" else (n + 1) // 3
+        assert table.regularity() + 1 == 2 * s + offset - 1, (kind, n, s)
+    assert time.perf_counter() - start < 3

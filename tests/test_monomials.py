@@ -273,6 +273,19 @@ def test_power_is_iterated_product():
         assert ideal.power(2) * ideal.power(1) == ideal.power(3)
 
 
+def test_square_matches_product_with_an_equal_copy():
+    # I * I pairs each unordered pair of generators once; an equal ideal
+    # that is another object takes the full pairing
+    rng = rng_from_seed("idealkit:monomials:square")
+    for _ in range(100):
+        ring = numbered_ring(rng.randint(1, 4))
+        ideal = random_ideal(rng, ring, max_generators=7, max_degree=4)
+        copy = MonomialIdeal(ideal.ring, ideal.generators)
+        assert copy == ideal and copy is not ideal
+        assert ideal * ideal == ideal * copy
+        assert ideal.power(4) == ideal * copy * copy * copy
+
+
 def test_generators_are_always_minimal_antichains():
     rng = rng_from_seed("idealkit:monomials:antichain")
     for _ in range(100):

@@ -1,19 +1,26 @@
-"""What the benchmark's tracer reads from the Groebner stage functions.
+"""What the benchmark's tracer reads from the stage functions it wraps.
 
 ``perfbench/tracer.py`` wraps ``groebner._reduce_full`` by rebinding the
 module attribute, books each call under the field of ``args[0]`` and
 counts the results that are zero; the certificate-corruption tests patch
 ``groebner._interreduce`` and edit the Polynomials it returns.  These
-tests wrap both the same way during a ``buchberger`` call.
+tests wrap both the same way during a ``buchberger`` call.  The tracer's
+``invariants.lcm_lattice.points`` is ``len`` of what
+``invariants._lcm_lattice`` returns, one exponent tuple per lattice point,
+which the last test pins during a ``graded_betti`` call.
 """
 
 from idealkit import (
+    Graph,
     MonomialOrder,
     Polynomial,
     PrimeField,
     QQ,
     buchberger,
+    edge_ideal,
+    graded_betti,
     groebner,
+    invariants,
     parse_polynomial,
     parse_ring,
 )
@@ -59,3 +66,24 @@ def test_interreduce_returns_polynomials(monkeypatch):
     assert len(returned) == 1
     assert all(isinstance(p, Polynomial) for p in returned[0])
     assert list(gb) == returned[0]
+
+
+def test_lcm_lattice_returns_a_set_of_exponent_tuples(monkeypatch):
+    real = invariants._lcm_lattice
+    returned = []
+
+    def recorded(rows):
+        returned.append(real(rows))
+        return returned[-1]
+
+    monkeypatch.setattr(invariants, "_lcm_lattice", recorded)
+    ideal = edge_ideal(Graph.cycle(5))
+    graded_betti(ideal)
+    assert len(returned) == 1
+    lattice = returned[0]
+    assert type(lattice) is set
+    assert all(type(a) is tuple and len(a) == 5 and all(type(e) is int for e in a)
+               for a in lattice)
+    # the unions of edges of the 5-cycle: 5 edges, 5 paths of two edges,
+    # 5 of three and the whole cycle
+    assert len(lattice) == 16
