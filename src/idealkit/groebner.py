@@ -9,10 +9,10 @@ S-polynomials of the final basis and all input generators must reduce to
 zero against it, so it is a Groebner basis and generates the input ideal.
 
 Inside the engine (reduction, S-polynomials, the pair criteria,
-interreduction, the certificate, normal forms and exact quotients) a
-monomial is one int whose integer order is the term order: the
-``monomials.PackedLayout`` of the order, after Bachmann and Schoenemann,
-"Monomial representations for Groebner bases computations" (ISSAC 1998).
+interreduction, the certificate and normal forms) a monomial is one int
+whose integer order is the term order: the ``monomials.PackedLayout`` of
+the order, after Bachmann and Schoenemann, "Monomial representations for
+Groebner bases computations" (ISSAC 1998).
 Lex puts the exponents in permutation order; grevlex puts the degree on
 top, then cap - x_i with the last variable most significant.  Each field
 has a guard bit, so a shifted term is ``t - lm + m``, the heap key is the
@@ -457,8 +457,8 @@ class _FieldOverflow(Exception):
 def _widening(run, layout):
     """``run(layout)``, rerun on the layout of twice the field width for as
     long as a term overflows a field.  Every packed entry point (buchberger,
-    the certificate, normal forms, exact quotients) goes through here, so no
-    answer is ever computed on a wrapped key."""
+    the certificate, normal forms) goes through here, so no answer is ever
+    computed on a wrapped key."""
     while True:
         try:
             return run(layout)
@@ -525,7 +525,7 @@ def _pack(f, layout):
 
 
 class _Reducers:
-    """Packed polynomials to reduce by, in list order.
+    """Packed polynomials to reduce by, in list order, kept in ``polys``.
 
     Their leading monomials also sit side by side in ``leads``, in blocks of
     ``layout.top + 1`` bits with the degree bits dropped, as the kept rows
@@ -536,10 +536,11 @@ class _Reducers:
     the first divisor.
     """
 
-    __slots__ = ("layout", "heads", "leads", "repunit")
+    __slots__ = ("layout", "polys", "heads", "leads", "repunit")
 
     def __init__(self, layout, polys=()):
         self.layout = layout
+        self.polys = []
         # (lead, 1/lead coefficient or None for 1, tail with negated coefficients)
         self.heads = []
         self.leads = self.repunit = 0
@@ -556,12 +557,13 @@ class _Reducers:
         inv = None if lc == 1 else g.field.inv(lc)
         # a negative int stands for its residue mod p until the term is popped
         self.heads.append((lm, inv, tuple([(m, -c) for m, c in g.terms[1:]])))
+        self.polys.append(g)
 
     def skipping(self, i):
         """These reducers with the i-th never chosen: its block holds the
         guards, which no term's fields reach."""
         out = _Reducers(self.layout)
-        out.heads, out.repunit = self.heads, self.repunit
+        out.polys, out.heads, out.repunit = self.polys, self.heads, self.repunit
         top = self.layout.top
         shift = i * (top + 1)
         lead = self.leads >> shift & self.layout.low
@@ -757,8 +759,8 @@ def buchberger(
 
 
 def _buchberger_on(inputs, layout, max_basis, max_degree):
-    basis = [_pack(g, layout) for g in inputs]
-    reducers = _Reducers(layout, basis)
+    reducers = _Reducers(layout, [_pack(g, layout) for g in inputs])
+    basis = reducers.polys
     flip, low = layout.flip, layout.low
     leads = [(g.terms[0][0] ^ flip) & low for g in basis]
     queue = []  # heap of (lcm degree, i, j)
@@ -778,8 +780,7 @@ def _buchberger_on(inputs, layout, max_basis, max_degree):
             raise ResourceCapError(
                 f"basis element of degree {degree} exceeds cap {max_degree}"
             )
-        basis.append(remainder.monic())
-        reducers.add(basis[-1])
+        reducers.add(remainder.monic())
         if len(basis) > max_basis:
             raise ResourceCapError(f"basis grew past {max_basis} polynomials")
         leads.append((remainder.terms[0][0] ^ flip) & low)
@@ -887,15 +888,16 @@ def _certify(gb, gens):
     Every S-polynomial of the basis must reduce to zero (the Groebner
     property), and so must every generator, which puts (gens) inside the
     basis's ideal; the basis is built from the generators, so the two agree.
+    The reducers are packed through ``gb`` and kept there for its next
+    normal form.
     """
     gens = [_in_order(g, gb.order) for g in gens]
     degree = max((p.total_degree() for p in gb.polys), default=0)
     bound = max([2 * degree] + [g.total_degree() for g in gens])
 
     def run(layout):
-        # packed here, not kept on gb: most bases are never queried again
-        polys = [_pack(p, layout) for p in gb.polys]
-        reducers = _Reducers(layout, polys)
+        reducers = gb._reducers(layout)
+        polys = reducers.polys
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
                 s = _s_polynomial(polys[i], polys[j])
@@ -980,49 +982,6 @@ def power_membership_index(f, gens, n_max):
     return None
 
 
-def _exact_quotient(h, g):
-    """h / g, for h a polynomial multiple of g."""
-    g = _in_order(g, h.order)
-    return _widening(
-        lambda layout: _exact_quotient_on(_pack(h, layout), _pack(g, layout)),
-        _layout(h.order, max(h.total_degree(), g.total_degree())),
-    ).unpack()
-
-
-def _exact_quotient_on(h, g):
-    # terms wait in a heap as in _reduce_full, and the quotient comes out
-    # largest term first
-    field, layout = h.field, h.layout
-    flip, guard = layout.flip, layout.guard
-    glm, glc = g.terms[0]
-    glmx, inv = glm ^ flip, field.inv(glc)
-    rest = dict(h.terms)
-    heap = [-k for k in rest]
-    heapify(heap)
-    quotient = []
-    while heap:
-        t = -heappop(heap)
-        coeff = rest.pop(t)
-        if not coeff:
-            continue
-        if (((t ^ flip) | guard) - glmx) & guard != guard:
-            raise ValueError("quotient is not exact")
-        shift = t - glm
-        factor = field.mul(coeff, inv)
-        quotient.append((shift + layout.offset, factor))
-        for m, c in g.terms[1:]:
-            k = shift + m
-            old = rest.get(k)
-            if old is None:
-                if k & guard:
-                    raise _FieldOverflow
-                rest[k] = field.neg(field.mul(factor, c))
-                heappush(heap, -k)
-            else:
-                rest[k] = field.sub(old, field.mul(factor, c))
-    return h._with(tuple(quotient))
-
-
 def _intersection_basis(gens_a, gens_b, *, max_basis, max_degree):
     # generators of (gens_a) ∩ (gens_b), by eliminating a fresh variable t
     # from t*gens_a + (1-t)*gens_b; lex with t most significant eliminates
@@ -1050,7 +1009,10 @@ def local_ideal_member(
 
     f lands in the extension iff u*f is in (gens) for a unit u of the local
     ring, i.e. iff the colon ideal ((gens) : f) contains an element with
-    nonzero constant term.  The colon is (gens) ∩ (f) divided by f.
+    nonzero constant term.  The colon is (gens) ∩ (f) divided by f: each
+    basis element h of the intersection is q*f with q in the colon.  The
+    lowest-degree part of a product is the product of the lowest-degree
+    parts, so q(0) != 0 exactly when h's least term degree equals f's.
     """
     gens = [g for g in gens if not g.is_zero]
     if f.is_zero:
@@ -1063,7 +1025,13 @@ def local_ideal_member(
     meet = _intersection_basis(
         gens, [f], max_basis=max_basis, max_degree=max_degree
     )
-    return any(_exact_quotient(h, f).constant_term() != zero for h in meet)
+    least = _least_degree(f)
+    return any(_least_degree(h) == least for h in meet)
+
+
+def _least_degree(f):
+    """Least total degree of a term of nonzero f."""
+    return min(sum(e) for e, _ in f.terms)
 
 
 def jacobian_ideal(f):

@@ -4,17 +4,18 @@ The Hilbert numerator comes from the pivot recursion
 ``N(I) = N(I + (p)) + z^deg(p) * N(I : p)`` with the pivot a pure power of
 the variable hitting the most generators; the recursion bottoms out on
 pairwise-coprime generator sets, where the numerator is a product of
-``1 - z^deg``.  Every computed series is checked on the spot against the
-standard-monomial counts of an independent numerator: the colon recursion
-of Bayer and Stillman, ``N(J + (m)) = N(J) - z^deg(m) * N(J : m)``, which
-adds one generator at a time and shares no pivot logic with the above.
-One run of it serves a request: ``hilbert_polynomial`` takes its samples
-from the run that checks the series.
+``1 - z^deg``.  Every computed series is checked on the spot against an
+independent numerator: the colon recursion of Bayer and Stillman,
+``N(J + (m)) = N(J) - z^deg(m) * N(J : m)``, which adds one generator at a
+time and shares no pivot logic with the above.  The two numerators must be
+equal; since h(d) = sum_{j<=d} c_j * C(n-1+d-j, n-1) weighs c_d by one,
+their first differing coefficient is the first degree where the two series
+differ.  ``hilbert_polynomial`` takes its samples from the checked series.
 
 The colon recursion runs on packed rows: each exponent vector is one int in
-the guard-bit layout of ``monomials._guard_fields``, with fields wide
-enough for the largest degree.  A colon row ``max(g - m, 0)`` is one
-saturating subtraction: in ``d = (g | G) - m`` field i's guard is set
+the lex ``monomials.PackedLayout`` with the first variable highest, with
+fields wide enough for the largest degree.  A colon row ``max(g - m, 0)``
+is one saturating subtraction: in ``d = (g | G) - m`` field i's guard is set
 exactly when g_i >= m_i, and ``d & (s - (s >> (w - 1)))`` with
 ``s = d & G`` keeps the fields below those guards and clears the rest.
 The packed integer order is the lexicographic order and refines
@@ -52,13 +53,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial, prod
 from operator import lshift
 
 from .errors import ResourceCapError
 from .fields import QQ
 from .linalg import rank_over, rank_sparse
-from .monomials import _guard_fields, _minimal_rows
+from .monomials import PackedLayout, _minimal_rows
 from .symbolic import codim as _codim
 from .symbolic import minimal_primes as _minimal_primes
 
@@ -78,17 +80,6 @@ def _poly_add(a, b):
         out[i] += v
     for i, v in enumerate(b):
         out[i] += v
-    return out
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     return out
 
 
@@ -120,7 +111,11 @@ def _numerator(rows, n):
             # pairwise-coprime generators: complete-intersection product formula
             leaf = [1]
             for r in rows:
-                leaf = _poly_mul(leaf, [1] + [0] * (sum(r) - 1) + [-1])
+                # times 1 - z^d, in place from the top coefficient down
+                d = sum(r)
+                leaf += [0] * d
+                for i in range(len(leaf) - 1, d - 1, -1):
+                    leaf[i] -= leaf[i - d]
         if len(total) < shift + len(leaf):
             total.extend([0] * (shift + len(leaf) - len(total)))
         for i, c in enumerate(leaf, shift):
@@ -134,12 +129,14 @@ def _colon_numerator(rows, n):
     Generators join in lexicographic order, each by
     ``N(J + (m)) = N(J) - z^deg(m) * N(J : m)``, where J : m is generated by
     the rows ``max(g - m, 0)`` of the generators g already in J.  Rows are
-    packed into the guard layout of ``_guard_fields``, wide enough for the
-    largest degree; the packed integer order is the lexicographic order.
+    packed into the lex ``PackedLayout`` with the first variable highest,
+    wide enough for the largest degree; the packed integer order is the
+    lexicographic order.
     """
     if not rows:
         return [1]
-    w, shifts, guard = _guard_fields(n, max(map(sum, rows)))
+    layout = PackedLayout.fitting("lex", tuple(range(n)), max(map(sum, rows)))
+    w, shifts, guard = layout.width, layout.shifts, layout.guard
     low = guard >> w - 1  # the lowest bit of every field
     top, field, spill = shifts[0], (1 << w) - 1, w - 1
 
@@ -254,30 +251,20 @@ def _stability(coeffs, n):
     return max(0, len(coeffs) - n)
 
 
-def _checked_series(ideal, sample_stability=False):
-    """The pivot-recursion series, checked degree by degree against one run
-    of the colon recursion.  With ``sample_stability`` that run also counts
-    the stability degree and the two after it, returned as (degree, count)
-    pairs for the Hilbert polynomial's check."""
+def hilbert_series(ideal):
+    """Hilbert series of S/I from the pivot recursion, checked against the
+    colon-recursion numerator."""
     rows = [g.exponents for g in ideal.generators]
     n = ideal.ring.n
     coeffs = _strip(_numerator(rows, n))
-    degrees = list(range(len(coeffs) + 2))
-    d0 = _stability(coeffs, n)
-    extra = [d0, d0 + 1, d0 + 2] if sample_stability else []
-    counts = _standard_counts(rows, n, degrees + extra)
-    series = HilbertSeries(ideal.ring, tuple(coeffs))
-    for d, want in zip(degrees, counts):
-        if series.coefficient(d) != want:
-            raise RuntimeError(
-                f"internal error: series disagrees with direct count at degree {d}"
-            )
-    return series, list(zip(extra, counts[len(degrees):]))
-
-
-def hilbert_series(ideal):
-    """Hilbert series of S/I, self-checked against direct monomial counts."""
-    return _checked_series(ideal)[0]
+    check = _strip(_colon_numerator(rows, n))
+    if coeffs != check:
+        pairs = zip_longest(coeffs, check, fillvalue=0)
+        d = next(d for d, (a, b) in enumerate(pairs) if a != b)
+        raise RuntimeError(
+            f"internal error: series disagrees with direct count at degree {d}"
+        )
+    return HilbertSeries(ideal.ring, tuple(coeffs))
 
 
 def _binom_poly(m, k):
@@ -340,14 +327,14 @@ class HilbertPolynomial:
 def hilbert_polynomial(ideal):
     """Hilbert polynomial plus its stability threshold, verified on samples.
 
-    The samples at the stability degree and the two after it come from the
-    same colon-recursion run that checks the series.
+    The samples at the stability degree and the two after it are the
+    coefficients of the checked series.
     """
-    series, samples = _checked_series(ideal, sample_stability=True)
+    series = hilbert_series(ideal)
     d0 = _stability(series.numerator, ideal.ring.n)
     poly = HilbertPolynomial(ideal.ring, series.numerator, d0)
-    for d, want in samples:
-        if poly(d) != want:
+    for d in (d0, d0 + 1, d0 + 2):
+        if poly(d) != series.coefficient(d):
             raise RuntimeError(
                 f"internal error: polynomial disagrees with function at degree {d}"
             )
@@ -569,7 +556,9 @@ def graded_betti(ideal, field=None, max_generators=20):
             f"{len(rows)} generators exceed the enumeration cap {max_generators}"
         )
     entries = {(0, 0): 1}
-    w, shifts, guard = _guard_fields(ideal.ring.n, max(map(max, rows), default=0))
+    layout = PackedLayout.fitting(
+        "lex", tuple(range(ideal.ring.n)), max(map(max, rows), default=0))
+    w, shifts, guard = layout.width, layout.shifts, layout.guard
     low = guard >> w - 1  # the lowest bit of every field
     packed = [sum(map(lshift, r, shifts)) for r in rows]
     for a in _lcm_lattice(rows):

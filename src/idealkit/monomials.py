@@ -25,7 +25,8 @@ exactly when ``k_i <= r_i``; no field or block borrows.  Masking with
 exactly when all of that block's guards are set, i.e. when that kept row
 divides r.  So a handful of big-int operations replace the pairwise scan.
 
-``PackedLayout`` shares that guard layout with the Groebner engine: there a
+``PackedLayout`` is that guard layout, taken in its lex form here, by the
+Hilbert check and by the Betti facets; in the Groebner engine a
 monomial is one int whose integer order is a term order (lex, or grevlex
 with the degree above the fields), so the engine's heap keys, shifts,
 divisibility tests and first-divisor search are int operations on it.
@@ -199,21 +200,6 @@ def _compositions(total, parts):
     return _minimal_lifts((1,) * parts, total)
 
 
-def _guard_fields(n, top):
-    """The guard-bit layout for n exponents of at most ``top``.
-
-    Returns ``(w, shifts, guard)``: fields of ``w = top.bit_length() + 1``
-    bits, ``shifts`` their lowest bits with the first variable's highest, and
-    ``guard`` the mask of their top bits.  A row packs as
-    ``sum(map(lshift, row, shifts))`` and leaves every guard clear; for packed
-    rows r and a, ``((a | guard) - r) & guard`` holds field i's guard exactly
-    when r_i <= a_i, and no field borrows from the next.
-    """
-    w = top.bit_length() + 1
-    shifts = range((n - 1) * w, -1, -w)
-    return w, shifts, sum(1 << s + w - 1 for s in shifts)
-
-
 def _minimal_rows(rows):
     """Divisibility-minimal antichain of exponent tuples, as a list.
 
@@ -235,8 +221,9 @@ def _minimal_rows(rows):
             continue
         if lower > _PACK_AT:
             if packed == _PACK_AT:
-                w, shifts, guard = _guard_fields(len(r), max(map(max, uniq)))
-                width = len(r) * w
+                layout = PackedLayout.fitting(
+                    "lex", tuple(range(len(r))), max(map(max, uniq)))
+                shifts, guard, width = layout.shifts, layout.guard, layout.top
                 fmt, K = "0%db" % (width + 1), 0
             if packed < lower:
                 chunk = "".join(format(sum(map(lshift, k, shifts)), fmt)

@@ -130,16 +130,26 @@ def test_grevlex_normal_form_past_the_kept_cap_repacks():
     assert gb._packing[0] is wide
 
 
-def test_exact_quotient_recovers_the_cofactor():
-    ring = parse_ring("x, y, z")
-    for kind in ("lex", "grevlex"):
-        order = getattr(MonomialOrder, kind)(ring, (2, 0, 1))
-        g = parse_polynomial(ring, "x^2*y - 3*z + 1", order=order)
-        q = parse_polynomial(ring, "y^3 - x*z^2 + 2*x", order=order)
-        assert groebner._exact_quotient(g * q, g) == q
-        y = parse_polynomial(ring, "y", order=order)
-        with pytest.raises(ValueError, match="not exact"):
-            groebner._exact_quotient(g * q + y, g)
+def test_least_degree_of_a_multiple_sees_a_unit_cofactor():
+    # local_ideal_member reads q(0) != 0 off h = q*f as h starting in f's degree
+    seen = set()
+    for index in range(120):
+        rng = rng_from_seed(f"idealkit:groebner:least-degree:{index}")
+        field = (QQ, PrimeField(32003), PrimeField(3))[index % 3]
+        ring = numbered_ring(rng.randint(1, 4))
+        kind = rng.choice(("lex", "grevlex"))
+        order = getattr(MonomialOrder, kind)(ring, rng.sample(range(ring.n), ring.n))
+        f = _random_poly(rng, ring, field, order, 3, rng.randint(1, 4))
+        q = _random_poly(rng, ring, field, order, 3, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            q = q + Polynomial.constant(ring, field, order, rng.randint(1, 2))
+        if f.is_zero or q.is_zero:
+            continue
+        unit = q.constant_term() != field.zero
+        assert (groebner._least_degree(q * f) == groebner._least_degree(f)) == unit
+        seen.add((field.characteristic, kind, unit))
+    assert seen == {(p, kind, unit) for p in (0, 32003, 3)
+                    for kind in ("lex", "grevlex") for unit in (False, True)}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -297,6 +297,29 @@ def test_self_check_fires_on_a_corrupt_numerator(monkeypatch, name, index):
         hilbert_series(TRIANGLE)
 
 
+@pytest.mark.parametrize("name", ["_numerator", "_colon_numerator"])
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_self_check_names_the_corrupt_degree(monkeypatch, name, index):
+    corrupt_numerator(monkeypatch, name, index)
+    with pytest.raises(RuntimeError, match=f"at degree {index}$"):
+        hilbert_series(TRIANGLE)
+
+
+@pytest.mark.parametrize("extra", [2, 3, 7])
+def test_self_check_fires_past_the_numerator(monkeypatch, extra):
+    # a check term past degree len + 1 changes the series only there
+    degree = len(hilbert_series(TRIANGLE).numerator) + extra
+    real = invariants._colon_numerator
+
+    def corrupt(rows, n):
+        out = real(rows, n)
+        return out + [0] * (degree - len(out)) + [1]
+
+    monkeypatch.setattr(invariants, "_colon_numerator", corrupt)
+    with pytest.raises(RuntimeError, match=f"series disagrees .* at degree {degree}$"):
+        hilbert_series(TRIANGLE)
+
+
 @pytest.fixture
 def default_recursion_limit():
     old = sys.getrecursionlimit()
@@ -331,43 +354,27 @@ def test_pivot_recursion_needs_no_stack():
     assert got == want
 
 
-def _count_standard_counts(monkeypatch, corrupt_index=None):
-    """Record the degree lists of ``_standard_counts`` calls; with
-    ``corrupt_index``, raise the count at that list position by one."""
-    real = invariants._standard_counts
-    calls = []
-
-    def counted(rows, n, degrees):
-        calls.append(list(degrees))
-        out = real(rows, n, degrees)
-        if corrupt_index is not None:
-            out[corrupt_index] += 1
-        return out
-
-    monkeypatch.setattr(invariants, "_standard_counts", counted)
-    return calls
-
-
 @pytest.mark.parametrize("ideal", [TRIANGLE, CYCLE10.power(2), TABLE],
                          ids=["triangle", "C10^2", "table"])
 def test_hilbert_polynomial_counts_once_for_its_check(monkeypatch, ideal):
-    # the series check and the polynomial's samples share one colon run
+    # the polynomial's samples come from the checked series, not from counts
     real = invariants._colon_numerator
     runs = []
     monkeypatch.setattr(invariants, "_colon_numerator",
                         lambda rows, n: runs.append(n) or real(rows, n))
-    calls = _count_standard_counts(monkeypatch)
-    poly = hilbert_polynomial(ideal)
-    d0 = poly.stability
-    assert len(runs) == 1 and len(calls) == 1
-    series_degrees = list(range(len(poly.numerator) + 2))
-    assert calls[0] == series_degrees + [d0, d0 + 1, d0 + 2]
+    monkeypatch.setattr(invariants, "_standard_counts",
+                        lambda *args: pytest.fail("counted degree by degree"))
+    hilbert_polynomial(ideal)
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])
 def test_polynomial_check_fires_on_a_corrupt_count(monkeypatch, index):
-    # the last three counts are the polynomial's samples
-    _count_standard_counts(monkeypatch, corrupt_index=index - 3)
+    # the polynomial is sampled at its stability degree and the two after it
+    degree = hilbert_polynomial(TABLE).stability + index
+    real = invariants.HilbertSeries.coefficient
+    monkeypatch.setattr(invariants.HilbertSeries, "coefficient",
+                        lambda self, d: real(self, d) + (d == degree))
     with pytest.raises(RuntimeError, match="internal error: polynomial disagrees"):
         hilbert_polynomial(TABLE)
 
