@@ -36,8 +36,7 @@ class ArReport:
 
 def artin_rees_number(ideal, sub, n_max):
     """Least k_n with I^n intersect N within I^(n-k_n) N, for n = 1..n_max."""
-    if ideal.ring != sub.ring:
-        raise ValueError("ideals from different rings")
+    ideal._check(sub)
     if sub.is_zero:
         raise ValueError("the submodule ideal must be nonzero")
     if n_max < 1:
@@ -60,8 +59,7 @@ def ar_counterexample_search(ideal, sub, k, ell_max):
     mismatch is witnessed by a generator of I^ell outside the product.
     Returns (ell, witness) or None when the scan is clean.
     """
-    if ideal.ring != sub.ring:
-        raise ValueError("ideals from different rings")
+    ideal._check(sub)
     if not ideal.contains_ideal(sub):
         raise ValueError("the second ideal must sit inside the first")
     if k < 0:

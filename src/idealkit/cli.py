@@ -204,8 +204,8 @@ def _cmd_symbolic_theorem(args):
 
 
 def _cmd_closure_closure(args):
-    closed = closure.integral_closure(args.ideal)
     poly = closure.newton_polyhedron(args.ideal)
+    closed = closure._power_closure(args.ideal.ring, poly.facets, 1)
     payload = {
         **_ideal_payload(closed),
         "facets": [[list(c), b] for c, b in poly.facets],

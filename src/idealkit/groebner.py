@@ -4,6 +4,9 @@ Buchberger with the normal pair-selection strategy (least lcm degree, ties
 by index) over a heap of pairs, the Gebauer-Moeller pair criteria (chain,
 B-criterion and coprime leading terms), and full interreduction, so the
 returned basis is the reduced Groebner basis and normal forms are canonical.
+Every element, input or S-polynomial remainder, enters as a normal form
+against those before it, so the elements the pair criteria keep active are
+the minimal basis and interreduction only reduces their tails.
 Every construction re-checks the result unless the caller opts out: all
 S-polynomials of the final basis and all input generators must reduce to
 zero against it, so it is a Groebner basis and generates the input ideal.
@@ -20,11 +23,12 @@ negated int, and divisibility is one subtraction and mask.  Polynomials
 are packed on the way in and unpacked on the way out; ``Polynomial.terms``
 stays the public exponent-tuple view.
 
-Field widths are derived, never set: the cap is at least twice the larger
-of ``max_degree`` and the input degree, which holds every exponent of an
-S-polynomial, and grevlex reduction never raises a degree.  Lex reduction
-can raise an exponent past the cap; the new term then sets its guard bit,
-nothing wraps, and the entry point reruns on a layout of twice the width.
+Field widths are derived, never set: the cap starts at twice the larger of
+``max_degree`` and the input degree, and every element must stay within half
+the cap, which holds every exponent of an S-polynomial.  A lex normal form
+can break that rule, so it is checked where elements enter; lex reduction
+can also raise an exponent past the cap, setting its guard bit so nothing
+wraps.  Either way the entry point reruns on a layout of twice the width.
 GF(p) coefficients are plain ints, reduced mod p when a term is popped.
 
 On top of the engine:
@@ -625,8 +629,8 @@ def _reduce_full(f, reducers):
 def _s_polynomial(f, g):
     """S-polynomial of packed f and g.
 
-    Callers size the layout at twice the degree of every polynomial they
-    pair, which holds every exponent of an S-polynomial, so no check here.
+    Callers keep every polynomial they pair within half the layout's cap,
+    which holds every exponent of an S-polynomial, so no check here.
     """
     # the leading terms cancel by construction; basis elements are monic
     f, g = f.monic(), g.monic()
@@ -744,9 +748,9 @@ def buchberger(
             raise RingMismatchError("generators live in different rings or fields")
     if order is None:
         order = gens[0].order
-    inputs = [_in_order(g, order).monic() for g in gens if not g.is_zero]
-    # basis elements stay within max(max_degree, input degree), so every
-    # exponent of an S-polynomial within twice that
+    inputs = [_in_order(g, order) for g in gens if not g.is_zero]
+    # every S-polynomial exponent fits while elements stay within half the
+    # cap; a lex normal form of an input that does not widens the layout
     bound = 2 * max([max_degree] + [g.total_degree() for g in inputs])
     reduced = _widening(
         lambda layout: _buchberger_on(inputs, layout, max_basis, max_degree),
@@ -759,33 +763,44 @@ def buchberger(
 
 
 def _buchberger_on(inputs, layout, max_basis, max_degree):
-    reducers = _Reducers(layout, [_pack(g, layout) for g in inputs])
+    """The reduced basis of ``inputs`` on ``layout``.  Inputs and
+    S-polynomial remainders ``enter`` as monic nonzero normal forms, so no
+    leading monomial is divisible by an earlier one and ``active`` is the
+    minimal basis; the width rule is checked there, the caps on remainders.
+    """
+    reducers = _Reducers(layout)
     basis = reducers.polys
     flip, low = layout.flip, layout.low
-    leads = [(g.terms[0][0] ^ flip) & low for g in basis]
+    leads = []
     queue = []  # heap of (lcm degree, i, j)
     queued = {}  # live pairs (i, j) -> lcm of their leading monomials
-    active = []  # indices whose leading monomial no later one divides
-    for new in range(len(basis)):
-        _gebauer_moeller(layout, leads, new, active, queued, queue)
+    active = []  # ascending indices whose leading monomial no later one divides
+
+    def enter(f, capped):
+        f = _reduce_full(f, reducers)
+        if f.is_zero:
+            return
+        degree = f.total_degree()
+        if capped and degree > max_degree:
+            raise ResourceCapError(
+                f"basis element of degree {degree} exceeds cap {max_degree}"
+            )
+        if degree > layout.cap // 2:
+            raise _FieldOverflow
+        reducers.add(f.monic())
+        if capped and len(basis) > max_basis:
+            raise ResourceCapError(f"basis grew past {max_basis} polynomials")
+        leads.append((f.terms[0][0] ^ flip) & low)
+        _gebauer_moeller(layout, leads, len(basis) - 1, active, queued, queue)
+
+    for g in inputs:
+        enter(_pack(g, layout), False)
     while queue:
         _, i, j = heappop(queue)
         if queued.pop((i, j), None) is None:
             continue  # dropped by the B-criterion after it was queued
-        remainder = _reduce_full(_s_polynomial(basis[i], basis[j]), reducers)
-        if remainder.is_zero:
-            continue
-        degree = remainder.total_degree()
-        if degree > max_degree:
-            raise ResourceCapError(
-                f"basis element of degree {degree} exceeds cap {max_degree}"
-            )
-        reducers.add(remainder.monic())
-        if len(basis) > max_basis:
-            raise ResourceCapError(f"basis grew past {max_basis} polynomials")
-        leads.append((remainder.terms[0][0] ^ flip) & low)
-        _gebauer_moeller(layout, leads, len(basis) - 1, active, queued, queue)
-    return _interreduce(basis)
+        enter(_s_polynomial(basis[i], basis[j]), True)
+    return _interreduce([basis[i] for i in active])
 
 
 def _in_order(f, order):
@@ -849,34 +864,21 @@ def _gebauer_moeller(layout, leads, new, active, queued, queue):
 
 
 def _interreduce(basis):
-    """The reduced basis, as Polynomials, of a packed Groebner basis.
+    """The reduced basis, as Polynomials, of a minimal monic packed
+    Groebner basis: no leading monomial divides another, so reducing each
+    tail by the others is all that is left.
 
     Runs inside buchberger's ``_widening``, which reruns the whole
     computation on a wider layout if a lex tail reduction overflows.
     """
     if not basis:
         return []
-    layout = basis[0].layout
-    flip, guard = layout.flip, layout.guard
-    leads = [p.terms[0][0] for p in basis]
-    # minimal: no leading monomial divides another
-    keep = []
-    for i, lm in enumerate(leads):
-        tg = (lm ^ flip) | guard
-        if not any(
-            (tg - (lmq ^ flip)) & guard == guard and (lmq != lm or j < i)
-            for j, lmq in enumerate(leads)
-            if j != i
-        ):
-            keep.append(basis[i])
-    # reduced: tails carry no term divisible by another leading monomial
+    reducers = _Reducers(basis[0].layout, basis)
     out = []
-    reducers = _Reducers(layout, keep)
-    for i, p in enumerate(keep):
-        others = reducers.skipping(i)
+    for i, p in enumerate(basis):
         # reduction only lowers terms, so the head stays in front
-        terms = p.terms[:1] + _reduce_full(p._with(p.terms[1:]), others).terms
-        out.append(p._with(terms).monic())
+        tail = _reduce_full(p._with(p.terms[1:]), reducers.skipping(i))
+        out.append(p._with(p.terms[:1] + tail.terms))
     out.sort(key=lambda p: p.terms[0][0])
     shared = {}
     return [p.unpack(shared) for p in out]

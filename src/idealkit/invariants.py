@@ -104,7 +104,10 @@ def _numerator(rows, n):
                 j = counts.index(max(counts))
                 e = min(r[j] for r in rows if r[j] > 0)
                 pivot = tuple(e if i == j else 0 for i in range(n))
-                work.append((_minimal_rows([r for r in rows if r[j] < e] + [pivot]), shift))
+                # e is x_j's least positive exponent, so r[j] < e means
+                # r[j] = 0: these rows stay minimal, x_j^e divides none of
+                # them, and only the unit row, a leaf above, divides x_j^e
+                work.append(([r for r in rows if r[j] < e] + [pivot], shift))
                 work.append((_minimal_rows(
                     [r[:j] + (max(r[j] - e, 0),) + r[j + 1:] for r in rows]), shift + e))
                 continue
@@ -184,10 +187,12 @@ def _standard_counts(rows, n, degrees):
     read off the colon-recursion numerator, independent of the pivot
     recursion."""
     num = _colon_numerator(rows, n)
-    return [
-        sum(c * comb(n - 1 + d - j, n - 1) for j, c in enumerate(num) if j <= d)
-        for d in degrees
-    ]
+    return [_series_coefficient(num, n, d) for d in degrees]
+
+
+def _series_coefficient(num, n, d):
+    """Coefficient of z^d in num(z) / (1 - z)^n."""
+    return sum(c * comb(n - 1 + d - j, n - 1) for j, c in enumerate(num) if j <= d)
 
 
 def hilbert_function(ideal, d):
@@ -215,12 +220,7 @@ class HilbertSeries:
 
     def coefficient(self, d):
         """Coefficient of z^d in the expanded series."""
-        n = self.ring.n
-        return sum(
-            c * comb(n - 1 + d - j, n - 1)
-            for j, c in enumerate(self.numerator)
-            if j <= d
-        )
+        return _series_coefficient(self.numerator, self.ring.n, d)
 
     def __str__(self):
         return f"({_format_poly(self.numerator)}) / (1 - z)^{self.ring.n}"

@@ -14,9 +14,9 @@ other row divides.  It visits rows by ascending (degree, tuple) and tests
 each only against kept rows of strictly lower degree: a row never divides
 another of its own degree.  The first ``_PACK_AT`` of those are tried one
 by one, which settles most small inputs and most staircases.  The others
-are tested all at once in one int.  Each exponent takes a field of
-``w = max_exponent.bit_length() + 1`` bits whose top bit is a guard, a row
-is the n fields with the first variable's highest, and the kept rows sit
+are tested all at once in one int.  Each exponent takes a field of ``w``
+bits, one more than the largest exponent needs, whose top bit is a guard; a
+row is the n fields with the first variable's highest, and the kept rows sit
 in blocks of ``n*w + 1`` bits (the spare bit catches a carry) of ``K``.  A
 candidate r with its guards set, ``pack(r) | G``, copied into every block
 by multiplying with the repunit U, minus K, leaves field i's guard set
@@ -35,12 +35,14 @@ divisibility tests and first-divisor search are int operations on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, le, lshift, mul
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 
+# the largest exponent any monomial may carry: it stops runaway growth under
+# repeated squaring of ideals and Frobenius powers
 DEFAULT_EXPONENT_CAP = 10**6
 # kept rows that _minimal_rows scans one by one before packing the rest
 _PACK_AT = 16
@@ -53,15 +55,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 @dataclass(frozen=True)
 class Ring:
-    """A polynomial ring described by its ordered tuple of variable names.
-
-    ``max_exponent`` guards against runaway exponent growth (repeated
-    squaring of ideals, Frobenius powers); it does not participate in
-    equality so rings with different caps still interoperate.
-    """
+    """A polynomial ring described by its ordered tuple of variable names."""
 
     variables: tuple[str, ...]
-    max_exponent: int = field(default=DEFAULT_EXPONENT_CAP, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -72,8 +68,6 @@ class Ring:
                 raise ValueError(f"bad variable name {name!r}")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        if self.max_exponent < 1:
-            raise ValueError("max_exponent must be positive")
 
     @property
     def n(self):
@@ -114,12 +108,12 @@ class Monomial:
         object.__setattr__(self, "exponents", tuple(self.exponents))
         if len(self.exponents) != self.ring.n:
             raise ValueError("exponent vector length does not match the ring")
-        cap = self.ring.max_exponent
         for e in self.exponents:
             if e < 0:
                 raise ValueError("negative exponent")
-            if e > cap:
-                raise ResourceCapError(f"exponent {e} exceeds cap {cap}")
+            if e > DEFAULT_EXPONENT_CAP:
+                raise ResourceCapError(
+                    f"exponent {e} exceeds cap {DEFAULT_EXPONENT_CAP}")
 
     @property
     def degree(self):
@@ -445,7 +439,7 @@ class MonomialIdeal:
 
     def __mul__(self, other):
         self._check_pairs(other, "product")
-        cap = self.ring.max_exponent
+        cap = DEFAULT_EXPONENT_CAP
         left, right = self._rows(), other._rows()
         # some pair sums past the cap exactly when some column's maxima do
         if left and right and any(
@@ -510,10 +504,7 @@ class MonomialIdeal:
         keep = [i for i in range(self.ring.n) if i not in zset and i not in oset]
         if not keep:
             raise ValueError("minor would eliminate every variable")
-        sub = Ring(
-            tuple(self.ring.variables[i] for i in keep),
-            max_exponent=self.ring.max_exponent,
-        )
+        sub = Ring(tuple(self.ring.variables[i] for i in keep))
         rows = set()
         for g in self.generators:
             e = g.exponents

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from idealkit import ResourceCapError, groebner, invariants
+from idealkit import ResourceCapError, closure, groebner, invariants
 from idealkit.cli import main
 from helpers import corrupt_numerator
 
@@ -156,6 +156,22 @@ def test_closure_json(capsys):
         assert len(normal) == 2
         assert all(isinstance(c, int) for c in normal)
         assert isinstance(rhs, int)
+
+
+def test_closure_builds_one_newton_polyhedron(capsys, monkeypatch):
+    calls = []
+    fourier_motzkin = closure._fourier_motzkin
+    monkeypatch.setattr(
+        closure, "_fourier_motzkin",
+        lambda *args: calls.append(1) or fourier_motzkin(*args),
+    )
+    code, out, err = run_cli(
+        capsys,
+        "closure", "closure", "--ring", "x,y", "--ideal", "x^4, x^2*y, y^3",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "x^4, x^2*y, x*y^2, y^3"
+    assert len(calls) == 1
 
 
 def test_edge_from_stdin(capsys, monkeypatch):

@@ -7,6 +7,8 @@ the first listed divisor, so their remainders agree term for term, also
 against lists that are not Groebner bases.
 """
 
+from operator import le
+
 import pytest
 
 from idealkit import (
@@ -112,6 +114,76 @@ def test_lex_overflow_widens_and_matches_the_tuple_reducer():
     assert str(remainder) == "y^400"
     assert remainder.terms == reduce_by_tuples(f, gb.polys).terms
     assert gb._packing[0].width == 2 * first.width
+
+
+def test_interreduction_receives_a_minimal_basis(monkeypatch):
+    # every element enters Buchberger as a normal form against the ones
+    # before it, so the active set handed to interreduction is minimal
+    argument_leads = []
+    interreduce = groebner._interreduce
+
+    def spy(basis):
+        argument_leads.append([p.layout.unpack(p.terms[0][0]) for p in basis])
+        return interreduce(basis)
+
+    monkeypatch.setattr(groebner, "_interreduce", spy)
+    fields = (QQ, PrimeField(32003), PrimeField(2), PrimeField(3))
+    answered = set()
+    for index in range(240):
+        rng = rng_from_seed(f"idealkit:groebner:minimal:{index}")
+        field = fields[index % 4]
+        ring = numbered_ring(rng.randint(1, 4))
+        kind = ("lex", "grevlex")[index // 4 % 2]
+        order = getattr(MonomialOrder, kind)(ring, rng.sample(range(ring.n), ring.n))
+        gens = [
+            _random_poly(rng, ring, field, order, rng.randint(1, 3), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 4))
+        ]
+        argument_leads.clear()
+        try:
+            buchberger(gens, max_basis=60, max_degree=12, certify=False)
+        except ResourceCapError:
+            continue
+        answered.add((index, field.characteristic, kind))
+        for leads in argument_leads:
+            for a in leads:
+                for b in leads:
+                    assert a is b or not all(map(le, a, b)), (index, a, b)
+    assert len(answered) >= 200
+    assert {(p, kind) for _, p, kind in answered} == {
+        (p, kind) for p in (0, 32003, 2, 3) for kind in ("lex", "grevlex")}
+
+
+def test_lex_normal_form_past_half_the_cap_widens_before_pairing(monkeypatch):
+    # the inputs size a 5-bit layout (cap 15), but x^4*y enters as its
+    # normal form y*w^12 against x - w^3: degree 13, past cap // 2.  Paired
+    # with y - w^7 it makes the S-polynomial w^19, whose exponent no longer
+    # fits, so the element must widen the layout as it enters
+    widths, overflows = [], []
+    run, reduce_full = groebner._buchberger_on, groebner._reduce_full
+
+    def spy_run(inputs, layout, *caps):
+        widths.append(layout.width)
+        return run(inputs, layout, *caps)
+
+    def spy_reduce(f, reducers):
+        try:
+            return reduce_full(f, reducers)
+        except groebner._FieldOverflow:
+            overflows.append(f)
+            raise
+
+    monkeypatch.setattr(groebner, "_buchberger_on", spy_run)
+    monkeypatch.setattr(groebner, "_reduce_full", spy_reduce)
+    ring = parse_ring("x, y, w")
+    lex = MonomialOrder.lex(ring)
+    gens = [parse_polynomial(ring, t, order=lex)
+            for t in ("x - w^3", "x^4*y", "y - w^7", "w^5")]
+    gb = buchberger(gens, max_degree=7)
+    assert widths == [5, 10]
+    assert not overflows  # the widening came from the check on entry
+    assert gb.certified
+    assert str(gb) == "{w^5, y, x - w^3}"
 
 
 def test_grevlex_normal_form_past_the_kept_cap_repacks():
