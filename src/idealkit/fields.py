@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ResourceCapError
+
+# Miller-Rabin on these bases decides primality exactly below the bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESS_BOUND = 318_665_857_834_031_151_167_461
 
 
 class RationalField:
@@ -44,9 +50,6 @@ class RationalField:
     def div(self, a, b):
         return a / b
 
-    def pow(self, a, k):
-        return a**k
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -58,15 +61,29 @@ class RationalField:
 
 
 def _is_prime(p):
+    """Exact primality; refuses p past ``_WITNESS_BOUND`` with no factor
+    among the witnesses, where the test would no longer be exact."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    if p >= _WITNESS_BOUND:
+        raise ResourceCapError(
+            f"primality of {p} is decided only below {_WITNESS_BOUND}")
+    d = p - 1
+    s = (d & -d).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d >>= s
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -107,9 +124,6 @@ class PrimeField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow(self, a, k):
-        return pow(a, k, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

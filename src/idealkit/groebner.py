@@ -6,7 +6,7 @@ B-criterion and coprime leading terms), and full interreduction, so the
 returned basis is the reduced Groebner basis and normal forms are canonical.
 Every element, input or S-polynomial remainder, enters as a normal form
 against those before it, so the elements the pair criteria keep active are
-the minimal basis and interreduction only reduces their tails.
+the minimal basis; interreduction reduces their tails in ascending lead order.
 Every construction re-checks the result unless the caller opts out: all
 S-polynomials of the final basis and all input generators must reduce to
 zero against it, so it is a Groebner basis and generates the input ideal.
@@ -58,7 +58,7 @@ from operator import add, neg
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 from .fields import QQ
-from .monomials import _NAME_RE, PackedLayout, Ring, _compositions, _lcm_row
+from .monomials import _NAME_RE, PackedLayout, Ring, _compositions
 from .monomials import _monomial_text
 
 DEFAULT_BASIS_CAP = 5000
@@ -531,48 +531,39 @@ def _pack(f, layout):
 class _Reducers:
     """Packed polynomials to reduce by, in list order, kept in ``polys``.
 
-    Their leading monomials also sit side by side in ``leads``, in blocks of
-    ``layout.top + 1`` bits with the degree bits dropped, as the kept rows
-    of ``_minimal_rows`` do: a term x with its guards set, copied into
-    every block by the repunit, minus ``leads``, masked to the guards, plus
-    the complement of the guards carries into a block's spare top bit
-    exactly when that block's monomial divides x.  The lowest carry names
-    the first divisor.
+    Their leading monomials' plain fields are kept in ``leads`` and also
+    sit side by side in ``blocks``, in blocks of ``layout.top + 1`` bits,
+    as the kept rows of ``_minimal_rows`` do: a term x with its guards set,
+    copied into every block by the repunit, minus ``blocks``, masked to the
+    guards, plus the complement of the guards carries into a block's spare
+    top bit exactly when that block's monomial divides x.  The lowest carry
+    names the first divisor.
     """
 
-    __slots__ = ("layout", "polys", "heads", "leads", "repunit")
+    __slots__ = ("layout", "polys", "heads", "leads", "blocks", "repunit")
 
     def __init__(self, layout, polys=()):
         self.layout = layout
         self.polys = []
         # (lead, 1/lead coefficient or None for 1, tail with negated coefficients)
         self.heads = []
-        self.leads = self.repunit = 0
+        self.leads, self.blocks, self.repunit = [], 0, 0
         for g in polys:
             self.add(g)
 
     def add(self, g):
         layout = self.layout
         lm, lc = g.terms[0]
+        lead = (lm ^ layout.flip) & layout.low
         shift = len(self.heads) * (layout.top + 1)
-        self.leads |= ((lm ^ layout.flip) & layout.low) << shift
+        self.blocks |= lead << shift
         self.repunit |= 1 << shift
         # both fields' unit equals the int 1, which a Fraction compares fastest
         inv = None if lc == 1 else g.field.inv(lc)
         # a negative int stands for its residue mod p until the term is popped
         self.heads.append((lm, inv, tuple([(m, -c) for m, c in g.terms[1:]])))
+        self.leads.append(lead)
         self.polys.append(g)
-
-    def skipping(self, i):
-        """These reducers with the i-th never chosen: its block holds the
-        guards, which no term's fields reach."""
-        out = _Reducers(self.layout)
-        out.polys, out.heads, out.repunit = self.polys, self.heads, self.repunit
-        top = self.layout.top
-        shift = i * (top + 1)
-        lead = self.leads >> shift & self.layout.low
-        out.leads = self.leads + (self.layout.guard - lead << shift)
-        return out
 
 
 def _reduce_full(f, reducers):
@@ -590,7 +581,7 @@ def _reduce_full(f, reducers):
     layout = f.layout
     flip, guard, low = layout.flip, layout.guard, layout.low
     block = layout.top + 1
-    heads, leads, repunit = reducers.heads, reducers.leads, reducers.repunit
+    heads, blocks, repunit = reducers.heads, reducers.blocks, reducers.repunit
     guards, fill = guard * repunit, (low + 1 - guard) * repunit
     spares = repunit << layout.top
     p = f.field.characteristic
@@ -605,7 +596,7 @@ def _reduce_full(f, reducers):
         if not c:
             continue
         x = ((t ^ flip) & low) | guard
-        hit = (((x * repunit - leads) & guards) + fill) & spares
+        hit = (((x * repunit - blocks) & guards) + fill) & spares
         if not hit:
             remainder.append((t, c))
             continue
@@ -635,8 +626,9 @@ def _s_polynomial(f, g):
     # the leading terms cancel by construction; basis elements are monic
     f, g = f.monic(), g.monic()
     layout = f.layout
+    flip, low = layout.flip, layout.low
     lmf, lmg = f.terms[0][0], g.terms[0][0]
-    lcm = layout.pack(_lcm_row(layout.unpack(lmf), layout.unpack(lmg)))
+    lcm = layout.key(layout.lcm((lmf ^ flip) & low, (lmg ^ flip) & low))
     sf, sg = lcm - lmf, lcm - lmg
     acc = {sf + k: c for k, c in f.terms[1:]}
     get = acc.get
@@ -770,8 +762,6 @@ def _buchberger_on(inputs, layout, max_basis, max_degree):
     """
     reducers = _Reducers(layout)
     basis = reducers.polys
-    flip, low = layout.flip, layout.low
-    leads = []
     queue = []  # heap of (lcm degree, i, j)
     queued = {}  # live pairs (i, j) -> lcm of their leading monomials
     active = []  # ascending indices whose leading monomial no later one divides
@@ -790,8 +780,7 @@ def _buchberger_on(inputs, layout, max_basis, max_degree):
         reducers.add(f.monic())
         if capped and len(basis) > max_basis:
             raise ResourceCapError(f"basis grew past {max_basis} polynomials")
-        leads.append((f.terms[0][0] ^ flip) & low)
-        _gebauer_moeller(layout, leads, len(basis) - 1, active, queued, queue)
+        _gebauer_moeller(layout, reducers.leads, len(basis) - 1, active, queued, queue)
 
     for g in inputs:
         enter(_pack(g, layout), False)
@@ -821,23 +810,16 @@ def _gebauer_moeller(layout, leads, new, active, queued, queue):
     divides stop taking new pairs.
 
     Leading monomials and lcms are plain exponent fields of ``layout``
-    (``(key ^ flip) & low``): a divides b when ``((b | G) - a) & G == G``,
-    and the guards of ``(a | G) - b`` pick, field by field, the lcm's side.
+    (``(key ^ flip) & low``): a divides b when ``((b | G) - a) & G == G``.
     """
-    guard, half = layout.guard, layout.width - 1
-    ones = guard >> half
+    guard, ones, lcm = layout.guard, layout.ones, layout.lcm
     h = leads[new]
     support = ((h | guard) - ones) & guard  # guards of h's nonzero fields
-
-    def lcm(a):
-        larger = ((a | guard) - h) & guard
-        larger -= larger >> half
-        return (a & larger) | (h & ~larger)
 
     def coprime(a):
         return not ((a | guard) - ones) & support
 
-    lcms = {i: lcm(leads[i]) for i in active}
+    lcms = {i: lcm(leads[i], h) for i in active}
     kept = []
     rest = list(active)
     while rest:
@@ -850,38 +832,37 @@ def _gebauer_moeller(layout, leads, new, active, queued, queue):
             kept.append(i)
     for (i, j), m in list(queued.items()):
         if ((m | guard) - h) & guard == guard:
-            mi = lcms[i] if i in lcms else lcm(leads[i])
-            mj = lcms[j] if j in lcms else lcm(leads[j])
+            mi = lcms[i] if i in lcms else lcm(leads[i], h)
+            mj = lcms[j] if j in lcms else lcm(leads[j], h)
             if mi != m and mj != m:
                 del queued[(i, j)]
     for i in kept:
         if not coprime(leads[i]):
             m = lcms[i]
             queued[(i, new)] = m
-            heappush(queue, (sum(layout.unpack(m ^ layout.flip)), i, new))
+            heappush(queue, (layout.total(m), i, new))
     active[:] = [i for i in active if ((leads[i] | guard) - h) & guard != guard]
     active.append(new)
 
 
 def _interreduce(basis):
-    """The reduced basis, as Polynomials, of a minimal monic packed
-    Groebner basis: no leading monomial divides another, so reducing each
-    tail by the others is all that is left.
+    """The reduced basis, as Polynomials in ascending lead order, of a
+    minimal monic packed Groebner basis.  A lead that divides a term is at
+    most that term, so each tail, taken in ascending lead order, is reduced
+    by the elements already reduced, which it then joins.
 
     Runs inside buchberger's ``_widening``, which reruns the whole
     computation on a wider layout if a lex tail reduction overflows.
     """
     if not basis:
         return []
-    reducers = _Reducers(basis[0].layout, basis)
-    out = []
-    for i, p in enumerate(basis):
+    reducers = _Reducers(basis[0].layout)
+    for p in sorted(basis, key=lambda p: p.terms[0][0]):
         # reduction only lowers terms, so the head stays in front
-        tail = _reduce_full(p._with(p.terms[1:]), reducers.skipping(i))
-        out.append(p._with(p.terms[:1] + tail.terms))
-    out.sort(key=lambda p: p.terms[0][0])
+        tail = _reduce_full(p._with(p.terms[1:]), reducers)
+        reducers.add(p._with(p.terms[:1] + tail.terms))
     shared = {}
-    return [p.unpack(shared) for p in out]
+    return [p.unpack(shared) for p in reducers.polys]
 
 
 def _certify(gb, gens):

@@ -21,8 +21,8 @@ exactly when g_i >= m_i, and ``d & (s - (s >> (w - 1)))`` with
 The packed integer order is the lexicographic order and refines
 divisibility, so a colon ideal is minimalized by visiting its rows in
 ascending order and testing each against the rows kept before it with
-one guard test, ``((c | G) - k) & G == G``.  A degree is the top field of
-the row times the repunit of the fields.
+one guard test, ``((c | G) - k) & G == G``.  A degree is the layout's
+``total`` of the row.
 
 Graded Betti numbers are computed over the lcm lattice: for a multidegree a
 let K^a be the simplicial complex of square-free vectors b <= a with
@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, prod
-from operator import lshift
 
 from .errors import ResourceCapError
 from .fields import QQ
@@ -139,9 +138,7 @@ def _colon_numerator(rows, n):
     if not rows:
         return [1]
     layout = PackedLayout.fitting("lex", tuple(range(n)), max(map(sum, rows)))
-    w, shifts, guard = layout.width, layout.shifts, layout.guard
-    low = guard >> w - 1  # the lowest bit of every field
-    top, field, spill = shifts[0], (1 << w) - 1, w - 1
+    guard, spill, total = layout.guard, layout.width - 1, layout.total
 
     def minimal(keys):
         # ascending integer order visits every divisor of a row before it
@@ -170,8 +167,7 @@ def _colon_numerator(rows, n):
                     kept = d & guard
                     colon.append(d & (kept - (kept >> spill)))
                 inner = numerator(minimal(colon))
-            # the top field of m * low holds the sum of m's fields
-            degree = (m * low >> top) & field
+            degree = total(m)
             if len(num) < degree + len(inner):
                 num.extend([0] * (degree + len(inner) - len(num)))
             for i, c in enumerate(inner, degree):
@@ -179,7 +175,7 @@ def _colon_numerator(rows, n):
             done.append(m)
         return num
 
-    return numerator(sorted({sum(map(lshift, r, shifts)) for r in rows}))
+    return numerator(sorted(set(map(layout.pack, rows))))
 
 
 def _standard_counts(rows, n, degrees):
@@ -558,15 +554,14 @@ def graded_betti(ideal, field=None, max_generators=20):
     entries = {(0, 0): 1}
     layout = PackedLayout.fitting(
         "lex", tuple(range(ideal.ring.n)), max(map(max, rows), default=0))
-    w, shifts, guard = layout.width, layout.shifts, layout.guard
-    low = guard >> w - 1  # the lowest bit of every field
-    packed = [sum(map(lshift, r, shifts)) for r in rows]
+    guard, ones = layout.guard, layout.ones
+    packed = [layout.pack(r) for r in rows]
     for a in _lcm_lattice(rows):
         # guard i of d = (a | G) - r is set iff r_i <= a_i, and guard i of
-        # d - low iff r_i < a_i: variable i is guard bit i, the first
+        # d - ones iff r_i < a_i: variable i is guard bit i, the first
         # variable highest, the vertex order _homology_dims reads
-        top = sum(map(lshift, a, shifts)) | guard
-        facets = {(d - low) & guard for d in map(top.__sub__, packed)
+        top = layout.pack(a) | guard
+        facets = {(d - ones) & guard for d in map(top.__sub__, packed)
                   if d & guard == guard}
         if not facets:
             raise RuntimeError("internal error: lattice point outside the ideal")

@@ -249,14 +249,16 @@ class PackedLayout:
     ``key ^ flip`` holds the plain exponents in the fields under either
     kind, so lm divides t exactly when the guard test of ``_minimal_rows``,
     ``(((t ^ flip) | guard) - (lm ^ flip)) & guard == guard``, holds; the
-    grevlex degree bits above the guards do not touch it.  Under lex an
-    exponent of t - lm + m past ``cap`` is at most 2 * cap, so it sets its
-    field's guard without reaching the next field: that is how callers see
-    an overflow.  Grevlex keys stay exact while degrees stay within ``cap``.
+    grevlex degree bits above the guards do not touch it, and ``& low``
+    drops them, leaving the plain fields that ``lcm``, ``total`` and ``key``
+    take.  Under lex an exponent of t - lm + m past ``cap`` is at most
+    2 * cap, so it sets its field's guard without reaching the next field:
+    that is how callers see an overflow.  Grevlex keys stay exact while
+    degrees stay within ``cap``.
     """
 
     __slots__ = ("kind", "permutation", "width", "cap", "guard", "flip",
-                 "offset", "weights", "shifts", "top", "low")
+                 "offset", "weights", "shifts", "top", "low", "ones")
 
     def __init__(self, kind, permutation, width):
         n = len(permutation)
@@ -270,6 +272,7 @@ class PackedLayout:
         self.top = n * width
         self.low = (1 << self.top) - 1  # the fields, without grevlex's degree
         self.guard = sum(1 << s + width - 1 for s in shifts)
+        self.ones = self.guard >> width - 1  # the lowest bit of every field
         if kind == "lex":
             self.flip = self.offset = 0
             self.weights = tuple(1 << s for s in shifts)
@@ -298,6 +301,25 @@ class PackedLayout:
         if self.kind == "lex":
             return sum(self.unpack(key))
         return key >> self.top
+
+    def lcm(self, a, b):
+        """Plain fields of lcm(a, b).  No field of ``(a | guard) - b``
+        borrows, and its guards mark the fields with a_i >= b_i; less their
+        copies at the fields' lowest bits, they mask the fields taken from a."""
+        larger = ((a | self.guard) - b) & self.guard
+        larger -= larger >> self.width - 1
+        return (a & larger) | (b & ~larger)
+
+    def total(self, fields):
+        """The sum of the fields, valid below 2^width: with no carry, the
+        top field of ``fields * ones`` sums every field."""
+        return (fields * self.ones >> self.top - self.width) & (1 << self.width) - 1
+
+    def key(self, fields):
+        """The key of the monomial with these fields; grevlex needs degree <= cap."""
+        if self.kind == "lex":
+            return fields
+        return (fields ^ self.flip) | self.total(fields) << self.top
 
 
 @lru_cache(maxsize=256)

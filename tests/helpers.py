@@ -9,7 +9,7 @@ intermediate instead, so a self-check has to fire.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product, zip_longest
-from math import comb
+from math import comb, isqrt
 from operator import add, le, neg, sub
 
 from idealkit import (
@@ -28,6 +28,10 @@ from idealkit.monomials import _colon_row, _minimal_rows
 
 def numbered_ring(n):
     return parse_ring(", ".join(f"x{i}" for i in range(1, n + 1)))
+
+
+def is_prime_by_trial_division(p):
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def compositions(total, parts):

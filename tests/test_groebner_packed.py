@@ -7,7 +7,7 @@ the first listed divisor, so their remainders agree term for term, also
 against lists that are not Groebner bases.
 """
 
-from operator import le
+from operator import le, lt
 
 import pytest
 
@@ -118,17 +118,19 @@ def test_lex_overflow_widens_and_matches_the_tuple_reducer():
 
 def test_interreduction_receives_a_minimal_basis(monkeypatch):
     # every element enters Buchberger as a normal form against the ones
-    # before it, so the active set handed to interreduction is minimal
-    argument_leads = []
+    # before it, so the active set handed to interreduction is minimal;
+    # what interreduction returns is reduced, in ascending lead order
+    argument_leads, results = [], []
     interreduce = groebner._interreduce
 
     def spy(basis):
         argument_leads.append([p.layout.unpack(p.terms[0][0]) for p in basis])
-        return interreduce(basis)
+        results.append(interreduce(basis))
+        return results[-1]
 
     monkeypatch.setattr(groebner, "_interreduce", spy)
     fields = (QQ, PrimeField(32003), PrimeField(2), PrimeField(3))
-    answered = set()
+    answered, several = set(), 0
     for index in range(240):
         rng = rng_from_seed(f"idealkit:groebner:minimal:{index}")
         field = fields[index % 4]
@@ -140,6 +142,7 @@ def test_interreduction_receives_a_minimal_basis(monkeypatch):
             for _ in range(rng.randint(1, 4))
         ]
         argument_leads.clear()
+        results.clear()
         try:
             buchberger(gens, max_basis=60, max_degree=12, certify=False)
         except ResourceCapError:
@@ -149,7 +152,17 @@ def test_interreduction_receives_a_minimal_basis(monkeypatch):
             for a in leads:
                 for b in leads:
                     assert a is b or not all(map(le, a, b)), (index, a, b)
-    assert len(answered) >= 200
+        for out in results:
+            several += len(out) > 1
+            assert all(p.leading_coefficient() == field.one for p in out), index
+            keys = [order.key(p.leading_monomial()) for p in out]
+            assert all(map(lt, keys, keys[1:])), index
+            for q in out:
+                lead = q.leading_monomial()
+                for p in out:
+                    assert p is q or not any(
+                        all(map(le, lead, e)) for e, _ in p.terms), (index, lead)
+    assert len(answered) >= 200 and several >= 30
     assert {(p, kind) for _, p, kind in answered} == {
         (p, kind) for p in (0, 32003, 2, 3) for kind in ("lex", "grevlex")}
 

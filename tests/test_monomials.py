@@ -15,7 +15,13 @@ from idealkit import (
     random_monomial,
     rng_from_seed,
 )
-from idealkit.monomials import _PACK_AT, _minimal_rows
+from idealkit.monomials import (
+    _PACK_AT,
+    DEFAULT_EXPONENT_CAP,
+    PackedLayout,
+    _lcm_row,
+    _minimal_rows,
+)
 from helpers import compositions, minimal_rows_by_scan, numbered_ring, scan_member
 
 R2 = parse_ring("x, y")
@@ -197,6 +203,53 @@ def test_minimal_rows_match_the_scan():
     # exponents at the default cap
     big = [(10**6 - i, i) for i in range(40)] + [(10**6, 10**6), (10**6, 0)]
     assert _minimal_rows(big) == minimal_rows_by_scan(big)
+
+
+def _layout_row(rng, n, cap, limit):
+    """n exponents in 0..cap, mostly 0 or cap, lowered to sum at most limit."""
+    row = [rng.choice((0, cap, rng.randint(0, cap))) for _ in range(n)]
+    over = sum(row) - limit
+    for i in rng.sample(range(n), n):
+        cut = min(row[i], max(over, 0))
+        row[i] -= cut
+        over -= cut
+    return tuple(row)
+
+
+def test_layout_operations_match_the_tuple_kernel():
+    # lcm, key and total read plain fields, which every caller keeps
+    # summing below 2^width; a grevlex key also needs the degree <= cap
+    widest = PackedLayout.fitting("lex", (0,), DEFAULT_EXPONENT_CAP).width
+    assert widest == 21
+    rng = rng_from_seed("idealkit:monomials:layout-operations")
+    seen = set()
+    for width in range(2, widest + 1):
+        for kind in ("lex", "grevlex"):
+            for _ in range(12):
+                n = rng.randint(1, 5)
+                layout = PackedLayout(kind, tuple(rng.sample(range(n), n)), width)
+                cap, limit = layout.cap, (1 << width) - 1
+
+                def fields(row):
+                    return sum(e << s for e, s in zip(row, layout.shifts))
+
+                assert layout.ones == fields((1,) * n)
+                a, b = (_layout_row(rng, n, cap, limit) for _ in range(2))
+                assert layout.lcm(fields(a), fields(b)) == fields(_lcm_row(a, b))
+                assert [layout.total(fields(r)) for r in (a, b)] == [sum(a), sum(b)]
+                c = _layout_row(rng, n, cap, cap if kind == "grevlex" else limit)
+                assert layout.key(fields(c)) == layout.pack(c)
+                if n >= 3:  # the sum at the bound: cap + cap + 1
+                    edge = [0] * n
+                    i, j, k = rng.sample(range(n), 3)
+                    edge[i] = edge[j] = cap
+                    edge[k] = 1
+                    assert layout.total(fields(edge)) == limit
+                seen.update((kind, "zero") for e in a + b + c if e == 0)
+                seen.update((kind, "cap") for e in a + b + c if e == cap)
+                seen.update((kind, "bound") for r in (a, b) if sum(r) == limit)
+    assert seen == {(kind, case) for kind in ("lex", "grevlex")
+                    for case in ("zero", "cap", "bound")}
 
 
 def test_pairing_cap_trips_before_forming_rows(monkeypatch):
