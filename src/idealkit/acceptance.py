@@ -315,13 +315,6 @@ def criterion_names():
     return [name for name, _, _ in _CRITERIA]
 
 
-def run_one(name, seed=DEFAULT_SEED):
-    for cname, budget, fn in _CRITERIA:
-        if cname == name:
-            return _run(cname, budget, fn, seed)
-    raise ValueError(f"unknown criterion {name!r}")
-
-
 def _run(name, budget, fn, seed):
     start = time.perf_counter()
     try:

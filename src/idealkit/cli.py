@@ -59,11 +59,18 @@ def _load_caps(path, keys):
 
 
 def _polys_of(args):
-    parts = [p.strip() for p in args.polys.split(";")]
-    if not any(parts):
+    """Parse the ``;``-separated polynomials, with error columns counted in
+    the flag's text."""
+    polys = []
+    start = 0
+    for part in args.polys.split(";"):
+        if part.strip():
+            polys.append(groebner.parse_polynomial(
+                args.ring, part, args.field, args.order, offset=start))
+        start += len(part) + 1
+    if not polys:
         raise ParseError("empty polynomial list")
-    return [groebner.parse_polynomial(args.ring, p, args.field, args.order)
-            for p in parts if p]
+    return polys
 
 
 def _graph_of(args):

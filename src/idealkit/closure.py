@@ -84,14 +84,15 @@ def _fourier_motzkin(points, n):
         pos = [r for r in rows if r[col] > 0]
         neg = [r for r in rows if r[col] < 0]
         keep = [r for r in rows if r[col] == 0]
+        # the step's row count is known before any row is formed
+        if len(keep) + len(pos) * len(neg) > _FM_ROW_CAP:
+            raise ResourceCapError("facet elimination exceeded the row cap")
         new = []
         for p in pos:
             for q in neg:
                 a, b = p[col], q[col]
                 new.append(tuple(-b * x + a * y for x, y in zip(p, q)))
         rows = _prune(keep + new)
-        if len(rows) > _FM_ROW_CAP:
-            raise ResourceCapError("facet elimination exceeded the row cap")
     return rows
 
 

@@ -58,7 +58,7 @@ from operator import add, neg
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 from .fields import QQ
-from .monomials import _NAME_RE, PackedLayout, Ring, _compositions
+from .monomials import PackedLayout, Ring, _compositions, _tokens
 from .monomials import _monomial_text
 
 DEFAULT_BASIS_CAP = 5000
@@ -351,20 +351,27 @@ class Polynomial:
         return f"<{self} over {self.field.label}>"
 
 
-def parse_polynomial(ring, text, field=QQ, order=None):
+def parse_polynomial(ring, text, field=QQ, order=None, offset=0):
     """Parse ``±c*mono ± …`` with integer or a/b coefficients.
 
     Factors are separated by ``*``; names must be ring variables; exponents
-    use ``^``. Column positions are reported on error.
+    use ``^``. Column positions are reported on error, shifted by ``offset``
+    when the text is a slice of a larger input.
     """
     if order is None:
         order = MonomialOrder.grevlex(ring)
-    tokens = _tokenize(text)
+    tokens = _tokens(text, offset)
+    # every digit run is read and every character checked before the grammar
+    for i, (kind, value, col) in enumerate(tokens):
+        if kind == "int":
+            tokens[i] = (kind, int(value), col)
+        elif kind == "other" and value not in "+-*/^":
+            raise ParseError(f"unexpected character {value!r}", column=col)
     pos = 0
     terms = []
     sign = 1
     kind, value, col = tokens[pos]
-    if kind == "op" and value in "+-":
+    if kind == "other" and value in "+-":
         sign = -1 if value == "-" else 1
         pos += 1
     if tokens[pos][0] == "end":
@@ -381,7 +388,7 @@ def parse_polynomial(ring, text, field=QQ, order=None):
         kind, value, col = tokens[pos]
         if kind == "end":
             break
-        if kind != "op" or value not in "+-":
+        if kind != "other" or value not in "+-":
             raise ParseError(f"expected + or - before {value!r}", column=col)
         sign = -1 if value == "-" else 1
         pos += 1
@@ -397,7 +404,7 @@ def _parse_term(ring, tokens, pos):
         if kind == "int":
             coeff *= value
             pos += 1
-            if tokens[pos][:2] == ("op", "/"):
+            if tokens[pos][:2] == ("other", "/"):
                 dkind, dvalue, dcol = tokens[pos + 1]
                 if dkind != "int":
                     raise ParseError("expected integer denominator", column=dcol)
@@ -410,48 +417,19 @@ def _parse_term(ring, tokens, pos):
                 raise ParseError(f"unknown variable {value!r}", column=col)
             e = 1
             pos += 1
-            if tokens[pos][:2] == ("op", "^"):
+            if tokens[pos][:2] == ("other", "^"):
                 ekind, evalue, ecol = tokens[pos + 1]
-                if ekind != "int" or evalue < 0:
+                if ekind != "int":
                     raise ParseError("expected nonnegative exponent", column=ecol)
                 e = evalue
                 pos += 2
             exps[ring.index(value)] += e
         else:
             raise ParseError("expected a coefficient or variable", column=col)
-        if tokens[pos][:2] == ("op", "*"):
+        if tokens[pos][:2] == ("other", "*"):
             pos += 1
             continue
         return coeff, exps, pos
-
-
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i + 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _NAME_RE.match(text, i)
-            tokens.append(("name", m.group(), i + 1))
-            i = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(("op", ch, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", column=i + 1)
-    tokens.append(("end", None, len(text) + 1))
-    return tokens
 
 
 class _FieldOverflow(Exception):

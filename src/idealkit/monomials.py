@@ -51,6 +51,19 @@ _PACK_AT = 16
 _POINT_WORK_CAP = 500_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one token of monomial or polynomial text: a decimal digit run (exactly what
+# int() reads), a variable name, or any other character but whitespace
+_TOKEN_RE = re.compile(rf"(?P<int>\d+)|(?P<name>{_NAME_RE.pattern})|(?P<other>\S)")
+
+
+def _tokens(text, offset=0):
+    """``(kind, text, column)`` triples of ``text``, skipping whitespace and
+    closed by ``("end", "", len(text) + 1)``.  Columns are 1-based and
+    shifted by ``offset`` when the text is a slice of a larger input."""
+    at = offset + 1
+    tokens = [(m.lastgroup, m.group(), m.start() + at) for m in _TOKEN_RE.finditer(text)]
+    tokens.append(("end", "", len(text) + at))
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -424,10 +437,6 @@ class MonomialIdeal:
         return len(self.generators) == 1 and self.generators[0].is_one
 
     @property
-    def is_proper(self):
-        return not self.is_unit
-
-    @property
     def is_squarefree(self):
         return all(e <= 1 for g in self.generators for e in g.exponents)
 
@@ -478,15 +487,15 @@ class MonomialIdeal:
         """I^k by repeated squaring, minimalizing after every product."""
         if k < 0:
             raise ValueError("negative power of an ideal")
-        result = MonomialIdeal.unit(self.ring)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return MonomialIdeal.unit(self.ring) if result is None else result
 
     def __pow__(self, k):
         return self.power(k)
@@ -576,59 +585,40 @@ def parse_monomial(ring, text, offset=0):
     ``offset`` shifts reported column numbers when the text is a slice of a
     larger input.
     """
-    s = text
-    i = 0
-    n = len(s)
-
-    def skip_ws():
-        nonlocal i
-        while i < n and s[i].isspace():
-            i += 1
-
-    def fail(msg, at):
-        raise ParseError(msg, column=offset + at + 1)
-
-    skip_ws()
-    if i >= n:
-        fail("empty monomial", i)
-    if s[i] == "1":
-        i += 1
-        skip_ws()
-        if i < n:
-            fail("unexpected text after '1'", i)
+    tokens = _tokens(text, offset)
+    kind, value, col = tokens[0]
+    if kind == "end":
+        raise ParseError("empty monomial", column=col)
+    if kind == "int" and value[0] == "1":
+        if len(value) > 1:  # the text after '1' starts inside the digit run
+            raise ParseError("unexpected text after '1'", column=col + 1)
+        if tokens[1][0] != "end":
+            raise ParseError("unexpected text after '1'", column=tokens[1][2])
         return ring.one()
 
     exps = [0] * ring.n
+    pos = 0
     while True:
-        skip_ws()
-        m = _NAME_RE.match(s, i)
-        if not m:
-            fail("expected a variable name", i)
-        name = m.group(0)
-        try:
-            idx = ring.index(name)
-        except ValueError:
-            fail(f"unknown variable {name!r}", i)
-        i = m.end()
+        kind, name, col = tokens[pos]
+        if kind != "name":
+            raise ParseError("expected a variable name", column=col)
+        if name not in ring.variables:
+            raise ParseError(f"unknown variable {name!r}", column=col)
         e = 1
-        skip_ws()
-        if i < n and s[i] == "^":
-            i += 1
-            skip_ws()
-            j = i
-            while j < n and s[j].isdigit():
-                j += 1
-            if j == i:
-                fail("expected an exponent after '^'", i)
-            e = int(s[i:j])
-            i = j
-        exps[idx] += e
-        skip_ws()
-        if i >= n:
+        pos += 1
+        if tokens[pos][:2] == ("other", "^"):
+            kind, value, col = tokens[pos + 1]
+            if kind != "int":
+                raise ParseError("expected an exponent after '^'", column=col)
+            e = int(value)
+            pos += 2
+        exps[ring.index(name)] += e
+        kind, value, col = tokens[pos]
+        if kind == "end":
             break
-        if s[i] != "*":
-            fail("expected '*' between factors", i)
-        i += 1
+        if (kind, value) != ("other", "*"):
+            raise ParseError("expected '*' between factors", column=col)
+        pos += 1
     return Monomial(ring, tuple(exps))
 
 

@@ -13,17 +13,20 @@ from math import comb, isqrt
 from operator import add, le, neg, sub
 
 from idealkit import (
+    QQ,
     MinorFailure,
     Monomial,
     MonomialIdeal,
+    MonomialOrder,
     Polynomial,
     invariants,
     minimal_primes,
     newton_polyhedron,
     parse_ring,
 )
+from idealkit.errors import ParseError
 from idealkit.linalg import rank_over
-from idealkit.monomials import _colon_row, _minimal_rows
+from idealkit.monomials import _NAME_RE, _colon_row, _minimal_rows
 
 
 def numbered_ring(n):
@@ -427,3 +430,173 @@ def reduce_by_tuples(f, basis):
             else:
                 work[term] = field.sub(old, field.mul(factor, mcoeff))
     return Polynomial._trusted(f.ring, field, f.order, tuple(remainder))
+
+
+# The character scanners that read monomial and polynomial text before both
+# parsers shared one tokenizer, kept as they were (names aside): the
+# differential in tests/test_tokens.py holds the parsers to them.
+
+
+def parse_monomial_by_chars(ring, text, offset=0):
+    """Parse ``x^2*y`` style monomials; ``1`` is the unit monomial.
+
+    ``offset`` shifts reported column numbers when the text is a slice of a
+    larger input.
+    """
+    s = text
+    i = 0
+    n = len(s)
+
+    def skip_ws():
+        nonlocal i
+        while i < n and s[i].isspace():
+            i += 1
+
+    def fail(msg, at):
+        raise ParseError(msg, column=offset + at + 1)
+
+    skip_ws()
+    if i >= n:
+        fail("empty monomial", i)
+    if s[i] == "1":
+        i += 1
+        skip_ws()
+        if i < n:
+            fail("unexpected text after '1'", i)
+        return ring.one()
+
+    exps = [0] * ring.n
+    while True:
+        skip_ws()
+        m = _NAME_RE.match(s, i)
+        if not m:
+            fail("expected a variable name", i)
+        name = m.group(0)
+        try:
+            idx = ring.index(name)
+        except ValueError:
+            fail(f"unknown variable {name!r}", i)
+        i = m.end()
+        e = 1
+        skip_ws()
+        if i < n and s[i] == "^":
+            i += 1
+            skip_ws()
+            j = i
+            while j < n and s[j].isdigit():
+                j += 1
+            if j == i:
+                fail("expected an exponent after '^'", i)
+            e = int(s[i:j])
+            i = j
+        exps[idx] += e
+        skip_ws()
+        if i >= n:
+            break
+        if s[i] != "*":
+            fail("expected '*' between factors", i)
+        i += 1
+    return Monomial(ring, tuple(exps))
+
+
+def parse_polynomial_by_chars(ring, text, field=QQ, order=None):
+    """Parse ``±c*mono ± …`` with integer or a/b coefficients.
+
+    Factors are separated by ``*``; names must be ring variables; exponents
+    use ``^``. Column positions are reported on error.
+    """
+    if order is None:
+        order = MonomialOrder.grevlex(ring)
+    tokens = _tokenize_by_chars(text)
+    pos = 0
+    terms = []
+    sign = 1
+    kind, value, col = tokens[pos]
+    if kind == "op" and value in "+-":
+        sign = -1 if value == "-" else 1
+        pos += 1
+    if tokens[pos][0] == "end":
+        raise ParseError("empty polynomial", column=tokens[pos][2])
+    while True:
+        coeff, exps, pos = _parse_term_by_chars(ring, tokens, pos)
+        term_col = col
+        try:
+            terms.append((tuple(exps), field.coerce(sign * coeff)))
+        except ZeroDivisionError:
+            raise ParseError(
+                "coefficient denominator is zero in this field", column=term_col
+            ) from None
+        kind, value, col = tokens[pos]
+        if kind == "end":
+            break
+        if kind != "op" or value not in "+-":
+            raise ParseError(f"expected + or - before {value!r}", column=col)
+        sign = -1 if value == "-" else 1
+        pos += 1
+        col = tokens[pos][2]
+    return Polynomial(ring, field, order, terms)
+
+
+def _parse_term_by_chars(ring, tokens, pos):
+    coeff = Fraction(1)
+    exps = [0] * ring.n
+    while True:
+        kind, value, col = tokens[pos]
+        if kind == "int":
+            coeff *= value
+            pos += 1
+            if tokens[pos][:2] == ("op", "/"):
+                dkind, dvalue, dcol = tokens[pos + 1]
+                if dkind != "int":
+                    raise ParseError("expected integer denominator", column=dcol)
+                if dvalue == 0:
+                    raise ParseError("zero denominator", column=dcol)
+                coeff /= dvalue
+                pos += 2
+        elif kind == "name":
+            if value not in ring.variables:
+                raise ParseError(f"unknown variable {value!r}", column=col)
+            e = 1
+            pos += 1
+            if tokens[pos][:2] == ("op", "^"):
+                ekind, evalue, ecol = tokens[pos + 1]
+                if ekind != "int" or evalue < 0:
+                    raise ParseError("expected nonnegative exponent", column=ecol)
+                e = evalue
+                pos += 2
+            exps[ring.index(value)] += e
+        else:
+            raise ParseError("expected a coefficient or variable", column=col)
+        if tokens[pos][:2] == ("op", "*"):
+            pos += 1
+            continue
+        return coeff, exps, pos
+
+
+def _tokenize_by_chars(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[i:j]), i + 1))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            m = _NAME_RE.match(text, i)
+            tokens.append(("name", m.group(), i + 1))
+            i = m.end()
+            continue
+        if ch in "+-*/^":
+            tokens.append(("op", ch, i + 1))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", column=i + 1)
+    tokens.append(("end", None, len(text) + 1))
+    return tokens

@@ -1,18 +1,24 @@
 """End-to-end checks of the command line interface.
 
-Every test drives idealkit.cli.main in process and freezes the observable
-contract: exit codes, JSON payloads (sorted keys, schema tag), and the
-plain-text renderings.
+Every test but one drives idealkit.cli.main in process and freezes the
+observable contract: exit codes, JSON payloads (sorted keys, schema tag),
+and the plain-text renderings.  The elimination-cap test runs the command
+in a child process under a memory limit.
 """
 
 import io
 import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from idealkit import ResourceCapError, closure, groebner, invariants
+from idealkit import ResourceCapError, closure, groebner, invariants, parse_ideal, parse_ring
 from idealkit.cli import main
 from helpers import corrupt_numerator
 
@@ -324,6 +330,30 @@ def test_parse_error_exits_two(capsys):
     assert out == ""
 
 
+def test_polys_error_columns_count_from_the_flag_start(capsys):
+    # the column --ideal reports for the same text
+    code, out, err = run_cli(capsys, "groebner", "gb", "--ring", "x,y", "--polys", "x;  y^")
+    assert (code, out, err) == (2, "", "error: expected nonnegative exponent (column 7)\n")
+    code, out, err = run_cli(capsys, "ideal", "gens", "--ring", "x,y", "--ideal", "x,  y^")
+    assert (code, out, err) == (2, "", "error: expected an exponent after '^' (column 7)\n")
+    code, out, err = run_cli(
+        capsys, "groebner", "gb", "--ring", "x,y", "--polys", " x ; ; y + 2 3 ;",
+    )
+    assert (code, out, err) == (2, "", "error: expected + or - before 3 (column 14)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["groebner", "gb", "--ring", "x", "--polys", "é"], "unexpected character 'é' (column 1)"),
+    (["groebner", "member", "--ring", "x", "--polys", "x", "--f", "2*é"],
+     "unexpected character 'é' (column 3)"),
+    (["groebner", "gb", "--ring", "x", "--polys", "x; x^²"], "unexpected character '²' (column 6)"),
+    (["ideal", "gens", "--ring", "x", "--ideal", "x^²"], "expected an exponent after '^' (column 3)"),
+    (["ideal", "gens", "--ring", "x", "--ideal", "é"], "expected a variable name (column 1)"),
+])
+def test_non_ascii_text_exits_two_with_a_column(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_flag_exits_two(capsys):
     code = main(["ideal", "minimalize", "--ring", "x,y", "--no-such-flag"])
     capsys.readouterr()
@@ -351,6 +381,28 @@ def test_unbounded_power_exits_three_quickly(capsys):
     )
     assert (code, out, err) == (3, "", "resource cap: product would make over 500000 rows\n")
     assert time.perf_counter() - start < 20
+
+
+def test_closure_of_a_cube_exits_three_at_the_elimination_cap():
+    # Fourier-Motzkin on J^3, J = (x1^3*x3^2, x1*x2^2*x3, x1*x2*x3^2), would
+    # form more rows than memory holds; the row cap refuses the step before
+    # forming them.  A child process under a 1 GB address-space limit runs
+    # it, so a regression fails this test instead of exhausting memory.
+    ring = parse_ring("x1,x2,x3")
+    cube = parse_ideal(ring, "x1^3*x3^2, x1*x2^2*x3, x1*x2*x3^2").power(3)
+    argv = ["closure", "closure", "--ring", "x1,x2,x3",
+            "--ideal", ", ".join(map(str, cube.generators))]
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "idealkit", *argv], capture_output=True, text=True,
+        preexec_fn=limit, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "resource cap: facet elimination exceeded the row cap\n")
 
 
 def test_packedness_cap_exits_three(capsys, monkeypatch):

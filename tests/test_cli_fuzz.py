@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from idealkit.cli import main
 
 NAMES = ("x", "y", "z", "w")
-# characters of the input grammar, for malformed text
-NOISE = st.text(alphabet="xyzwq0123456789^*/+-,; ", max_size=16)
+# characters of the input grammar, for malformed text, and four outside
+# ASCII: a letter, a digit int() rejects, a digit int() reads, a no-break space
+NOISE = st.text(alphabet="xyzwq0123456789^*/+-,; " + "é²٣\u00a0", max_size=16)
 
 fuzz = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 

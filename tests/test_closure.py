@@ -3,7 +3,9 @@
 import pytest
 
 from idealkit import (
+    ResourceCapError,
     briancon_skoda_check,
+    closure,
     integral_closure,
     is_integral,
     newton_polyhedron,
@@ -105,6 +107,20 @@ def test_facet_found_by_exact_rank():
     assert ((2, 0, 0, 3), 6) in newton_polyhedron(ideal).facets
     # every generator has x0 or x3, so no power of x1^4*x2^10 lands in I^m
     assert not is_integral(parse_monomial(ring, "x1^4*x2^10"), ideal)
+
+
+def test_elimination_refuses_a_step_before_forming_its_rows(monkeypatch):
+    # eliminating J^2's multipliers hands _prune 13, 14, 17, 25, 55, 43 rows
+    ring = parse_ring("x1, x2, x3")
+    square = parse_ideal(ring, "x1^3*x3^2, x1*x2^2*x3, x1*x2*x3^2").power(2)
+    cap = 30
+    monkeypatch.setattr(closure, "_FM_ROW_CAP", cap)
+    sizes = []
+    prune = closure._prune
+    monkeypatch.setattr(closure, "_prune", lambda rows: sizes.append(len(rows)) or prune(rows))
+    with pytest.raises(ResourceCapError, match="facet elimination exceeded the row cap"):
+        newton_polyhedron(square)
+    assert sizes and max(sizes) <= cap
 
 
 def test_briancon_skoda_goldens():

@@ -326,6 +326,21 @@ def test_power_is_iterated_product():
         assert ideal.power(2) * ideal.power(1) == ideal.power(3)
 
 
+def test_power_makes_one_product_per_squaring_and_set_bit(monkeypatch):
+    products = []
+    multiply = MonomialIdeal.__mul__
+    monkeypatch.setattr(
+        MonomialIdeal, "__mul__", lambda self, other: products.append(1) or multiply(self, other)
+    )
+    for k, count in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+        products.clear()
+        power = TRIANGLE.power(k)
+        assert len(products) == count, k
+    assert power == TRIANGLE * TRIANGLE * TRIANGLE * TRIANGLE * TRIANGLE
+    assert TRIANGLE.power(0) == MonomialIdeal.unit(R3)
+    assert TRIANGLE.power(1) == TRIANGLE
+
+
 def test_square_matches_product_with_an_equal_copy():
     # I * I pairs each unordered pair of generators once; an equal ideal
     # that is another object takes the full pairing
