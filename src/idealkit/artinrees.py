@@ -41,12 +41,12 @@ def artin_rees_number(ideal, sub, n_max):
         raise ValueError("the submodule ideal must be nonzero")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    powers = {j: ideal.power(j) for j in range(n_max + 1)}
+    shifted = list(sub.ladder(ideal, n_max))  # I^j N, j = 0..n_max
     least = []
-    for n in range(1, n_max + 1):
-        meet = powers[n] & sub
+    for n, power in enumerate(ideal.ladder(ideal, n_max - 1), 1):
+        meet = power & sub
         k = n
-        while k > 0 and (powers[n - k + 1] * sub).contains_ideal(meet):
+        while k > 0 and shifted[n - k + 1].contains_ideal(meet):
             k -= 1
         least.append(k)
     return ArReport(ideal, sub, n_max, tuple(least), max(least))
@@ -67,12 +67,12 @@ def ar_counterexample_search(ideal, sub, k, ell_max):
     if ell_max < k + 1:
         raise ValueError("ell_max must be at least k + 1")
     ik = ideal.power(k)
-    for ell in range(k + 1, ell_max + 1):
-        lhs = ideal.power(ell)
-        rhs = sub.power(ell - k) * ik
+    # I^ell and J^(ell-k) I^k; at ell = k both are I^k
+    sides = zip(ik.ladder(ideal, ell_max - k), ik.ladder(sub, ell_max - k))
+    for ell, (lhs, rhs) in enumerate(sides, k):
         if lhs != rhs:
-            for g in lhs.generators:
-                if g not in rhs:
-                    return ell, g
-            raise RuntimeError("internal error: mismatch without witness")
+            witness = rhs.first_outside(lhs)
+            if witness is None:
+                raise RuntimeError("internal error: mismatch without witness")
+            return ell, witness
     return None

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 from . import artinrees, closure, groebner, invariants, symbolic
 from .errors import ParseError, ResourceCapError
 from .fields import PrimeField, parse_field
-from .monomials import parse_ideal, parse_monomial, parse_ring
+from .monomials import _int_text, parse_ideal, parse_monomial, parse_ring
 
 
 def _load_caps(path, keys):
@@ -43,19 +43,30 @@ def _load_caps(path, keys):
         return {}
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"caps file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("caps file must hold a JSON object")
     caps = {key: data[key] for key in keys if key in data}
     for key, value in caps.items():
+        if isinstance(value, str):
+            _int_text(value, f"caps file value for {key!r}")
         try:
             caps[key] = int(value)
         except (TypeError, ValueError):
             raise ParseError(f"caps file value for {key!r} is not an integer: "
                              f"{json.dumps(value)}") from None
     return caps
+
+
+def _json_int(text):
+    """A JSON integer; its text when int() refuses that many digits, so
+    that the caps reader can name the key."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _polys_of(args):

@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import ResourceCapError, RingMismatchError
 from .linalg import rank_int
-from .monomials import _ideal_from_rows, _minimal_points
+from .monomials import MonomialIdeal, _ideal_from_rows, _minimal_points
 
 _FM_ROW_CAP = 200_000
 
@@ -202,12 +202,11 @@ def briancon_skoda_check(ideal, ell, n_max):
     if ell < 1 or n_max < ell:
         raise ValueError("need 1 <= ell <= n_max")
     facets = newton_polyhedron(ideal).facets
-    for n in range(ell, n_max + 1):
-        closed = _power_closure(ideal.ring, facets, n)
-        target = ideal.power(n - ell + 1)
-        for g in closed.generators:
-            if g not in target:
-                return BsCheck(ell, n_max, False, (n, g))
+    targets = ideal.ladder(ideal, n_max - ell)  # I^(n-ell+1), n = ell..n_max
+    for n, target in zip(range(ell, n_max + 1), targets):
+        g = target.first_outside(_power_closure(ideal.ring, facets, n))
+        if g is not None:
+            return BsCheck(ell, n_max, False, (n, g))
     return BsCheck(ell, n_max, True, None)
 
 
@@ -222,7 +221,7 @@ def uniform_bs_number(ideal, n_max):
         raise ValueError("need a proper nonzero ideal")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    powers = {j: ideal.power(j) for j in range(0, n_max + 1)}
+    powers = list(MonomialIdeal.unit(ideal.ring).ladder(ideal, n_max))
     facets = newton_polyhedron(ideal).facets
     closures = {n: _power_closure(ideal.ring, facets, n) for n in range(1, n_max + 1)}
     for k in range(n_max + 1):

@@ -50,15 +50,16 @@ degree are capped and overflow raises ResourceCapError rather than hanging.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate, repeat
 from math import comb, prod
-from operator import add, neg
+from operator import add, mul, neg
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 from .fields import QQ
-from .monomials import PackedLayout, Ring, _compositions, _tokens
+from .monomials import PackedLayout, Ring, _compositions, _int_text, _tokens
 from .monomials import _monomial_text
 
 DEFAULT_BASIS_CAP = 5000
@@ -364,7 +365,7 @@ def parse_polynomial(ring, text, field=QQ, order=None, offset=0):
     # every digit run is read and every character checked before the grammar
     for i, (kind, value, col) in enumerate(tokens):
         if kind == "int":
-            tokens[i] = (kind, int(value), col)
+            tokens[i] = (kind, int(_int_text(value, "number", col)), col)
         elif kind == "other" and value not in "+-*/^":
             raise ParseError(f"unexpected character {value!r}", column=col)
     pos = 0
@@ -934,13 +935,14 @@ def power_membership_index(f, gens, n_max):
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     gb = buchberger(list(gens), f.order, certify=False)
-    power = f
-    for n in range(1, n_max + 1):
-        if gb.contains(power):
-            return n
-        if n < n_max:
-            power = power * f
-    return None
+    return _least_power(f, n_max, gb.contains)
+
+
+def _least_power(f, n_max, inside):
+    """Least N in [1, n_max] with ``inside(f^N)``, else None; each power is
+    the previous times f, formed only when the search reaches it."""
+    powers = accumulate(repeat(f, n_max - 1), mul, initial=f)
+    return next((n for n, power in enumerate(powers, 1) if inside(power)), None)
 
 
 def _intersection_basis(gens_a, gens_b, *, max_basis, max_degree):
@@ -1053,13 +1055,8 @@ def mather_index(f, n_max=None):
     index = None
     if jac:
         gb = buchberger(jac, f.order, certify=False)
-        power = f
-        for step in range(1, n_max + 1):
-            if gb.contains(power) or local_ideal_member(power, jac):
-                index = step
-                break
-            if step < n_max:
-                power = power * f
+        index = _least_power(
+            f, n_max, lambda power: gb.contains(power) or local_ideal_member(power, jac))
     return MatherIndex(index, n, index is not None and index <= n)
 
 
@@ -1101,13 +1098,7 @@ class KollarSharpness:
     matches: bool
     searched_up_to: int
 
-    def to_json(self):
-        return {
-            "found": self.found,
-            "predicted": self.predicted,
-            "matches": self.matches,
-            "searched_up_to": self.searched_up_to,
-        }
+    to_json = asdict  # the JSON keys are the fields
 
 
 def kollar_sharpness(n, d, d_max=None, field=QQ):
@@ -1134,12 +1125,7 @@ class KollarBound:
     q: int
     within_hypothesis: bool
 
-    def to_json(self):
-        return {
-            "bound": self.bound,
-            "q": self.q,
-            "within_hypothesis": self.within_hypothesis,
-        }
+    to_json = asdict  # the JSON keys are the fields
 
 
 def kollar_bound(degrees, n):
@@ -1192,13 +1178,7 @@ class FrobeniusCheck:
     products_checked: int
     failure: str | None
 
-    def to_json(self):
-        return {
-            "contained": self.contained,
-            "exponent": self.exponent,
-            "products_checked": self.products_checked,
-            "failure": self.failure,
-        }
+    to_json = asdict  # the JSON keys are the fields
 
 
 def frobenius_containment_check(gens, t, p, e, max_products=20_000):

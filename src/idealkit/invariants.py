@@ -4,7 +4,7 @@ The Hilbert numerator comes from the pivot recursion
 ``N(I) = N(I + (p)) + z^deg(p) * N(I : p)`` with the pivot a pure power of
 the variable hitting the most generators; the recursion bottoms out on
 pairwise-coprime generator sets, where the numerator is a product of
-``1 - z^deg``.  Every computed series is checked on the spot against an
+``1 - z^deg``.  Every series and count is checked on the spot against an
 independent numerator: the colon recursion of Bayer and Stillman,
 ``N(J + (m)) = N(J) - z^deg(m) * N(J : m)``, which adds one generator at a
 time and shares no pivot logic with the above.  The two numerators must be
@@ -178,11 +178,24 @@ def _colon_numerator(rows, n):
     return numerator(sorted(set(map(layout.pack, rows))))
 
 
+def _checked_numerator(rows, n):
+    """The pivot-recursion numerator, raising at the first degree where
+    the colon-recursion numerator differs from it."""
+    coeffs = _strip(_numerator(rows, n))
+    check = _strip(_colon_numerator(rows, n))
+    if coeffs != check:
+        pairs = zip_longest(coeffs, check, fillvalue=0)
+        d = next(d for d, (a, b) in enumerate(pairs) if a != b)
+        raise RuntimeError(
+            f"internal error: series disagrees with direct count at degree {d}"
+        )
+    return coeffs
+
+
 def _standard_counts(rows, n, degrees):
     """Exact counts of degree-d monomials outside the ideal, one per degree,
-    read off the colon-recursion numerator, independent of the pivot
-    recursion."""
-    num = _colon_numerator(rows, n)
+    read off the checked numerator."""
+    num = _checked_numerator(rows, n)
     return [_series_coefficient(num, n, d) for d in degrees]
 
 
@@ -251,16 +264,7 @@ def hilbert_series(ideal):
     """Hilbert series of S/I from the pivot recursion, checked against the
     colon-recursion numerator."""
     rows = [g.exponents for g in ideal.generators]
-    n = ideal.ring.n
-    coeffs = _strip(_numerator(rows, n))
-    check = _strip(_colon_numerator(rows, n))
-    if coeffs != check:
-        pairs = zip_longest(coeffs, check, fillvalue=0)
-        d = next(d for d, (a, b) in enumerate(pairs) if a != b)
-        raise RuntimeError(
-            f"internal error: series disagrees with direct count at degree {d}"
-        )
-    return HilbertSeries(ideal.ring, tuple(coeffs))
+    return HilbertSeries(ideal.ring, tuple(_checked_numerator(rows, ideal.ring.n)))
 
 
 def _binom_poly(m, k):

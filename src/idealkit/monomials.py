@@ -35,8 +35,10 @@ divisibility tests and first-divisor search are int operations on it.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import add, le, lshift, mul
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
@@ -64,6 +66,20 @@ def _tokens(text, offset=0):
     tokens = [(m.lastgroup, m.group(), m.start() + at) for m in _TOKEN_RE.finditer(text)]
     tokens.append(("end", "", len(text) + at))
     return tokens
+
+
+def _int_text(text, what, column=None):
+    """``text``, once its digits are within the interpreter's int() limit.
+
+    Past the limit int() raises with a message that names neither the
+    input nor a column, so the text is refused here with a ParseError.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(text) > limit:
+        digits = sum(map(str.isdecimal, text))
+        if digits > limit:
+            raise ParseError(f"{what} has {digits} digits, over the limit of {limit}", column)
+    return text
 
 
 @dataclass(frozen=True)
@@ -208,7 +224,8 @@ def _compositions(total, parts):
 
 
 def _minimal_rows(rows):
-    """Divisibility-minimal antichain of exponent tuples, as a list.
+    """Divisibility-minimal antichain of exponent tuples, as a list in
+    ascending (degree, tuple) order.
 
     Processing in ascending (degree, tuple) order means any divisor of a
     candidate was already seen, so one pass against the kept rows of lower
@@ -395,11 +412,6 @@ def _minimal_points(n, inequalities):
     return rows
 
 
-def _canonical_rows(rows):
-    # descending graded-lex: highest degree first, then lex-largest exponents
-    return tuple(sorted(rows, key=lambda t: (sum(t), t), reverse=True))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, canonically presented by its minimal generators.
@@ -417,8 +429,7 @@ class MonomialIdeal:
         for g in gens:
             if g.ring != ring:
                 raise RingMismatchError("generator from a different ring")
-        rows = _minimal_rows([g.exponents for g in gens])
-        return cls(ring, tuple(Monomial(ring, r) for r in _canonical_rows(rows)))
+        return _ideal_from_rows(ring, [g.exponents for g in gens])
 
     @classmethod
     def zero(cls, ring):
@@ -456,10 +467,17 @@ class MonomialIdeal:
     def __contains__(self, m):
         return self.contains(m)
 
+    def first_outside(self, other):
+        """The first generator of other, in canonical order, outside self;
+        None when other lies in self."""
+        self._check(other)
+        rows = self._rows()
+        return next((g for g in other.generators
+                     if not any(_divides_row(r, g.exponents) for r in rows)), None)
+
     def contains_ideal(self, other):
         """True when every generator of other lies in self."""
-        self._check(other)
-        return all(self.contains(g) for g in other.generators)
+        return self.first_outside(other) is None
 
     def _check_pairs(self, other, stage):
         """Refuse, before forming any row, a pairing of the two generator
@@ -499,6 +517,10 @@ class MonomialIdeal:
 
     def __pow__(self, k):
         return self.power(k)
+
+    def ladder(self, factor, n):
+        """self * factor^j for j = 0..n, lazily, each the previous times factor."""
+        return accumulate(repeat(factor, n), mul, initial=self)
 
     def intersect(self, other):
         self._check_pairs(other, "intersection")
@@ -554,10 +576,9 @@ class MonomialIdeal:
 
 
 def _ideal_from_rows(ring, rows):
+    # _minimal_rows returns ascending (degree, exponents): canonical reversed
     minimal = _minimal_rows(rows)
-    return MonomialIdeal(
-        ring, tuple(Monomial(ring, r) for r in _canonical_rows(minimal))
-    )
+    return MonomialIdeal(ring, tuple(Monomial(ring, r) for r in reversed(minimal)))
 
 
 def parse_ring(text):
@@ -610,7 +631,7 @@ def parse_monomial(ring, text, offset=0):
             kind, value, col = tokens[pos + 1]
             if kind != "int":
                 raise ParseError("expected an exponent after '^'", column=col)
-            e = int(value)
+            e = int(_int_text(value, "exponent", col))
             pos += 2
         exps[ring.index(name)] += e
         kind, value, col = tokens[pos]

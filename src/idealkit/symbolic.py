@@ -16,7 +16,8 @@ from itertools import combinations
 
 from . import monomials
 from .errors import ParseError, ResourceCapError
-from .monomials import Monomial, MonomialIdeal, Ring, _ideal_from_rows, _minimal_points
+from .monomials import Monomial, MonomialIdeal, Ring, _ideal_from_rows, _int_text
+from .monomials import _minimal_points
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,10 @@ def _power_witness(sym, ordinary):
     """(equal, witness) for computed I^(k) and I^k."""
     if sym == ordinary:
         return True, None
-    for g in sym.generators:
-        if g not in ordinary:
-            return False, g
-    raise RuntimeError("internal error: unequal ideals without a witness")
+    witness = ordinary.first_outside(sym)
+    if witness is None:
+        raise RuntimeError("internal error: unequal ideals without a witness")
+    return False, witness
 
 
 def max_disjoint_monomials(ideal):
@@ -345,20 +346,20 @@ class Graph:
 
 def parse_graph(text):
     """Parse the graph format: a ``graph <n>`` header, then 1-indexed edges."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
+    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty graph description")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "graph" or not head[1].isdigit():
+    at, head = lines[0][0], lines[0][1].split()
+    if len(head) != 2 or head[0] != "graph" or not head[1].isdecimal():
         raise ParseError("expected header 'graph <vertex count>'")
-    n = int(head[1])
+    n = int(_int_text(head[1], f"number on graph line {at}"))
     edges = []
-    for ln in lines[1:]:
+    for at, ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise ParseError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = (int(_int_text(p, f"number on graph line {at}")) for p in parts)
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"edge {ln!r} out of range for {n} vertices")
         edges.append((u - 1, v - 1))

@@ -14,6 +14,8 @@ from operator import add, le, neg, sub
 
 from idealkit import (
     QQ,
+    ArReport,
+    BsCheck,
     MinorFailure,
     Monomial,
     MonomialIdeal,
@@ -24,6 +26,7 @@ from idealkit import (
     newton_polyhedron,
     parse_ring,
 )
+from idealkit.closure import _power_closure
 from idealkit.errors import ParseError
 from idealkit.linalg import rank_over
 from idealkit.monomials import _NAME_RE, _colon_row, _minimal_rows
@@ -600,3 +603,99 @@ def _tokenize_by_chars(text):
         raise ParseError(f"unexpected character {ch!r}", column=i + 1)
     tokens.append(("end", None, len(text) + 1))
     return tokens
+
+
+# The uniform-bound scans as they were before they shared
+# ``MonomialIdeal.first_outside`` and ``MonomialIdeal.ladder``: each power
+# by repeated squaring, each witness by its own loop.  The bodies are
+# verbatim but for ``contains_ideal``, which is ``contains_ideal_by_scan``
+# here, so that no oracle runs the code it checks.
+
+
+def contains_ideal_by_scan(big, small):
+    """True when every generator of small lies in big."""
+    big._check(small)
+    return all(big.contains(g) for g in small.generators)
+
+
+def power_witness_by_scan(sym, ordinary):
+    """(equal, witness) for computed I^(k) and I^k."""
+    if sym == ordinary:
+        return True, None
+    for g in sym.generators:
+        if g not in ordinary:
+            return False, g
+    raise RuntimeError("internal error: unequal ideals without a witness")
+
+
+def briancon_skoda_check_by_powers(ideal, ell, n_max):
+    """Verify closure(I^n) within I^(n-ell+1) for every n in [ell, n_max]."""
+    if ideal.is_zero or ideal.is_unit:
+        raise ValueError("need a proper nonzero ideal")
+    if ell < 1 or n_max < ell:
+        raise ValueError("need 1 <= ell <= n_max")
+    facets = newton_polyhedron(ideal).facets
+    for n in range(ell, n_max + 1):
+        closed = _power_closure(ideal.ring, facets, n)
+        target = ideal.power(n - ell + 1)
+        for g in closed.generators:
+            if g not in target:
+                return BsCheck(ell, n_max, False, (n, g))
+    return BsCheck(ell, n_max, True, None)
+
+
+def uniform_bs_number_by_powers(ideal, n_max):
+    """Least k >= 0 with closure(I^n) within I^(n-k) for all k <= n <= n_max."""
+    if ideal.is_zero or ideal.is_unit:
+        raise ValueError("need a proper nonzero ideal")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    powers = {j: ideal.power(j) for j in range(0, n_max + 1)}
+    facets = newton_polyhedron(ideal).facets
+    closures = {n: _power_closure(ideal.ring, facets, n) for n in range(1, n_max + 1)}
+    for k in range(n_max + 1):
+        if all(
+            contains_ideal_by_scan(powers[n - k], closures[n])
+            for n in range(max(k, 1), n_max + 1)
+        ):
+            return k
+    raise RuntimeError("internal error: k = n_max must succeed")
+
+
+def artin_rees_number_by_products(ideal, sub, n_max):
+    """Least k_n with I^n intersect N within I^(n-k_n) N, for n = 1..n_max."""
+    ideal._check(sub)
+    if sub.is_zero:
+        raise ValueError("the submodule ideal must be nonzero")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    powers = {j: ideal.power(j) for j in range(n_max + 1)}
+    least = []
+    for n in range(1, n_max + 1):
+        meet = powers[n] & sub
+        k = n
+        while k > 0 and contains_ideal_by_scan(powers[n - k + 1] * sub, meet):
+            k -= 1
+        least.append(k)
+    return ArReport(ideal, sub, n_max, tuple(least), max(least))
+
+
+def ar_counterexample_search_by_powers(ideal, sub, k, ell_max):
+    """First ell in (k, ell_max] with I^ell != J^(ell-k) I^k, plus a witness."""
+    ideal._check(sub)
+    if not contains_ideal_by_scan(ideal, sub):
+        raise ValueError("the second ideal must sit inside the first")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if ell_max < k + 1:
+        raise ValueError("ell_max must be at least k + 1")
+    ik = ideal.power(k)
+    for ell in range(k + 1, ell_max + 1):
+        lhs = ideal.power(ell)
+        rhs = sub.power(ell - k) * ik
+        if lhs != rhs:
+            for g in lhs.generators:
+                if g not in rhs:
+                    return ell, g
+            raise RuntimeError("internal error: mismatch without witness")
+    return None

@@ -354,6 +354,49 @@ def test_non_ascii_text_exits_two_with_a_column(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+# int() refuses text with more digits than the interpreter's limit, in a
+# message that names no column and suggests a sys setting
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (DIGIT_LIMIT + 700)
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
+OVER = f"has {len(LONG)} digits, over the limit of {DIGIT_LIMIT}"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(("argv", "message"), [
+    (["ideal", "gens", "--ring", "x,y", "--ideal", f"y, x^{LONG}"], f"exponent {OVER} (column 6)"),
+    (["groebner", "gb", "--ring", "x", "--polys", f"x; x^{LONG}"], f"number {OVER} (column 6)"),
+    (["groebner", "gb", "--ring", "x", "--polys", f"x - {LONG}*x^2"], f"number {OVER} (column 5)"),
+], ids=["ideal-exponent", "polys-exponent", "polys-coefficient"])
+def test_long_numbers_in_text_exit_two_with_a_column(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(("name", "text", "argv", "message"), [
+    ("caps.json", f'{{"max_basis": {LONG}}}',
+     ["groebner", "gb", "--ring", "x", "--polys", "x", "--caps"],
+     f"caps file value for 'max_basis' {OVER}"),
+    ("long.graph", f"# comment\ngraph {LONG}\n1 2\n", ["symbolic", "edge", "--graph"],
+     f"number on graph line 2 {OVER}"),
+    ("long.graph", f"graph 3\n1 2\n\n2 {LONG}\n", ["symbolic", "edge", "--graph"],
+     f"number on graph line 4 {OVER}"),
+], ids=["caps", "graph-header", "graph-edge"])
+def test_long_numbers_in_files_exit_two_naming_the_place(capsys, tmp_path, name, text, argv,
+                                                          message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("exponent", ["1000001", "1" * DIGIT_LIMIT])
+def test_over_cap_exponents_within_the_digit_limit_exit_three(capsys, exponent):
+    code, out, err = run_cli(capsys, "ideal", "gens", "--ring", "x", "--ideal", f"x^{exponent}")
+    assert (code, out) == (3, "")
+    assert err == f"resource cap: exponent {exponent} exceeds cap 1000000\n"
+
+
 def test_unknown_flag_exits_two(capsys):
     code = main(["ideal", "minimalize", "--ring", "x,y", "--no-such-flag"])
     capsys.readouterr()

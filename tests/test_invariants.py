@@ -305,6 +305,13 @@ def test_self_check_names_the_corrupt_degree(monkeypatch, name, index):
         hilbert_series(TRIANGLE)
 
 
+@pytest.mark.parametrize("name", ["_numerator", "_colon_numerator"])
+def test_hilbert_function_answers_from_the_checked_numerator(monkeypatch, name):
+    corrupt_numerator(monkeypatch, name, 1)
+    with pytest.raises(RuntimeError, match="internal error: series disagrees .* at degree 1$"):
+        hilbert_function(TRIANGLE, 2)
+
+
 @pytest.mark.parametrize("extra", [2, 3, 7])
 def test_self_check_fires_past_the_numerator(monkeypatch, extra):
     # a check term past degree len + 1 changes the series only there

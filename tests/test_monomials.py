@@ -19,6 +19,7 @@ from idealkit.monomials import (
     _PACK_AT,
     DEFAULT_EXPONENT_CAP,
     PackedLayout,
+    _ideal_from_rows,
     _lcm_row,
     _minimal_rows,
 )
@@ -205,6 +206,19 @@ def test_minimal_rows_match_the_scan():
     assert _minimal_rows(big) == minimal_rows_by_scan(big)
 
 
+def test_minimal_rows_ascend_and_ideals_descend():
+    # ideals take their canonical order, descending (degree, exponents),
+    # by reversing _minimal_rows, whose rows ascend in that order
+    rng = rng_from_seed("idealkit:monomials:row-order")
+    for n in range(1, 5):
+        for count in (1, _PACK_AT, 3 * _PACK_AT, 300):
+            rows = _seeded_rows(rng, n, count, rng.choice([2, 9, 1000]))
+            kept = _minimal_rows(rows)
+            assert kept == sorted(kept, key=lambda r: (sum(r), r))
+            gens = [g.exponents for g in _ideal_from_rows(numbered_ring(n), rows).generators]
+            assert gens == kept[::-1]
+
+
 def _layout_row(rng, n, cap, limit):
     """n exponents in 0..cap, mostly 0 or cap, lowered to sum at most limit."""
     row = [rng.choice((0, cap, rng.randint(0, cap))) for _ in range(n)]
@@ -339,6 +353,36 @@ def test_power_makes_one_product_per_squaring_and_set_bit(monkeypatch):
     assert power == TRIANGLE * TRIANGLE * TRIANGLE * TRIANGLE * TRIANGLE
     assert TRIANGLE.power(0) == MonomialIdeal.unit(R3)
     assert TRIANGLE.power(1) == TRIANGLE
+
+
+def test_first_outside_is_the_first_generator_outside():
+    rng = rng_from_seed("idealkit:monomials:first-outside")
+    for _ in range(100):
+        ring = numbered_ring(rng.randint(1, 3))
+        big = random_ideal(rng, ring, max_generators=4, max_degree=3)
+        small = random_ideal(rng, ring, max_generators=4, max_degree=4)
+        want = next((g for g in small.generators if g not in big), None)
+        assert big.first_outside(small) == want
+        assert big.contains_ideal(small) == (want is None)
+    assert TRIANGLE.first_outside(TRIANGLE.power(2)) is None
+    assert TRIANGLE.power(2).first_outside(TRIANGLE) == TRIANGLE.generators[0]
+    with pytest.raises(RingMismatchError):
+        TRIANGLE.first_outside(parse_ideal(R2, "x"))
+
+
+def test_ladder_multiplies_lazily_by_its_factor(monkeypatch):
+    factor = parse_ideal(R3, "x, y^2")
+    want = [TRIANGLE, TRIANGLE * factor, TRIANGLE * factor * factor]
+    assert list(TRIANGLE.ladder(factor, 2)) == want
+    assert list(TRIANGLE.ladder(factor, 0)) == [TRIANGLE]
+    products = []
+    multiply = MonomialIdeal.__mul__
+    monkeypatch.setattr(
+        MonomialIdeal, "__mul__", lambda self, other: products.append(1) or multiply(self, other)
+    )
+    rungs = TRIANGLE.ladder(factor, 50)
+    assert next(rungs) is TRIANGLE and next(rungs) == want[1] and next(rungs) == want[2]
+    assert len(products) == 2
 
 
 def test_square_matches_product_with_an_equal_copy():

@@ -1,0 +1,109 @@
+"""The uniform-bound scans against the loops they replaced.
+
+``briancon_skoda_check``, ``uniform_bs_number``, ``artin_rees_number``,
+``ar_counterexample_search`` and ``symbolic._power_witness`` take their
+powers from ``MonomialIdeal.ladder`` and their witnesses from
+``MonomialIdeal.first_outside``.  A seeded differential holds each to its
+earlier body, kept in ``tests/helpers.py``, which forms every power by
+repeated squaring and loops for its own witness: every pair of ideals gets
+the same answer, or the same exception type and message.
+
+Run it at larger sizes with::
+
+    PYTHONPATH=src:tests python -c "import test_scans as t; print(t.differential(SEED, COUNT))"
+"""
+
+import random
+from collections import Counter
+
+from idealkit import (
+    ar_counterexample_search,
+    artin_rees_number,
+    briancon_skoda_check,
+    random_ideal,
+    random_squarefree_ideal,
+    symbolic_power,
+    uniform_bs_number,
+)
+from idealkit.symbolic import _power_witness
+from helpers import (
+    ar_counterexample_search_by_powers,
+    artin_rees_number_by_products,
+    briancon_skoda_check_by_powers,
+    numbered_ring,
+    power_witness_by_scan,
+    uniform_bs_number_by_powers,
+)
+
+DIFFERENTIAL_SIZE = 200
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def differential(seed, count):
+    """Run every scan and its oracle on ``count`` seeded pairs of ideals on
+    1-3 variables, and fail on any difference.
+
+    Returns a ``Counter`` of the answers' kinds: whether the Briancon-Skoda
+    check held, whether the mismatch search found a witness, and whether
+    the power witness found the ideals equal, unequal or inconsistent.
+    """
+    rng = random.Random(seed)
+    kinds = Counter()
+    for _ in range(count):
+        ring = numbered_ring(rng.randint(1, 3))
+        ideal = random_ideal(rng, ring, max_generators=3, max_degree=3)
+        other = random_ideal(rng, ring, max_generators=3, max_degree=3)
+        n_max = rng.randint(1, 3)
+        ell = rng.randint(1, n_max)
+        k = rng.randint(0, 2)
+        ell_max = k + rng.randint(1, 3)
+        sub = rng.choice([ideal, ideal & other, ideal * other])
+        wider = rng.choice([other, ideal & other, ideal * other])
+        if rng.random() < 0.25:
+            square_free, power = random_squarefree_ideal(rng, ring, 4), rng.randint(2, 3)
+            ideal, wider = symbolic_power(square_free, power), square_free.power(power)
+        for name, new, old, args in (
+            ("least_k", lambda *a: artin_rees_number(*a).least_k,
+             lambda *a: artin_rees_number_by_products(*a).least_k, (ideal, other, n_max)),
+            ("mismatch", ar_counterexample_search, ar_counterexample_search_by_powers,
+             (ideal, sub, k, ell_max)),
+            ("bs", lambda *a: briancon_skoda_check(*a).to_json(),
+             lambda *a: briancon_skoda_check_by_powers(*a).to_json(), (ideal, ell, n_max)),
+            ("uniform_bs", uniform_bs_number, uniform_bs_number_by_powers, (ideal, n_max)),
+            ("witness", _power_witness, power_witness_by_scan, (ideal, wider)),
+        ):
+            got, want = _outcome(new, *args), _outcome(old, *args)
+            assert got == want, (name, args, got, want)
+            kinds[name, _kind(name, got)] += 1
+    return kinds
+
+
+def _kind(name, answer):
+    if isinstance(answer, tuple) and answer and isinstance(answer[0], type):
+        return "raised"
+    if name == "bs":
+        return "holds" if answer["ok"] else "fails"
+    if name == "mismatch":
+        return "clean" if answer is None else "found"
+    if name == "witness":
+        return "equal" if answer[0] else "unequal"
+    return "answered"
+
+
+def test_scans_match_their_earlier_bodies():
+    kinds = differential(seed=17, count=DIFFERENTIAL_SIZE)
+    assert sum(kinds.values()) == 5 * DIFFERENTIAL_SIZE
+    # the sample reaches every branch of every scan
+    for name, kind in (
+        ("least_k", "answered"), ("uniform_bs", "answered"),
+        ("bs", "holds"), ("bs", "fails"),
+        ("mismatch", "clean"), ("mismatch", "found"),
+        ("witness", "equal"), ("witness", "unequal"), ("witness", "raised"),
+    ):
+        assert kinds[name, kind] > 0, (name, kind, kinds)

@@ -314,6 +314,18 @@ def test_edge_theorem_on_the_ten_cycle():
     assert report.equal_up_to == 4 and report.agree
 
 
+def test_edge_theorem_on_the_nine_cycle():
+    # the odd cycle C_(2m+1) first separates symbolic and ordinary powers
+    # at k = m + 1: every vertex cover has m + 1 vertices, so the vertex
+    # product lies in the symbolic power, but its degree 2m + 1 is below
+    # the 2m + 2 where the ordinary power starts
+    report = verify_edge_theorem(Graph.cycle(9), 5)
+    assert not report.bipartite and not report.packed
+    assert report.equal_up_to == 4
+    assert str(report.witness) == "x1*x2*x3*x4*x5*x6*x7*x8*x9"
+    assert report.agree
+
+
 def test_packing_is_necessary_for_equality():
     # one direction of the equivalence, scanned on the random corpus
     rng = rng_from_seed("idealkit:symbolic:packing")
