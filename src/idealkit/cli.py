@@ -97,8 +97,9 @@ def _graph_of(args):
         if size is not None:
             return getattr(symbolic.Graph, shape)(size)
     sizes = args.complete_bipartite
+    parts = [_int_text(part, "part size") for part in sizes.split(",")]
     try:
-        a, b = (int(part) for part in sizes.split(","))
+        a, b = map(int, parts)
     except ValueError:
         raise ParseError(
             f"expected two comma-separated sizes, got {sizes!r}"
@@ -396,8 +397,9 @@ def _cmd_groebner_kollar(args):
     if args.degrees:
         if args.nvars is None:
             raise ValueError("--nvars is required with --degrees")
+        parts = [_int_text(part, "degree") for part in args.degrees.split(",")]
         try:
-            degrees = [int(part) for part in args.degrees.split(",")]
+            degrees = [int(part) for part in parts]
         except ValueError:
             raise ParseError(f"bad degree list {args.degrees!r}") from None
         report = groebner.kollar_bound(degrees, args.nvars)

@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import ResourceCapError, RingMismatchError
 from .linalg import rank_int
-from .monomials import MonomialIdeal, _ideal_from_rows, _minimal_points
+from .monomials import MonomialIdeal, _minimal_points
 
 _FM_ROW_CAP = 200_000
 
@@ -172,7 +172,7 @@ def integral_closure(ideal):
 def _power_closure(ring, facets, n):
     """closure(I^n) from the facets of I's Newton polyhedron: the polyhedron
     of I^n is n times I's, so its facets are I's with every bound times n."""
-    return _ideal_from_rows(ring, _minimal_points(ring.n, [(c, n * b) for c, b in facets]))
+    return _minimal_points(ring, [(c, n * b) for c, b in facets])
 
 
 @dataclass(frozen=True)

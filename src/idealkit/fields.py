@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, ResourceCapError
+from .monomials import _int_text
 
 # Miller-Rabin on these bases decides primality exactly below the bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
@@ -144,8 +145,9 @@ def parse_field(text):
     if t in ("q", "qq"):
         return QQ
     if t.startswith("fp:"):
+        digits = _int_text(t[3:], "prime in field")
         try:
-            p = int(t[3:])
+            p = int(digits)
         except ValueError:
             raise ParseError(f"bad prime in field {text!r}") from None
         try:

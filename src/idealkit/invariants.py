@@ -150,9 +150,13 @@ def _colon_numerator(rows, n):
                     break
             else:
                 kept.append(c)
-        return kept
+        return tuple(kept)
+
+    memo = {}  # J : m is J again for m coprime to J, which would double the work
 
     def numerator(keys):
+        if keys in memo:
+            return memo[keys]
         num, done = [1], []
         for m in keys:
             if not m:
@@ -173,9 +177,10 @@ def _colon_numerator(rows, n):
             for i, c in enumerate(inner, degree):
                 num[i] -= c
             done.append(m)
+        memo[keys] = num
         return num
 
-    return numerator(sorted(set(map(layout.pack, rows))))
+    return numerator(tuple(sorted(set(map(layout.pack, rows)))))
 
 
 def _checked_numerator(rows, n):

@@ -24,6 +24,8 @@ exactly when ``k_i <= r_i``; no field or block borrows.  Masking with
 ``G*U`` and adding ``(2^(n*w) - G)*U`` carries into a block's spare bit
 exactly when all of that block's guards are set, i.e. when that kept row
 divides r.  So a handful of big-int operations replace the pairwise scan.
+The containment search ``first_outside`` is one such call, on the rows of
+both ideals.
 
 ``PackedLayout`` is that guard layout, taken in its lex form here, by the
 Hilbert check and by the Betti facets; in the Groebner engine a
@@ -210,14 +212,6 @@ def _monomial_text(variables, exps):
     return "*".join(parts)
 
 
-def _divides_row(a, b):
-    """Does the monomial with exponents a divide the one with exponents b?"""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 def _compositions(total, parts):
     """Exponent tuples of length ``parts`` summing to ``total``, lexicographically."""
     return _minimal_lifts((1,) * parts, total)
@@ -380,16 +374,17 @@ def _minimal_lifts(weights, deficit):
     yield (top,) + (0,) * len(rest)
 
 
-def _minimal_points(n, inequalities):
-    """Minimal lattice points a >= 0 with c . a >= b for all (c, b), as rows.
+def _minimal_points(ring, inequalities):
+    """The ideal of the lattice points a >= 0 with c . a >= b for all (c, b).
 
     Every c is nonnegative and nonzero, so the solutions form a monomial
     ideal.  Starting from {0}, an inequality replaces each row g by g + r
     for the lifts r, on the support of c, of the deficit b - c . g; then the
     rows are minimalized.  The inequality that the fewest rows violate
-    goes first, which keeps the rows between folds few.
+    goes first, which keeps the rows between folds few.  The last fold's
+    rows are the minimal generators, so they are not minimalized again.
     """
-    rows, made, pending = [(0,) * n], 0, list(inequalities)
+    rows, made, pending = [(0,) * ring.n], 0, list(inequalities)
     while pending:
         coeffs, bound = min(pending, key=lambda q: sum(
             sum(map(mul, q[0], g)) < q[1] for g in rows))
@@ -409,7 +404,7 @@ def _minimal_points(n, inequalities):
                     row[j] += x
                 lifted.append(tuple(row))
         rows = _minimal_rows(lifted)
-    return rows
+    return _ideal_from_minimal(ring, rows)
 
 
 @dataclass(frozen=True)
@@ -462,18 +457,22 @@ class MonomialIdeal:
         if m.ring != self.ring:
             raise RingMismatchError("monomial from a different ring")
         me = m.exponents
-        return any(_divides_row(g.exponents, me) for g in self.generators)
+        return any(all(map(le, g.exponents, me)) for g in self.generators)
 
     def __contains__(self, m):
         return self.contains(m)
 
     def first_outside(self, other):
         """The first generator of other, in canonical order, outside self;
-        None when other lies in self."""
+        None when other lies in self.
+
+        Other's generators divide none of each other, so minimalizing them
+        together with self's keeps one exactly when no row of self divides
+        it or equals it."""
         self._check(other)
         rows = self._rows()
-        return next((g for g in other.generators
-                     if not any(_divides_row(r, g.exponents) for r in rows)), None)
+        outside = set(_minimal_rows(rows + other._rows())).difference(rows)
+        return next((g for g in other.generators if g.exponents in outside), None)
 
     def contains_ideal(self, other):
         """True when every generator of other lies in self."""
@@ -576,8 +575,11 @@ class MonomialIdeal:
 
 
 def _ideal_from_rows(ring, rows):
+    return _ideal_from_minimal(ring, _minimal_rows(rows))
+
+
+def _ideal_from_minimal(ring, minimal):
     # _minimal_rows returns ascending (degree, exponents): canonical reversed
-    minimal = _minimal_rows(rows)
     return MonomialIdeal(ring, tuple(Monomial(ring, r) for r in reversed(minimal)))
 
 
@@ -591,13 +593,10 @@ def parse_ring(text):
         body = rest.strip()
     if not body:
         raise ParseError("empty ring description")
-    names = [part.strip() for part in body.split(",")]
-    for name in names:
-        if not _NAME_RE.fullmatch(name):
-            raise ParseError(f"bad variable name {name!r}")
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate variable names")
-    return Ring(tuple(names))
+    try:
+        return Ring(tuple(part.strip() for part in body.split(",")))
+    except ValueError as exc:  # a bad or repeated name
+        raise ParseError(str(exc)) from None
 
 
 def parse_monomial(ring, text, offset=0):

@@ -195,7 +195,7 @@ def symbolic_power(ideal, k):
     n = ideal.ring.n
     primes = _prime_index_sets(ideal)
     system = [(tuple(int(j in p) for j in range(n)), k) for p in primes]
-    return _ideal_from_rows(ideal.ring, _minimal_points(n, system))
+    return _minimal_points(ideal.ring, system)
 
 
 def symbolic_equals_ordinary(ideal, k):

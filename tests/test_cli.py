@@ -367,7 +367,12 @@ OVER = f"has {len(LONG)} digits, over the limit of {DIGIT_LIMIT}"
     (["ideal", "gens", "--ring", "x,y", "--ideal", f"y, x^{LONG}"], f"exponent {OVER} (column 6)"),
     (["groebner", "gb", "--ring", "x", "--polys", f"x; x^{LONG}"], f"number {OVER} (column 6)"),
     (["groebner", "gb", "--ring", "x", "--polys", f"x - {LONG}*x^2"], f"number {OVER} (column 5)"),
-], ids=["ideal-exponent", "polys-exponent", "polys-coefficient"])
+    (["groebner", "gb", "--ring", "x", "--polys", "x", "--field", f"fp:{LONG}"],
+     f"prime in field {OVER}"),
+    (["groebner", "kollar", "--degrees", f"3,{LONG}", "--nvars", "2"], f"degree {OVER}"),
+    (["symbolic", "edge", "--complete-bipartite", f"{LONG},2"], f"part size {OVER}"),
+], ids=["ideal-exponent", "polys-exponent", "polys-coefficient", "field-prime", "degrees",
+        "bipartite-size"])
 def test_long_numbers_in_text_exit_two_with_a_column(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 

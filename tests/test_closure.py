@@ -16,6 +16,7 @@ from idealkit import (
     rng_from_seed,
     uniform_bs_number,
 )
+from idealkit import monomials
 from helpers import (
     closure_by_box_scan,
     closure_certificate,
@@ -107,6 +108,21 @@ def test_facet_found_by_exact_rank():
     assert ((2, 0, 0, 3), 6) in newton_polyhedron(ideal).facets
     # every generator has x0 or x3, so no power of x1^4*x2^10 lands in I^m
     assert not is_integral(parse_monomial(ring, "x1^4*x2^10"), ideal)
+
+
+def test_power_closure_minimalizes_once_per_facet(monkeypatch):
+    # the fold of the last facet leaves the minimal generators
+    calls = []
+    minimal_rows = monomials._minimal_rows
+    monkeypatch.setattr(monomials, "_minimal_rows",
+                        lambda rows: calls.append(minimal_rows(rows)) or calls[-1])
+    ideal = parse_ideal(parse_ring("x, y, z"), "x^3*y, y^2*z^2, x*z^4, x^2*y^2*z")
+    facets = newton_polyhedron(ideal).facets
+    for n in (1, 2, 3):
+        calls.clear()
+        closed = closure._power_closure(ideal.ring, facets, n)
+        assert len(calls) == len(facets)
+        assert [g.exponents for g in closed.generators] == calls[-1][::-1]
 
 
 def test_elimination_refuses_a_step_before_forming_its_rows(monkeypatch):

@@ -1,9 +1,13 @@
 """Hilbert data, graded Betti numbers, and the identities tying them together."""
 
+import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +248,44 @@ def test_colon_numerator_matches_pivot_numerator():
         rows, n = _rows(ideal), ideal.ring.n
         assert invariants._strip(invariants._colon_numerator(rows, n)) == \
             invariants._strip(invariants._numerator(rows, n))
+
+
+# run in a child process: hilbert_series and both numerators of each ideal
+_COPRIME_SCRIPT = """
+import json
+from idealkit import hilbert_series, invariants, parse_ideal, parse_ring
+for count, size in ((30, 1), (20, 2)):
+    names = [f"x{i}" for i in range(1, count * size + 1)]
+    gens = ["*".join(names[i:i + size]) for i in range(0, len(names), size)]
+    ideal = parse_ideal(parse_ring(",".join(names)), ",".join(gens))
+    rows, n = [g.exponents for g in ideal.generators], ideal.ring.n
+    print(json.dumps([list(hilbert_series(ideal).numerator),
+                      invariants._strip(invariants._colon_numerator(rows, n)),
+                      invariants._strip(invariants._numerator(rows, n))]))
+"""
+
+
+def test_pairwise_coprime_generators_answer_within_a_time_limit():
+    # (x1..x30) and a 20-edge matching: every generator shares no variable
+    # with those before it, so J : m = J at each step of the colon check,
+    # which without its memo doubles its work per generator (hours here).
+    # A child process runs them, so a regression fails this test by its
+    # time limit instead of stalling the suite.
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _COPRIME_SCRIPT], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    for line, (count, degree) in zip(lines, ((30, 1), (20, 2))):
+        series, colon, pivot = json.loads(line)
+        # prod (1 - z^degree) over the generators
+        want = [0] * (count * degree + 1)
+        for i in range(count + 1):
+            want[i * degree] = (-1) ** i * comb(count, i)
+        assert series == colon == pivot == want
 
 
 def _oracle_corpus():

@@ -15,6 +15,7 @@ from idealkit import (
     random_monomial,
     rng_from_seed,
 )
+from idealkit import monomials
 from idealkit.monomials import (
     _PACK_AT,
     DEFAULT_EXPONENT_CAP,
@@ -368,6 +369,53 @@ def test_first_outside_is_the_first_generator_outside():
     assert TRIANGLE.power(2).first_outside(TRIANGLE) == TRIANGLE.generators[0]
     with pytest.raises(RingMismatchError):
         TRIANGLE.first_outside(parse_ideal(R2, "x"))
+    # a generator equal to one of self's is inside; x^2 comes before x*y
+    assert parse_ideal(R2, "x^2, y^3").first_outside(parse_ideal(R2, "x^2, x*y")) == \
+        parse_monomial(R2, "x*y")
+    assert TRIANGLE.first_outside(TRIANGLE) is None
+    zero, unit = MonomialIdeal.zero(R3), MonomialIdeal.unit(R3)
+    for big, small, want in ((zero, TRIANGLE, TRIANGLE.generators[0]), (TRIANGLE, zero, None),
+                             (unit, TRIANGLE, None), (TRIANGLE, unit, R3.one()),
+                             (zero, unit, R3.one()), (unit, zero, None),
+                             (zero, zero, None), (unit, unit, None)):
+        assert big.first_outside(small) == want
+
+
+def test_first_outside_on_more_rows_than_the_scan_takes(monkeypatch):
+    # the generators of self of lower degree than other's outnumber
+    # _PACK_AT, so the packed test serves the search
+    fitted = []
+    fitting = PackedLayout.fitting
+    monkeypatch.setattr(PackedLayout, "fitting", staticmethod(
+        lambda *args: fitted.append(args) or fitting(*args)))
+    rng = rng_from_seed("idealkit:monomials:first-outside-packed")
+    packed = 0
+    for n, d in ((2, 40), (3, 8), (4, 5)):
+        ring = numbered_ring(n)
+        steps = [Monomial(ring, t) for t in compositions(d, n)]
+        for _ in range(20):
+            big = MonomialIdeal.from_generators(
+                ring, rng.sample(steps, rng.randint(_PACK_AT + 1, len(steps))))
+            small = MonomialIdeal.from_generators(ring, (
+                random_monomial(rng, ring, 3) * rng.choice(steps)
+                for _ in range(rng.randint(1, 3 * _PACK_AT))))
+            want = next((g for g in small.generators if g not in big), None)
+            fitted.clear()
+            assert big.first_outside(small) == want
+            packed += bool(fitted)
+    assert packed > 30
+
+
+def test_first_outside_minimalizes_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(monomials, "_minimal_rows", lambda rows: calls.append(rows) or
+                        _minimal_rows(rows))
+    square = TRIANGLE.power(2)
+    for big, small in ((TRIANGLE, square), (square, TRIANGLE), (TRIANGLE, TRIANGLE),
+                       (MonomialIdeal.zero(R3), TRIANGLE), (TRIANGLE, MonomialIdeal.unit(R3))):
+        calls.clear()
+        big.first_outside(small)
+        assert len(calls) == 1
 
 
 def test_ladder_multiplies_lazily_by_its_factor(monkeypatch):

@@ -27,6 +27,7 @@ from idealkit import (
     symbolic_power,
     verify_edge_theorem,
 )
+from idealkit import monomials
 from helpers import (
     codim_by_subsets,
     disjoint_by_subsets,
@@ -138,6 +139,20 @@ def test_symbolic_power_work_cap():
     # the first fold alone makes k + 1 rows; the second passes the cap
     with pytest.raises(ResourceCapError):
         symbolic_power(TRIANGLE, 10**5)
+
+
+def test_symbolic_power_minimalizes_once_per_prime(monkeypatch):
+    # the fold of the last minimal prime leaves the minimal generators
+    calls = []
+    minimal_rows = monomials._minimal_rows
+    monkeypatch.setattr(monomials, "_minimal_rows",
+                        lambda rows: calls.append(minimal_rows(rows)) or calls[-1])
+    for ideal, k in ((TRIANGLE, 2), (edge_ideal(Graph.cycle(5)), 3), (TRIANGLE, 1)):
+        primes = minimal_primes(ideal)
+        calls.clear()
+        power = symbolic_power(ideal, k)
+        assert len(calls) == len(primes)
+        assert [g.exponents for g in power.generators] == calls[-1][::-1]
 
 
 def test_first_symbolic_power_is_the_ideal():
