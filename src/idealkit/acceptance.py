@@ -161,7 +161,7 @@ def _check_closure(seed):
     while done < 50:
         gens = [random_monomial(rng, ring, 5) for _ in range(2)]
         ideal = MonomialIdeal.from_generators(ring, gens)
-        if len(ideal.generators) != 2:
+        if len(ideal.rows) != 2:
             continue  # want genuinely 2-generated samples
         check = briancon_skoda_check(ideal, 2, 5)
         _need(check.ok, f"containment fails for {ideal}: {check.failure}")
@@ -264,7 +264,7 @@ def _check_structural(seed):
     for index in range(60):
         ring = _numbered_ring(rng.randint(2, 4))
         ideal = random_ideal(rng, ring, max_generators=6, max_degree=4)
-        gens = len(ideal.generators)
+        gens = len(ideal.rows)
         c = codim(ideal)
         _need(gens >= c, f"Krull bound fails: {gens} gens, codim {c}: {ideal}")
         pd = graded_betti(ideal).proj_dim()

@@ -69,6 +69,20 @@ def _json_int(text):
         return text
 
 
+def _int_flag(text):
+    """argparse's ``int`` type, refusing a digit run past int()'s limit with
+    one short line instead of echoing it; named ``int`` so that other bad
+    text keeps argparse's ``invalid int value`` message."""
+    try:
+        _int_text(text, "number")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
+
+
+_int_flag.__name__ = "int"
+
+
 def _polys_of(args):
     """Parse the ``;``-separated polynomials, with error columns counted in
     the flag's text."""
@@ -234,7 +248,7 @@ def _cmd_closure_closure(args):
 
 
 def _cmd_closure_bs(args):
-    ell = args.ell if args.ell is not None else len(args.ideal.generators)
+    ell = args.ell if args.ell is not None else len(args.ideal.rows)
     check = closure.briancon_skoda_check(args.ideal, ell, args.nmax)
     payload = check.to_json()
     if check.ok:
@@ -476,25 +490,25 @@ _FLAGS = {
     "monomial": {"required": True},
     "other": {"required": True, "help": "second ideal"},
     "sub": {"required": True, "help": "submodule ideal"},
-    "k": {"type": int, "required": True},
+    "k": {"type": _int_flag, "required": True},
     "zeros": {"default": "", "help": "variables set to 0"},
     "ones": {"default": "", "help": "variables set to 1"},
-    "kmax": {"type": int, "default": 3},
-    "ell": {"type": int, "help": "defaults to the generator count"},
-    "nmax": {"type": int},
-    "n": {"type": int, "required": True},
-    "lmax": {"type": int, "help": "defaults to 2n"},
-    "degree": {"type": int, "help": "also evaluate h at this degree"},
+    "kmax": {"type": _int_flag, "default": 3},
+    "ell": {"type": _int_flag, "help": "defaults to the generator count"},
+    "nmax": {"type": _int_flag},
+    "n": {"type": _int_flag, "required": True},
+    "lmax": {"type": _int_flag, "help": "defaults to 2n"},
+    "degree": {"type": _int_flag, "help": "also evaluate h at this degree"},
     "field": {"default": "q", "help": "q or fp:<prime>"},
     "polys": {"required": True, "help": "semicolon-separated polynomials"},
     "order": {"default": "grevlex", "choices": ("lex", "grevlex")},
     "f": {"required": True, "help": "polynomial to test"},
-    "d": {"type": int, "help": "degree for the sharpness family"},
-    "dmax": {"type": int},
+    "d": {"type": _int_flag, "help": "degree for the sharpness family"},
+    "dmax": {"type": _int_flag},
     "degrees": {"help": "comma-separated degrees for the bound"},
-    "nvars": {"type": int, "help": "variable count for the bound"},
-    "p": {"type": int, "required": True},
-    "e": {"type": int, "required": True},
+    "nvars": {"type": _int_flag, "help": "variable count for the bound"},
+    "p": {"type": _int_flag, "required": True},
+    "e": {"type": _int_flag, "required": True},
     "graph": {},
 }
 _BARE = {"help": None}
@@ -503,9 +517,9 @@ _BARE = {"help": None}
 def _add_graph_source(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph", metavar="FILE", help="graph file ('-' for stdin)")
-    group.add_argument("--cycle", type=int, metavar="N")
-    group.add_argument("--path", type=int, metavar="N")
-    group.add_argument("--complete", type=int, metavar="N")
+    group.add_argument("--cycle", type=_int_flag, metavar="N")
+    group.add_argument("--path", type=_int_flag, metavar="N")
+    group.add_argument("--complete", type=_int_flag, metavar="N")
     group.add_argument("--complete-bipartite", metavar="A,B")
 
 
@@ -590,7 +604,7 @@ _GROUPS = {
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, help="seed for randomized corpora")
+    common.add_argument("--seed", type=_int_flag, help="seed for randomized corpora")
     common.add_argument("--caps", metavar="FILE", help="JSON file with resource caps")
     parser = argparse.ArgumentParser(
         prog="idealkit",

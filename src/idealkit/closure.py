@@ -130,7 +130,7 @@ def newton_polyhedron(ideal):
     if ideal.is_zero:
         raise ValueError("zero ideal has an empty Newton polyhedron")
     n = ideal.ring.n
-    points = tuple(g.exponents for g in ideal.generators)
+    points = ideal.rows
     rows = _fourier_motzkin(points, n)
 
     candidates = set()

@@ -64,6 +64,9 @@ from .symbolic import codim as _codim
 from .symbolic import minimal_primes as _minimal_primes
 
 _LATTICE_CAP = 100_000
+# worklist entries one pivot recursion may take: C40's edge ideal takes
+# 131,313, and each five more cycle vertices take about four times as many
+_PIVOT_CAP = 150_000
 
 
 def _strip(coeffs):
@@ -87,11 +90,16 @@ def _numerator(rows, n):
 
     The recursion runs on a worklist of (rows, shift) pairs, so its depth
     costs no Python stack: the numerator is the sum over the leaves of
-    z^shift times the leaf's numerator.
+    z^shift times the leaf's numerator.  Taking more than ``_PIVOT_CAP``
+    entries off the worklist raises ``ResourceCapError``.
     """
     total = []
-    work = [(rows, 0)]
+    work, steps = [(rows, 0)], 0
     while work:
+        steps += 1
+        if steps > _PIVOT_CAP:
+            raise ResourceCapError(
+                f"Hilbert pivot recursion took over {_PIVOT_CAP} steps")
         rows, shift = work.pop()
         if not rows:
             leaf = [1]
@@ -213,8 +221,7 @@ def hilbert_function(ideal, d):
     """Number of degree-d monomials outside the ideal."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    rows = [g.exponents for g in ideal.generators]
-    return _standard_counts(rows, ideal.ring.n, [d])[0]
+    return _standard_counts(ideal.rows, ideal.ring.n, [d])[0]
 
 
 @dataclass(frozen=True)
@@ -268,8 +275,7 @@ def _stability(coeffs, n):
 def hilbert_series(ideal):
     """Hilbert series of S/I from the pivot recursion, checked against the
     colon-recursion numerator."""
-    rows = [g.exponents for g in ideal.generators]
-    return HilbertSeries(ideal.ring, tuple(_checked_numerator(rows, ideal.ring.n)))
+    return HilbertSeries(ideal.ring, tuple(_checked_numerator(ideal.rows, ideal.ring.n)))
 
 
 def _binom_poly(m, k):
@@ -555,7 +561,7 @@ def graded_betti(ideal, field=None, max_generators=20):
         field = QQ
     if ideal.is_unit:
         raise ValueError("unit ideal has a zero quotient")
-    rows = [g.exponents for g in ideal.generators]
+    rows = ideal.rows
     if len(rows) > max_generators:
         raise ResourceCapError(
             f"{len(rows)} generators exceed the enumeration cap {max_generators}"
@@ -624,5 +630,5 @@ def pure_resolution_multiplicity(table, c):
 
 def stillman_monomial_check(ideal, field=None):
     """Projective dimension bounded by the generator count and by n."""
-    bound = min(len(ideal.generators), ideal.ring.n)
+    bound = min(len(ideal.rows), ideal.ring.n)
     return graded_betti(ideal, field).proj_dim() <= bound

@@ -2,9 +2,9 @@
 
 Everything here is an immutable value: operations return new objects, so
 instances are safe to share and to use as dict keys.  A ``MonomialIdeal``
-is kept in canonical form at all times -- its generator tuple is the unique
-minimal antichain under divisibility, sorted in descending graded-lex order
--- so ``==`` decides mathematical equality of ideals.
+is kept in canonical form at all times -- its ``rows`` are the unique minimal
+antichain of exponent tuples, in descending graded-lex order -- so ``==``
+decides mathematical equality of ideals, with no ``Monomial`` built.
 
 The zero ideal (no generators) and the unit ideal (generated by 1) are
 distinct values, and ``I**0`` is the unit ideal by convention.
@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import add, le, lshift, mul
 
@@ -412,11 +412,11 @@ class MonomialIdeal:
     """A monomial ideal, canonically presented by its minimal generators.
 
     Build instances with :meth:`from_generators`; the raw constructor
-    assumes ``generators`` is already the canonical antichain.
+    assumes ``rows`` is already the canonical antichain of exponent tuples.
     """
 
     ring: Ring
-    generators: tuple[Monomial, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_generators(cls, ring, generators):
@@ -432,32 +432,34 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, ring):
-        return cls(ring, (ring.one(),))
+        return cls(ring, ((0,) * ring.n,))
+
+    @cached_property
+    def generators(self):
+        """The rows as ``Monomial`` objects, built on first access."""
+        return tuple(Monomial(self.ring, r) for r in self.rows)
 
     @property
     def is_zero(self):
-        return not self.generators
+        return not self.rows
 
     @property
     def is_unit(self):
-        return len(self.generators) == 1 and self.generators[0].is_one
+        return len(self.rows) == 1 and not any(self.rows[0])
 
     @property
     def is_squarefree(self):
-        return all(e <= 1 for g in self.generators for e in g.exponents)
+        return all(e <= 1 for r in self.rows for e in r)
 
     def _check(self, other):
         if self.ring != other.ring:
             raise RingMismatchError("ideals from different rings")
 
-    def _rows(self):
-        return [g.exponents for g in self.generators]
-
     def contains(self, m):
         if m.ring != self.ring:
             raise RingMismatchError("monomial from a different ring")
         me = m.exponents
-        return any(all(map(le, g.exponents, me)) for g in self.generators)
+        return any(all(map(le, r, me)) for r in self.rows)
 
     def __contains__(self, m):
         return self.contains(m)
@@ -470,9 +472,9 @@ class MonomialIdeal:
         together with self's keeps one exactly when no row of self divides
         it or equals it."""
         self._check(other)
-        rows = self._rows()
-        outside = set(_minimal_rows(rows + other._rows())).difference(rows)
-        return next((g for g in other.generators if g.exponents in outside), None)
+        rows = self.rows
+        outside = set(_minimal_rows(rows + other.rows)).difference(rows)
+        return next((Monomial(self.ring, r) for r in other.rows if r in outside), None)
 
     def contains_ideal(self, other):
         """True when every generator of other lies in self."""
@@ -482,13 +484,13 @@ class MonomialIdeal:
         """Refuse, before forming any row, a pairing of the two generator
         lists that would make more rows than ``_POINT_WORK_CAP``."""
         self._check(other)
-        if len(self.generators) * len(other.generators) > _POINT_WORK_CAP:
+        if len(self.rows) * len(other.rows) > _POINT_WORK_CAP:
             raise ResourceCapError(f"{stage} would make over {_POINT_WORK_CAP} rows")
 
     def __mul__(self, other):
         self._check_pairs(other, "product")
         cap = DEFAULT_EXPONENT_CAP
-        left, right = self._rows(), other._rows()
+        left, right = self.rows, other.rows
         # some pair sums past the cap exactly when some column's maxima do
         if left and right and any(
             a + b > cap for a, b in zip(map(max, zip(*left)), map(max, zip(*right)))
@@ -523,7 +525,7 @@ class MonomialIdeal:
 
     def intersect(self, other):
         self._check_pairs(other, "intersection")
-        rows = {_lcm_row(a, b) for a in self._rows() for b in other._rows()}
+        rows = {_lcm_row(a, b) for a in self.rows for b in other.rows}
         return _ideal_from_rows(self.ring, rows)
 
     def __and__(self, other):
@@ -534,12 +536,11 @@ class MonomialIdeal:
         if m.ring != self.ring:
             raise RingMismatchError("monomial from a different ring")
         me = m.exponents
-        rows = {_colon_row(g.exponents, me) for g in self.generators}
-        return _ideal_from_rows(self.ring, rows)
+        return _ideal_from_rows(self.ring, {_colon_row(r, me) for r in self.rows})
 
     def radical(self):
         """Radical: generated by the squarefree parts of the generators."""
-        rows = {tuple(min(e, 1) for e in g.exponents) for g in self.generators}
+        rows = {tuple(min(e, 1) for e in r) for r in self.rows}
         return _ideal_from_rows(self.ring, rows)
 
     def minor(self, zeros=(), ones=()):
@@ -557,18 +558,14 @@ class MonomialIdeal:
         if not keep:
             raise ValueError("minor would eliminate every variable")
         sub = Ring(tuple(self.ring.variables[i] for i in keep))
-        rows = set()
-        for g in self.generators:
-            e = g.exponents
-            if any(e[i] > 0 for i in zset):
-                continue
-            rows.add(tuple(e[i] for i in keep))
+        rows = {tuple(r[i] for i in keep) for r in self.rows
+                if not any(r[i] for i in zset)}
         return _ideal_from_rows(sub, rows)
 
     def __str__(self):
         if self.is_zero:
             return "0"
-        return ", ".join(str(g) for g in self.generators)
+        return ", ".join(_monomial_text(self.ring.variables, r) or "1" for r in self.rows)
 
     def __repr__(self):
         return f"MonomialIdeal({self})"
@@ -580,7 +577,11 @@ def _ideal_from_rows(ring, rows):
 
 def _ideal_from_minimal(ring, minimal):
     # _minimal_rows returns ascending (degree, exponents): canonical reversed
-    return MonomialIdeal(ring, tuple(Monomial(ring, r) for r in reversed(minimal)))
+    rows = tuple(reversed(minimal))
+    if max(map(max, rows), default=0) > DEFAULT_EXPONENT_CAP:
+        e = next(e for r in rows for e in r if e > DEFAULT_EXPONENT_CAP)
+        raise ResourceCapError(f"exponent {e} exceeds cap {DEFAULT_EXPONENT_CAP}")
+    return MonomialIdeal(ring, rows)
 
 
 def parse_ring(text):

@@ -56,10 +56,10 @@ def _require_squarefree_proper(ideal):
         raise ValueError("ideal is not square-free")
 
 
-def _support_mask(monomial):
-    """The support of a monomial as an int: bit i is set when x_i divides it."""
+def _support_mask(row):
+    """The support of an exponent row as an int: bit i is set when r_i > 0."""
     mask = 0
-    for i, e in enumerate(monomial.exponents):
+    for i, e in enumerate(row):
         if e:
             mask |= 1 << i
     return mask
@@ -155,7 +155,7 @@ def _max_disjoint(supports):
 def minimal_primes(ideal):
     """Minimal primes of a square-free proper nonzero monomial ideal."""
     _require_squarefree_proper(ideal)
-    covers = _minimal_covers([_support_mask(g) for g in ideal.generators])
+    covers = _minimal_covers([_support_mask(r) for r in ideal.rows])
     primes = [PrimeComponent(ideal.ring, _mask_indices(c)) for c in covers]
     primes.sort(key=lambda p: (len(p), p.indices))
     return tuple(primes)
@@ -171,7 +171,7 @@ def codim(ideal):
         raise ValueError("unit ideal has no codimension")
     if ideal.is_zero:
         return 0
-    return _cover_number([_support_mask(g) for g in ideal.generators])
+    return _cover_number([_support_mask(r) for r in ideal.rows])
 
 
 def dim_quotient(ideal):
@@ -223,9 +223,9 @@ def max_disjoint_monomials(ideal):
     Exhaustive branch-and-bound; desk-scale generator counts only.
     """
     _require_squarefree_proper(ideal)
-    gens = ideal.generators
-    count, picks = _max_disjoint([_support_mask(g) for g in gens])
-    return count, tuple(gens[i] for i in picks)
+    rows = ideal.rows
+    count, picks = _max_disjoint([_support_mask(r) for r in rows])
+    return count, tuple(Monomial(ideal.ring, rows[i]) for i in picks)
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def is_packed(ideal):
     """
     _require_squarefree_proper(ideal)
     n = ideal.ring.n
-    supports = [_support_mask(g) for g in ideal.generators]
+    supports = [_support_mask(r) for r in ideal.rows]
     bits = [1 << i for i in range(n)]
     seen = set()
     visited = 0

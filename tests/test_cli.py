@@ -6,6 +6,7 @@ and the plain-text renderings.  The elimination-cap test runs the command
 in a child process under a memory limit.
 """
 
+import argparse
 import io
 import itertools
 import json
@@ -19,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from idealkit import ResourceCapError, closure, groebner, invariants, parse_ideal, parse_ring
-from idealkit.cli import main
+from idealkit import cli
+from idealkit.cli import build_parser, main
 from helpers import corrupt_numerator
 
 
@@ -378,6 +380,35 @@ def test_long_numbers_in_text_exit_two_with_a_column(capsys, argv, message):
 
 
 @needs_digit_limit
+@pytest.mark.parametrize("argv", [
+    ["ideal", "power", "--ring", "x", "--ideal", "x", "--k"],
+    ["verify", "--seed"],
+    ["symbolic", "edge", "--cycle"],
+], ids=["k", "seed", "cycle"])
+def test_long_numbers_in_int_flags_exit_two_in_one_short_line(capsys, argv):
+    # argparse once echoed the whole digit run in its "invalid int value"
+    flag = argv[-1]
+    code, out, err = run_cli(capsys, *argv, LONG)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {flag}: number {OVER}\n") and len(err) < 300
+    code, out, err = run_cli(capsys, *argv, "x")
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {flag}: invalid int value: 'x'\n")
+
+
+def test_every_int_flag_goes_through_the_digit_limit():
+    parsers, types = [build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.type is not None:
+                types.add((action.dest, action.type))
+    assert len(types) == 16
+    assert {t for _, t in types} == {cli._int_flag}
+
+
+@needs_digit_limit
 @pytest.mark.parametrize(("name", "text", "argv", "message"), [
     ("caps.json", f'{{"max_basis": {LONG}}}',
      ["groebner", "gb", "--ring", "x", "--polys", "x", "--caps"],
@@ -397,9 +428,12 @@ def test_long_numbers_in_files_exit_two_naming_the_place(capsys, tmp_path, name,
 @needs_digit_limit
 @pytest.mark.parametrize("exponent", ["1000001", "1" * DIGIT_LIMIT])
 def test_over_cap_exponents_within_the_digit_limit_exit_three(capsys, exponent):
-    code, out, err = run_cli(capsys, "ideal", "gens", "--ring", "x", "--ideal", f"x^{exponent}")
-    assert (code, out) == (3, "")
-    assert err == f"resource cap: exponent {exponent} exceeds cap 1000000\n"
+    # a parsed exponent, and one that a symbolic power makes
+    for argv in (["ideal", "gens", "--ring", "x", "--ideal", f"x^{exponent}"],
+                 ["symbolic", "compare", "--ring", "x,y", "--ideal", "x*y", "--k", exponent]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"resource cap: exponent {exponent} exceeds cap 1000000\n"
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -17,6 +17,7 @@ from idealkit import (
     Monomial,
     MonomialIdeal,
     PrimeField,
+    ResourceCapError,
     dimension_multiplicity,
     edge_ideal,
     graded_betti,
@@ -286,6 +287,33 @@ def test_pairwise_coprime_generators_answer_within_a_time_limit():
         for i in range(count + 1):
             want[i * degree] = (-1) ** i * comb(count, i)
         assert series == colon == pivot == want
+
+
+def test_pivot_recursion_cap_stops_the_fifty_cycle_within_a_time_limit():
+    # the pivot recursion takes about four times the steps per five more
+    # cycle vertices; C40 takes 131,313 and answers, C50 would take minutes
+    src = Path(__file__).resolve().parents[1] / "src"
+    n = 50
+    ring = ",".join(f"x{i}" for i in range(1, n + 1))
+    ideal = ", ".join(f"x{i}*x{i % n + 1}" for i in range(1, n + 1))
+    done = subprocess.run(
+        [sys.executable, "-m", "idealkit", "invariants", "hilbert", "--ring", ring,
+         "--ideal", ideal], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        f"resource cap: Hilbert pivot recursion took over {invariants._PIVOT_CAP} steps\n")
+
+
+def test_pivot_recursion_cap_counts_worklist_steps(monkeypatch):
+    # (x^2, x*y, y^2): the root splits once into two coprime leaves
+    rows = _rows(parse_ideal(parse_ring("x, y"), "x^2, x*y, y^2"))
+    monkeypatch.setattr(invariants, "_PIVOT_CAP", 3)
+    assert invariants._strip(invariants._numerator(rows, 2)) == [1, 0, -3, 2]
+    monkeypatch.setattr(invariants, "_PIVOT_CAP", 2)
+    with pytest.raises(ResourceCapError, match="^Hilbert pivot recursion took over 2 steps$"):
+        invariants._numerator(rows, 2)
 
 
 def _oracle_corpus():

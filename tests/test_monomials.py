@@ -3,17 +3,20 @@
 import pytest
 
 from idealkit import (
+    Graph,
     Monomial,
     MonomialIdeal,
     ParseError,
     ResourceCapError,
     RingMismatchError,
+    edge_ideal,
     parse_ideal,
     parse_monomial,
     parse_ring,
     random_ideal,
     random_monomial,
     rng_from_seed,
+    symbolic_equals_ordinary,
 )
 from idealkit import monomials
 from idealkit.monomials import (
@@ -433,6 +436,43 @@ def test_ladder_multiplies_lazily_by_its_factor(monkeypatch):
     assert len(products) == 2
 
 
+def test_rows_are_the_ideal_and_generators_are_built_once():
+    ideal = parse_ideal(R3, "x^2, x*y*z, y*z^3, x^2*y")
+    assert ideal.rows == ((0, 1, 3), (1, 1, 1), (2, 0, 0))
+    gens = ideal.generators
+    assert gens is ideal.generators
+    assert gens == tuple(Monomial(R3, r) for r in ideal.rows)
+    rng = rng_from_seed("idealkit:monomials:rows")
+    for _ in range(100):
+        ring = numbered_ring(rng.randint(1, 4))
+        ideal = random_ideal(rng, ring, max_generators=7, max_degree=4)
+        raw = MonomialIdeal(ring, tuple(tuple(g.exponents) for g in ideal.generators))
+        assert raw == ideal and hash(raw) == hash(ideal)
+        assert raw == MonomialIdeal.from_generators(ring, reversed(ideal.generators))
+    assert MonomialIdeal.unit(R2).rows == ((0, 0),) and MonomialIdeal.zero(R2).rows == ()
+
+
+def test_monomials_are_built_only_for_answers(monkeypatch):
+    # ideals compute on exponent rows: the only Monomials made are parsed
+    # inputs and returned witnesses
+    built = []
+    init = Monomial.__post_init__
+
+    def counting(m):
+        built.append(m)
+        init(m)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counting)
+    assert symbolic_equals_ordinary(edge_ideal(Graph.cycle(7)), 3) == (True, None)
+    assert len(built) == 0
+    equal, witness = symbolic_equals_ordinary(edge_ideal(Graph.cycle(5)), 3)
+    assert not equal and built == [witness]
+    built.clear()
+    table = parse_ideal(R3, "x^2, y^3, z^4, x*y*z")
+    assert len(table.power(8).rows) == 130
+    assert len(built) == 4
+
+
 def test_square_matches_product_with_an_equal_copy():
     # I * I pairs each unordered pair of generators once; an equal ideal
     # that is another object takes the full pairing
@@ -440,7 +480,7 @@ def test_square_matches_product_with_an_equal_copy():
     for _ in range(100):
         ring = numbered_ring(rng.randint(1, 4))
         ideal = random_ideal(rng, ring, max_generators=7, max_degree=4)
-        copy = MonomialIdeal(ideal.ring, ideal.generators)
+        copy = MonomialIdeal(ideal.ring, ideal.rows)
         assert copy == ideal and copy is not ideal
         assert ideal * ideal == ideal * copy
         assert ideal.power(4) == ideal * copy * copy * copy

@@ -6,7 +6,6 @@ import pytest
 
 from idealkit import (
     Graph,
-    Monomial,
     MonomialIdeal,
     ResourceCapError,
     connected_graph_reps,
@@ -155,6 +154,13 @@ def test_symbolic_power_minimalizes_once_per_prime(monkeypatch):
         assert [g.exponents for g in power.generators] == calls[-1][::-1]
 
 
+def test_symbolic_power_past_the_exponent_cap_raises_on_return():
+    # the rows are checked as the ideal is made, not when generators or
+    # text are asked for
+    with pytest.raises(ResourceCapError, match=r"^exponent 1000001 exceeds cap 1000000$"):
+        symbolic_power(parse_ideal(parse_ring("x, y"), "x*y"), monomials.DEFAULT_EXPONENT_CAP + 1)
+
+
 def test_first_symbolic_power_is_the_ideal():
     rng = rng_from_seed("idealkit:symbolic:identity")
     for _ in range(60):
@@ -195,8 +201,7 @@ def test_disjoint_search_on_many_generators():
     # 1,287 generators: the search once recursed once per generator
     ring = numbered_ring(13)
     ideal = MonomialIdeal(
-        ring, [Monomial(ring, tuple(int(i in c) for i in range(13)))
-               for c in combinations(range(13), 5)]
+        ring, tuple(tuple(int(i in c) for i in range(13)) for c in combinations(range(13), 5))
     )
     gens = ideal.generators
     first = next(g for g in gens[1:] if not g.support & gens[0].support)
