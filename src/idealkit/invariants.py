@@ -64,9 +64,14 @@ from .symbolic import codim as _codim
 from .symbolic import minimal_primes as _minimal_primes
 
 _LATTICE_CAP = 100_000
-# worklist entries one pivot recursion may take: C40's edge ideal takes
-# 131,313, and each five more cycle vertices take about four times as many
-_PIVOT_CAP = 150_000
+# rows one pivot recursion may read, summed over its worklist steps: C40's
+# edge ideal reads 3,213,239, and each five more cycle vertices about four
+# times as many
+_PIVOT_CAP = 3_500_000
+# rows one colon recursion may read, in its colons and their minimalization:
+# the 1501-generator staircase reads 2,250,000 and (x1..x120) 8,783,390
+# (colons 287,980, minimalization 8,495,410); (x1..x200) would read 67M
+_COLON_CAP = 10_000_000
 
 
 def _strip(coeffs):
@@ -90,17 +95,18 @@ def _numerator(rows, n):
 
     The recursion runs on a worklist of (rows, shift) pairs, so its depth
     costs no Python stack: the numerator is the sum over the leaves of
-    z^shift times the leaf's numerator.  Taking more than ``_PIVOT_CAP``
-    entries off the worklist raises ``ResourceCapError``.
+    z^shift times the leaf's numerator.  Each step reads the rows of its
+    entry; reading more than ``_PIVOT_CAP`` rows over all steps raises
+    ``ResourceCapError``.
     """
     total = []
-    work, steps = [(rows, 0)], 0
+    work, read = [(rows, 0)], 0
     while work:
-        steps += 1
-        if steps > _PIVOT_CAP:
-            raise ResourceCapError(
-                f"Hilbert pivot recursion took over {_PIVOT_CAP} steps")
         rows, shift = work.pop()
+        read += len(rows)
+        if read > _PIVOT_CAP:
+            raise ResourceCapError(
+                f"Hilbert pivot recursion read over {_PIVOT_CAP} rows")
         if not rows:
             leaf = [1]
         elif any(sum(r) == 0 for r in rows):
@@ -141,17 +147,22 @@ def _colon_numerator(rows, n):
     the rows ``max(g - m, 0)`` of the generators g already in J.  Rows are
     packed into the lex ``PackedLayout`` with the first variable highest,
     wide enough for the largest degree; the packed integer order is the
-    lexicographic order.
+    lexicographic order.  Forming J : m reads the rows of J, and its
+    minimalization reads, for each of its rows, the rows kept before it;
+    reading more than ``_COLON_CAP`` rows in all raises ``ResourceCapError``.
     """
     if not rows:
         return [1]
     layout = PackedLayout.fitting("lex", tuple(range(n)), max(map(sum, rows)))
     guard, spill, total = layout.guard, layout.width - 1, layout.total
+    read = 0
 
     def minimal(keys):
         # ascending integer order visits every divisor of a row before it
+        nonlocal read
         kept = []
         for c in sorted(set(keys)):
+            read += len(kept)
             c_guard = c | guard
             for k in kept:
                 if (c_guard - k) & guard == guard:
@@ -163,6 +174,7 @@ def _colon_numerator(rows, n):
     memo = {}  # J : m is J again for m coprime to J, which would double the work
 
     def numerator(keys):
+        nonlocal read
         if keys in memo:
             return memo[keys]
         num, done = [1], []
@@ -171,6 +183,7 @@ def _colon_numerator(rows, n):
                 return []
             inner = [1]
             if done:
+                read += len(done)
                 colon = []
                 for g in done:
                     # field i of d is 2^(w-1) + g_i - m_i; keep g_i - m_i
@@ -178,7 +191,11 @@ def _colon_numerator(rows, n):
                     d = (g | guard) - m
                     kept = d & guard
                     colon.append(d & (kept - (kept >> spill)))
-                inner = numerator(minimal(colon))
+                colon = minimal(colon)
+                if read > _COLON_CAP:
+                    raise ResourceCapError(
+                        f"Hilbert colon recursion read over {_COLON_CAP} rows")
+                inner = numerator(colon)
             degree = total(m)
             if len(num) < degree + len(inner):
                 num.extend([0] * (degree + len(inner) - len(num)))

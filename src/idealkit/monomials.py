@@ -9,23 +9,35 @@ decides mathematical equality of ideals, with no ``Monomial`` built.
 The zero ideal (no generators) and the unit ideal (generated by 1) are
 distinct values, and ``I**0`` is the unit ideal by convention.
 
-Every operation ends in ``_minimal_rows``, which keeps the rows that no
-other row divides.  It visits rows by ascending (degree, tuple) and tests
-each only against kept rows of strictly lower degree: a row never divides
-another of its own degree.  The first ``_PACK_AT`` of those are tried one
-by one, which settles most small inputs and most staircases.  The others
-are tested all at once in one int.  Each exponent takes a field of ``w``
-bits, one more than the largest exponent needs, whose top bit is a guard; a
-row is the n fields with the first variable's highest, and the kept rows sit
-in blocks of ``n*w + 1`` bits (the spare bit catches a carry) of ``K``.  A
-candidate r with its guards set, ``pack(r) | G``, copied into every block
-by multiplying with the repunit U, minus K, leaves field i's guard set
-exactly when ``k_i <= r_i``; no field or block borrows.  Masking with
-``G*U`` and adding ``(2^(n*w) - G)*U`` carries into a block's spare bit
-exactly when all of that block's guards are set, i.e. when that kept row
-divides r.  So a handful of big-int operations replace the pairwise scan.
-The containment search ``first_outside`` is one such call, on the rows of
-both ideals.
+Every operation but the lattice-point folds ends in ``_minimal_rows``, which
+keeps the rows that no other row divides.  It visits rows by ascending
+(degree, tuple) and tests each only against kept rows of strictly lower
+degree: a row never divides another of its own degree.  The first
+``_PACK_AT`` of those are tried one by one, which settles most small inputs
+and most staircases.  The others are tested all at once in one int.  Each
+exponent takes a field of ``w`` bits, one more than the largest exponent
+needs, whose top bit is a guard; a row is the n fields with the first
+variable's highest, and the kept rows sit in blocks of ``n*w + 1`` bits (the
+spare bit catches a carry) of ``K``.  A candidate r with its guards set,
+``pack(r) | G``, copied into every block by multiplying with the repunit U,
+minus K, leaves field i's guard set exactly when ``k_i <= r_i``; no field or
+block borrows.  Masking with ``G*U`` and adding ``(2^(n*w) - G)*U`` carries
+into a block's spare bit exactly when all of that block's guards are set,
+i.e. when that kept row divides r.  So a handful of big-int operations
+replace the pairwise scan.  The containment search ``first_outside`` is one
+such call, on the rows of both ideals.
+
+The lattice-point folds of ``_minimal_points``, behind symbolic powers and
+integral closures, run on packed keys from the first fold to the last and
+unpack once.  A row is a lex key with its degree above the fields, so
+ascending keys are ascending (degree, exponents) and a proper divisor of a
+row has a smaller key.  A dot product c . g is one multiplication of g by c
+packed in reverse field order, read off the field at (n - 1) * w.  A fold
+tests only its lifted rows, in ascending key order, against the rows that
+already satisfy the inequality and against each other: no lifted row g + r
+divides a satisfied row s, or g would have divided s in the fold before.
+The fields are wide enough that neither a lifted row nor a partial sum of
+the product carries; ``_minimal_points`` states and proves that width rule.
 
 ``PackedLayout`` is that guard layout, taken in its lex form here, by the
 Hilbert check and by the Betti facets; in the Groebner engine a
@@ -38,6 +50,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
@@ -364,14 +377,42 @@ def _colon_row(g, m):
 def _minimal_lifts(weights, deficit):
     """Every minimal r >= 0 with sum(w * r) >= deficit for positive weights w
     (only r = 0 when deficit <= 0), and some others; unit weights give
-    exactly the compositions of deficit."""
-    w, rest = weights[0], weights[1:]
-    top = max(0, -(-deficit // w))
-    if rest:
-        for first in range(top):
-            for tail in _minimal_lifts(rest, deficit - w * first):
-                yield (first,) + tail
-    yield (top,) + (0,) * len(rest)
+    exactly the compositions of deficit.
+
+    With t = ceil(deficit / w_0), r_0 takes 0..t - 1, each followed by the
+    lifts of what is left over the other weights, and then t with zeros
+    after it.  The search keeps its own stack, so any number of weights
+    needs no Python stack; a prefix whose rest is settled waits on the
+    stack as a finished lift (deficit None).
+    """
+    s = len(weights)
+    stack = [((), deficit)]
+    while stack:
+        head, d = stack.pop()
+        if d is None:
+            yield head
+            continue
+        i = len(head)
+        w = weights[i]
+        top = -(-d // w) if d > 0 else 0
+        if i + 1 == s:
+            yield head + (top,)
+            continue
+        stack.append((head + (top,) + (0,) * (s - i - 1), None))
+        stack.extend([(head + (f,), d - w * f) for f in range(top - 1, -1, -1)])
+
+
+def _lift_count(weights, deficit):
+    """How many rows ``_minimal_lifts(weights, deficit)`` yields, counted
+    over the deficits each weight can leave, without forming a row."""
+    levels = [{deficit}]
+    for w in weights[:-1]:
+        levels.append({d - w * f for d in levels[-1] for f in range(max(0, -(-d // w)))})
+    counts = dict.fromkeys(levels.pop(), 1)
+    for w, level in zip(reversed(weights[:-1]), reversed(levels)):
+        counts = {d: 1 + sum(counts[d - w * f] for f in range(max(0, -(-d // w))))
+                  for d in level}
+    return counts[deficit]
 
 
 def _minimal_points(ring, inequalities):
@@ -379,32 +420,140 @@ def _minimal_points(ring, inequalities):
 
     Every c is nonnegative and nonzero, so the solutions form a monomial
     ideal.  Starting from {0}, an inequality replaces each row g by g + r
-    for the lifts r, on the support of c, of the deficit b - c . g; then the
-    rows are minimalized.  The inequality that the fewest rows violate
-    goes first, which keeps the rows between folds few.  The last fold's
-    rows are the minimal generators, so they are not minimalized again.
+    for the lifts r, on the support of c, of the deficit b - c . g, and
+    ``_fold_rows`` keeps the minimal ones.  The inequality that the fewest
+    rows violate goes first, ties in list order, which keeps the rows
+    between folds few.  After each fold the rows are the minimal generators
+    of the inequalities folded so far, so the last fold's rows are the
+    answer; they are unpacked once, at the end.  A fold tests only its
+    lifted rows: a row that already satisfies the inequality stays, as no
+    lifted row g + r divides it, or g would have divided it in the fold
+    before (see ``_fold_rows``).
+
+    Rows are keys of the lex ``PackedLayout`` with the first variable
+    highest, plus the degree above the fields, so ascending keys are
+    ascending (degree, exponents) and every proper divisor of a row has a
+    smaller key.  A lift packs the same way, and lifting is one addition.
+    ``c . g`` is one multiplication: with c packed in reverse field order,
+    ``C = sum(c_j << j*w)``, the product ``g * C`` sums g_i * c_j in the
+    field at (n - 1 - i + j) * w, so the field at (n - 1) * w holds
+    sum(g_j * c_j).  The fields of g's degree bits land above it.
+
+    Width rule: fields hold ``n * reach * max c`` with reach = 2 * max b.
+    A minimal point a of any subsystem has a_j <= max ceil(b / c_j) over
+    the subsystem's inequalities with c_j > 0: past that, a - e_j would
+    still satisfy each of them, as c . (a - e_j) >= c_j * (a_j - 1) >= b.
+    A lift r of a deficit at most b has r_j <= ceil(b / c_j) too, and
+    ceil(b / c_j) <= b for integers c_j >= 1, so lifted rows reach at most
+    ``reach``, within the field's cap, and the guard test of
+    ``_minimal_rows`` applies.  A field of ``g * C`` sums at most n products
+    g_i * c_j <= reach * max c, so no field of the product carries and the
+    dot product is read exactly.
+
+    ``made`` counts every lifted row, those of satisfied rows included;
+    past ``_POINT_WORK_CAP`` the search raises before forming more.  The
+    first rows, {0}, satisfy exactly the inequalities with b <= 0, so those
+    fold first, each counting one row and leaving {0}: they are counted and
+    dropped at the start.
     """
-    rows, made, pending = [(0,) * ring.n], 0, list(inequalities)
-    while pending:
-        coeffs, bound = min(pending, key=lambda q: sum(
-            sum(map(mul, q[0], g)) < q[1] for g in rows))
-        pending.remove((coeffs, bound))
+    n = ring.n
+    given = list(inequalities)
+    pending = [(c, b) for c, b in given if b > 0]
+    made = len(given) - len(pending)
+    if made > _POINT_WORK_CAP:
+        raise _points_refused()
+    reach = 2 * max([b for _, b in pending] + [0])
+    most = max([max(coeffs) for coeffs, _ in pending] + [1])
+    layout = PackedLayout.fitting("lex", tuple(range(n)), n * reach * most)
+    shifts, top, width, cap = layout.shifts, layout.top, layout.width, layout.cap
+    at, field = top - width, (1 << width) - 1
+    systems = [(layout.pack(coeffs[::-1]), coeffs, bound) for coeffs, bound in pending]
+    rows, shapes = [0], {}
+    while systems:
+        pick = 0
+        if len(systems) > 1:
+            violated = [sum([g * C >> at & field < b for g in rows]) for C, _, b in systems]
+            pick = violated.index(min(violated))
+        C, coeffs, bound = systems.pop(pick)
         support = [j for j, c in enumerate(coeffs) if c]
-        weights = [coeffs[j] for j in support]
-        lifted = []
+        weights = tuple([coeffs[j] for j in support])
+        units = [1 << top | 1 << shifts[j] for j in support]
+        lifts, satisfied, lifted = {}, [], []
         for g in rows:
-            deficit = bound - sum(map(mul, coeffs, g))
-            for r in _minimal_lifts(weights, deficit):
+            deficit = bound - (g * C >> at & field)
+            if deficit <= 0:
                 made += 1
-                if made > _POINT_WORK_CAP:
-                    raise ResourceCapError(
-                        f"lattice-point search made over {_POINT_WORK_CAP} rows")
-                row = list(g)
-                for j, x in zip(support, r):
-                    row[j] += x
-                lifted.append(tuple(row))
-        rows = _minimal_rows(lifted)
-    return _ideal_from_minimal(ring, rows)
+                satisfied.append(g)
+                continue
+            packed = lifts.get(deficit)
+            if packed is None:
+                shape = shapes.get((weights, deficit))
+                if shape is None:
+                    # each weight but the last takes at most deficit + 1 values
+                    if (made + (deficit + 1) ** (len(weights) - 1) > _POINT_WORK_CAP
+                            and made + _lift_count(weights, deficit) > _POINT_WORK_CAP):
+                        raise _points_refused()
+                    shape = shapes[weights, deficit] = list(_minimal_lifts(weights, deficit))
+                packed = lifts[deficit] = [sum(map(mul, r, units)) for r in shape]
+            made += len(packed)
+            if made > _POINT_WORK_CAP:
+                raise _points_refused()
+            lifted += map(add, repeat(g), packed)
+        if made > _POINT_WORK_CAP:
+            raise _points_refused()
+        rows = _fold_rows(layout, satisfied, lifted)
+    return _ideal_from_minimal(ring, [tuple([k >> s & cap for s in shifts]) for k in sorted(rows)])
+
+
+def _points_refused():
+    """The error of a lattice-point search that would make more than
+    ``_POINT_WORK_CAP`` rows."""
+    return ResourceCapError(f"lattice-point search made over {_POINT_WORK_CAP} rows")
+
+
+def _fold_rows(layout, satisfied, lifted):
+    """The minimal rows of one fold: ``satisfied`` and the lifted rows that
+    no other row divides.
+
+    The satisfied rows are kept as they are: they divide none of each other,
+    and no lifted row g + r divides one, s, as then g would divide s, two
+    distinct rows of the previous fold.  So only lifted rows are tested, in
+    ascending key order, each against the rows of lower degree kept so far,
+    satisfied or lifted: a row of its own degree cannot divide it.  As in
+    ``_minimal_rows``, the first ``_PACK_AT`` of those are tried one by one
+    and the others all at once, as blocks of one int ``K``.
+    """
+    if not lifted:
+        return satisfied
+    guard, top, low = layout.guard, layout.top, layout.low
+    satisfied.sort()
+    lower, kept, fresh, degree = [], [], [], None  # fresh: kept at this degree
+    taken, packed = 0, _PACK_AT  # satisfied[:taken] are in lower; lower[_PACK_AT:packed] in K
+    for c in sorted(set(lifted)):
+        if c >> top != degree:
+            degree = c >> top
+            below = bisect_left(satisfied, degree << top, taken)
+            lower += satisfied[taken:below]
+            lower += fresh
+            kept += fresh
+            taken, fresh, head = below, [], lower[:_PACK_AT]
+            if len(lower) > packed:
+                if packed == _PACK_AT:
+                    fmt, K = "0%db" % (top + 1), 0
+                chunk = "".join(format(k & low, fmt) for k in reversed(lower[packed:]))
+                K |= int(chunk, 2) << (packed - _PACK_AT) * (top + 1)
+                packed = len(lower)
+                U = int(("0" * top + "1") * (packed - _PACK_AT), 2)
+                grep, hrep, spill = guard * U, ((1 << top) - guard) * U, U << top
+        c_guard = c | guard
+        for k in head:
+            if (c_guard - k) & guard == guard:
+                break
+        else:
+            if packed == _PACK_AT or not (
+                    ((((c & low | guard) * U - K) & grep) + hrep) & spill):
+                fresh.append(c)
+    return satisfied + kept + fresh
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ edge-ideal dictionary between graphs and their square-free quadratic ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import monomials
 from .errors import ParseError, ResourceCapError
@@ -82,40 +82,68 @@ def _minimal_masks(masks):
     return kept
 
 
-def _minimal_covers(supports):
-    """All inclusion-minimal vertex covers of nonempty support masks, as masks.
+def _covers(supports, limit=None):
+    """Vertex covers of nonempty support masks, as masks, every minimal one
+    among them.
 
     Branch on each vertex of the first uncovered support, lowest first;
     forbidding the earlier branch vertices avoids revisiting the same cover
-    along permuted paths.  The search can still emit non-minimal covers, so
-    filter at the end.
+    along permuted paths.  A minimal cover C is reached by always taking the
+    lowest vertex of the support in C, so with ``limit`` a branch is cut
+    once it holds that many vertices, and a cover is found exactly when one
+    of at most ``limit`` vertices exists.  The search keeps its own stack,
+    and a branch resumes its scan for an uncovered support after the one it
+    branched on.
     """
-    found = set()
-
-    def rec(chosen, forbidden):
-        for sup in supports:
-            if not sup & chosen:
-                break
-        else:
-            found.add(chosen)
-            return
-        free = sup & ~forbidden
+    m = len(supports)
+    stack = [(0, 0, 0)]  # (first support to scan, chosen, forbidden)
+    while stack:
+        i, chosen, forbidden = stack.pop()
+        while i < m and supports[i] & chosen:
+            i += 1
+        if i == m:
+            yield chosen
+            continue
+        if chosen.bit_count() == limit:
+            continue
+        free = supports[i] & ~forbidden
         while free:
             v = free & -free
             free ^= v
-            rec(chosen | v, forbidden)
+            stack.append((i + 1, chosen | v, forbidden))
             forbidden |= v
 
-    rec(0, 0)
-    return _minimal_masks(found)
+
+def _minimal_covers(supports):
+    """All inclusion-minimal vertex covers of nonempty support masks, as
+    masks: the covers of the branching search, which can also emit
+    non-minimal ones, filtered."""
+    return _minimal_masks(set(_covers(supports)))
 
 
 def _cover_number(supports):
-    """Least size of a vertex cover of nonempty support masks."""
-    return min(c.bit_count() for c in _minimal_covers(supports))
+    """(t, g): the least size t of a vertex cover of nonempty support masks,
+    and the size g <= t of a family of pairwise disjoint supports.
+
+    t is the least size at which some cover exists, found by iterative
+    deepening: ``_covers`` with that size as its limit.  Pairwise disjoint
+    supports need a cover vertex each, so the deepening starts at g, the
+    size of such a family chosen greedily in ascending popcount order;
+    g == t proves that t disjoint supports exist.  No cover is listed.
+    """
+    supports = sorted(supports, key=int.bit_count)
+    used, g = 0, 0
+    for sup in supports:
+        if not sup & used:
+            used |= sup
+            g += 1
+    t = g
+    while next(_covers(supports, t), None) is None:
+        t += 1
+    return t, g
 
 
-def _max_disjoint(supports):
+def _max_disjoint(supports, goal=None):
     """(count, indices) of a largest family of pairwise disjoint masks.
 
     Exhaustive branch-and-bound over take-or-skip in list order, taking
@@ -124,6 +152,11 @@ def _max_disjoint(supports):
     best family so far: from position i, at most the remaining masks can be
     added, and at most popcount(free variables) // (least popcount among
     masks i..) of them, as disjoint masks use disjoint variables.
+
+    With ``goal`` the search only asks whether ``goal`` disjoint masks
+    exist: it starts as if a family of goal - 1 were known, so it cuts every
+    branch that cannot reach goal, and returns the first family of goal
+    masks it finds, or (0, ()) when there is none.
     """
     m = len(supports)
     least = [0] * (m + 1)
@@ -133,10 +166,12 @@ def _max_disjoint(supports):
     universe = 0
     for sup in supports:
         universe |= sup
-    best, best_picks = 0, ()
+    best, best_picks = (0, ()) if goal is None else (goal - 1, ())
     stack = [(0, 0, ())]
     while stack:
         i, used, chosen = stack.pop()
+        if len(chosen) == goal:
+            return goal, chosen
         room = m - i
         if least[i]:
             room = min(room, (universe & ~used).bit_count() // least[i])
@@ -149,7 +184,7 @@ def _max_disjoint(supports):
         stack.append((i + 1, used, chosen))
         if not supports[i] & used:
             stack.append((i + 1, used | supports[i], chosen + (i,)))
-    return best, best_picks
+    return (best, best_picks) if goal is None else (0, ())
 
 
 def minimal_primes(ideal):
@@ -171,7 +206,7 @@ def codim(ideal):
         raise ValueError("unit ideal has no codimension")
     if ideal.is_zero:
         return 0
-    return _cover_number([_support_mask(r) for r in ideal.rows])
+    return _cover_number([_support_mask(r) for r in ideal.rows])[0]
 
 
 def dim_quotient(ideal):
@@ -192,10 +227,13 @@ def symbolic_power(ideal, k):
     """
     if k < 1:
         raise ValueError("symbolic power needs k >= 1")
-    n = ideal.ring.n
-    primes = _prime_index_sets(ideal)
-    system = [(tuple(int(j in p) for j in range(n)), k) for p in primes]
-    return _minimal_points(ideal.ring, system)
+    return _power_of_primes(ideal.ring, _prime_index_sets(ideal), k)
+
+
+def _power_of_primes(ring, primes, k):
+    """The intersection of p^k over the primes p, given as index sets."""
+    system = [(tuple(int(j in p) for j in range(ring.n)), k) for p in primes]
+    return _minimal_points(ring, system)
 
 
 def symbolic_equals_ordinary(ideal, k):
@@ -259,6 +297,13 @@ def is_packed(ideal):
     any, is built as an ideal.
     Visiting more than ``_POINT_WORK_CAP`` (zeros, ones) pairs raises
     ``ResourceCapError``; there are 3^n - 2^n of them on n variables.
+
+    Each minor is decided by two bounded searches: ``_cover_number``
+    deepens to the least c with a cover of c vertices, starting from a
+    greedy disjoint family, and when that family falls short of c,
+    ``_max_disjoint`` asks only whether c disjoint masks exist and stops at
+    the first family it finds.  The exact disjoint count is computed only
+    for the failing minor that is reported.
     """
     _require_squarefree_proper(ideal)
     n = ideal.ring.n
@@ -283,9 +328,10 @@ def is_packed(ideal):
                     if not minor or 0 in minor or minor in seen:
                         continue
                     seen.add(minor)
-                    c = _cover_number(minor)
-                    d, _ = _max_disjoint(tuple(minor))
-                    if d < c:
+                    masks = tuple(minor)
+                    c, greedy = _cover_number(masks)
+                    if greedy < c and not _max_disjoint(masks, c)[0]:
+                        d, _ = _max_disjoint(masks)
                         names = ideal.ring.variables
                         zeros = tuple(names[b.bit_length() - 1] for b in zeros)
                         ones = tuple(names[b.bit_length() - 1] for b in ones)
@@ -456,8 +502,10 @@ def verify_edge_theorem(graph, k_max, ring=None):
     packed, packed_fail = is_packed(ideal)
     equal_up_to = k_max
     witness = None
-    for k in range(2, k_max + 1):
-        eq, wit = symbolic_equals_ordinary(ideal, k)
+    primes = _prime_index_sets(ideal)
+    powers = islice(ideal.ladder(ideal, k_max - 1), 1, None)  # I^2..I^k_max
+    for k, ordinary in zip(range(2, k_max + 1), powers):
+        eq, wit = _power_witness(_power_of_primes(ideal.ring, primes, k), ordinary)
         if not eq:
             equal_up_to = k - 1
             witness = wit

@@ -10,7 +10,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product, zip_longest
 from math import comb, isqrt
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 
 from idealkit import (
     QQ,
@@ -95,6 +95,49 @@ def minimal_rows_by_scan(rows):
         if not any(all(a <= b for a, b in zip(k, r)) for k in lower):
             kept.append(r)
     return kept
+
+
+def minimal_lifts_by_recursion(weights, deficit):
+    """``_minimal_lifts`` as the recursion it was written as: r_0 takes
+    0..t - 1 with t = ceil(deficit / w_0), each followed by the lifts of the
+    rest, then t with zeros after it."""
+    w, rest = weights[0], weights[1:]
+    top = max(0, -(-deficit // w))
+    if rest:
+        for first in range(top):
+            for tail in minimal_lifts_by_recursion(rest, deficit - w * first):
+                yield (first,) + tail
+    yield (top,) + (0,) * len(rest)
+
+
+def minimal_points_by_tuples(n, inequalities):
+    """(rows, made) of the lattice-point folds on exponent tuples, the
+    plainer implementation the packed-key folds replaced: the rows are the
+    minimal solutions of c . a >= b for all (c, b), in ascending (degree,
+    tuple) order, and made counts every lifted row over all folds.
+
+    Each fold lifts every row g by the lifts of its deficit b - c . g and
+    minimalizes all of them with ``_minimal_rows``; the inequality the
+    fewest rows violate goes first, ties in list order.
+    """
+    rows, made, pending = [(0,) * n], 0, list(inequalities)
+    while pending:
+        coeffs, bound = min(pending, key=lambda q: sum(
+            sum(map(mul, q[0], g)) < q[1] for g in rows))
+        pending.remove((coeffs, bound))
+        support = [j for j, c in enumerate(coeffs) if c]
+        weights = [coeffs[j] for j in support]
+        lifted = []
+        for g in rows:
+            deficit = bound - sum(map(mul, coeffs, g))
+            for r in minimal_lifts_by_recursion(weights, deficit):
+                made += 1
+                row = list(g)
+                for j, x in zip(support, r):
+                    row[j] += x
+                lifted.append(tuple(row))
+        rows = _minimal_rows(lifted)
+    return rows, made
 
 
 def intersect_fold(ideals):

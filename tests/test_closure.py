@@ -111,17 +111,25 @@ def test_facet_found_by_exact_rank():
 
 
 def test_power_closure_minimalizes_once_per_facet(monkeypatch):
+    # one fold per facet, each minimalized once, except the facets with
+    # bound 0: every row satisfies them, so they fold first and leave {0};
     # the fold of the last facet leaves the minimal generators
     calls = []
-    minimal_rows = monomials._minimal_rows
-    monkeypatch.setattr(monomials, "_minimal_rows",
-                        lambda rows: calls.append(minimal_rows(rows)) or calls[-1])
+    fold_rows = monomials._fold_rows
+
+    def record(layout, satisfied, lifted):
+        kept = fold_rows(layout, satisfied, lifted)
+        calls.append([layout.unpack(key) for key in sorted(kept)])
+        return kept
+
+    monkeypatch.setattr(monomials, "_fold_rows", record)
     ideal = parse_ideal(parse_ring("x, y, z"), "x^3*y, y^2*z^2, x*z^4, x^2*y^2*z")
     facets = newton_polyhedron(ideal).facets
+    assert [b for _, b in facets].count(0) == 3
     for n in (1, 2, 3):
         calls.clear()
         closed = closure._power_closure(ideal.ring, facets, n)
-        assert len(calls) == len(facets)
+        assert len(calls) == len(facets) - 3
         assert [g.exponents for g in closed.generators] == calls[-1][::-1]
 
 

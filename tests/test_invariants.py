@@ -290,8 +290,8 @@ def test_pairwise_coprime_generators_answer_within_a_time_limit():
 
 
 def test_pivot_recursion_cap_stops_the_fifty_cycle_within_a_time_limit():
-    # the pivot recursion takes about four times the steps per five more
-    # cycle vertices; C40 takes 131,313 and answers, C50 would take minutes
+    # the pivot recursion reads about four times the rows per five more
+    # cycle vertices; C40 reads 3,213,239 and answers, C50 would take minutes
     src = Path(__file__).resolve().parents[1] / "src"
     n = 50
     ring = ",".join(f"x{i}" for i in range(1, n + 1))
@@ -303,17 +303,39 @@ def test_pivot_recursion_cap_stops_the_fifty_cycle_within_a_time_limit():
     )
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
-        f"resource cap: Hilbert pivot recursion took over {invariants._PIVOT_CAP} steps\n")
+        f"resource cap: Hilbert pivot recursion read over {invariants._PIVOT_CAP} rows\n")
 
 
-def test_pivot_recursion_cap_counts_worklist_steps(monkeypatch):
-    # (x^2, x*y, y^2): the root splits once into two coprime leaves
+def test_pivot_recursion_cap_counts_rows_read(monkeypatch):
+    # (x^2, x*y, y^2): the root reads 3 rows and splits once into two
+    # coprime leaves of 2 rows each
     rows = _rows(parse_ideal(parse_ring("x, y"), "x^2, x*y, y^2"))
-    monkeypatch.setattr(invariants, "_PIVOT_CAP", 3)
+    monkeypatch.setattr(invariants, "_PIVOT_CAP", 7)
     assert invariants._strip(invariants._numerator(rows, 2)) == [1, 0, -3, 2]
-    monkeypatch.setattr(invariants, "_PIVOT_CAP", 2)
-    with pytest.raises(ResourceCapError, match="^Hilbert pivot recursion took over 2 steps$"):
+    monkeypatch.setattr(invariants, "_PIVOT_CAP", 6)
+    with pytest.raises(ResourceCapError, match="^Hilbert pivot recursion read over 6 rows$"):
         invariants._numerator(rows, 2)
+
+
+def test_colon_recursion_cap_counts_rows_read(monkeypatch):
+    # (y^2, x*y, x^2) join in that order: y^2 : x*y reads 1 row, and
+    # (y^2, x*y) : x^2 reads 2, whose colon rows y, y^2 minimalize with one
+    # more read
+    rows = _rows(parse_ideal(parse_ring("x, y"), "x^2, x*y, y^2"))
+    monkeypatch.setattr(invariants, "_COLON_CAP", 4)
+    assert invariants._strip(invariants._colon_numerator(rows, 2)) == [1, 0, -3, 2]
+    monkeypatch.setattr(invariants, "_COLON_CAP", 3)
+    with pytest.raises(ResourceCapError, match="^Hilbert colon recursion read over 3 rows$"):
+        invariants._colon_numerator(rows, 2)
+
+
+def test_colon_recursion_cap_stops_a_large_maximal_ideal():
+    # (x1..x200) is one pivot leaf, but its colon check minimalizes every
+    # prefix against each later variable, 67M reads
+    ring = numbered_ring(200)
+    with pytest.raises(ResourceCapError,
+                       match=f"^Hilbert colon recursion read over {invariants._COLON_CAP} rows$"):
+        hilbert_series(parse_ideal(ring, ", ".join(ring.variables)))
 
 
 def _oracle_corpus():

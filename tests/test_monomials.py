@@ -10,11 +10,14 @@ from idealkit import (
     ResourceCapError,
     RingMismatchError,
     edge_ideal,
+    minimal_primes,
+    newton_polyhedron,
     parse_ideal,
     parse_monomial,
     parse_ring,
     random_ideal,
     random_monomial,
+    random_squarefree_ideal,
     rng_from_seed,
     symbolic_equals_ordinary,
 )
@@ -25,9 +28,19 @@ from idealkit.monomials import (
     PackedLayout,
     _ideal_from_rows,
     _lcm_row,
+    _lift_count,
+    _minimal_lifts,
+    _minimal_points,
     _minimal_rows,
 )
-from helpers import compositions, minimal_rows_by_scan, numbered_ring, scan_member
+from helpers import (
+    compositions,
+    minimal_lifts_by_recursion,
+    minimal_points_by_tuples,
+    minimal_rows_by_scan,
+    numbered_ring,
+    scan_member,
+)
 
 R2 = parse_ring("x, y")
 R3 = parse_ring("x, y, z")
@@ -496,3 +509,77 @@ def test_generators_are_always_minimal_antichains():
         for i, g in enumerate(gens):
             for j, h in enumerate(gens):
                 assert i == j or not g.divides(h)
+
+
+def _point_systems():
+    """Seeded lattice-point systems: symbolic powers of square-free ideals,
+    power closures of Newton polyhedra (whose facets have coefficients above
+    1), and coefficients up to 3 with bounds at powers of two, which put the
+    rows and dot products at the edges of their field widths.  In the first
+    ones the last inequality meets the rows (0, 0, 1) and (a, a, 0), the
+    second with c . g = 6a, past twice the rows' reach of 2a: fields sized
+    for the rows alone would carry there."""
+    rng = rng_from_seed("idealkit:monomials:points")
+    ring = numbered_ring(3)
+    systems = [(ring, [((1, 0, a), a), ((0, 1, a), a), ((3, 3, 3), 6)]) for a in range(2, 25)]
+    while len(systems) < 83:
+        ring = numbered_ring(rng.randint(2, 5))
+        ideal = random_squarefree_ideal(rng, ring, max_generators=5)
+        if not ideal.is_zero and not ideal.is_unit:
+            k = rng.randint(1, 4)
+            systems.append((ring, [(tuple(int(j in p.indices) for j in range(ring.n)), k)
+                                   for p in minimal_primes(ideal)]))
+    while len(systems) < 143:
+        ring = numbered_ring(rng.randint(2, 3))
+        ideal = random_ideal(rng, ring, max_generators=4, max_degree=5)
+        if not ideal.is_zero and not ideal.is_unit:
+            n = rng.randint(1, 3)
+            facets = newton_polyhedron(ideal).facets
+            systems.append((ring, [(c, n * b) for c, b in facets]))
+    while len(systems) < 203:
+        ring = numbered_ring(rng.randint(1, 3))
+        system = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = tuple(rng.randint(0, 3) for _ in range(ring.n))
+            if any(coeffs):
+                system.append((coeffs, (1 << rng.randint(1, 5)) + rng.randint(-1, 1)))
+        if system:
+            systems.append((ring, system))
+    return systems
+
+
+def test_minimal_points_match_the_tuple_folds():
+    for ring, system in _point_systems():
+        rows, _ = minimal_points_by_tuples(ring.n, system)
+        assert _minimal_points(ring, system).rows == tuple(reversed(rows)), system
+
+
+def test_point_work_cap_trips_at_the_tuple_folds_count(monkeypatch):
+    # the packed folds count every lifted row, as the tuple folds do: a cap
+    # one below that count raises, a cap equal to it answers
+    for ring, system in _point_systems():
+        rows, made = minimal_points_by_tuples(ring.n, system)
+        monkeypatch.setattr(monomials, "_POINT_WORK_CAP", made - 1)
+        with pytest.raises(ResourceCapError,
+                           match=f"^lattice-point search made over {made - 1} rows$"):
+            _minimal_points(ring, system)
+        monkeypatch.setattr(monomials, "_POINT_WORK_CAP", made)
+        assert _minimal_points(ring, system).rows == tuple(reversed(rows))
+
+
+def test_minimal_lifts_match_the_recursion_in_order():
+    rng = rng_from_seed("idealkit:monomials:lifts")
+    for _ in range(300):
+        weights = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5)))
+        deficit = rng.randint(-2, 12)
+        assert list(_minimal_lifts(weights, deficit)) == list(
+            minimal_lifts_by_recursion(weights, deficit)), (weights, deficit)
+
+
+def test_lift_count_counts_the_lifts():
+    rng = rng_from_seed("idealkit:monomials:lift-count")
+    for _ in range(300):
+        weights = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+        deficit = rng.randint(-2, 14)
+        assert _lift_count(weights, deficit) == len(list(_minimal_lifts(weights, deficit)))
+    assert _lift_count((1,) * 1200, 2) == 1201 * 1200 // 2

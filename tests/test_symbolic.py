@@ -1,5 +1,6 @@
 """Symbolic powers, minimal primes, packing, and the bipartite edge theorem."""
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from idealkit import (
     Graph,
     MonomialIdeal,
     ResourceCapError,
+    Ring,
     connected_graph_reps,
     edge_ideal,
     is_bipartite,
@@ -27,6 +29,8 @@ from idealkit import (
     verify_edge_theorem,
 )
 from idealkit import monomials
+from idealkit.monomials import _minimal_lifts
+from idealkit.symbolic import _cover_number, _max_disjoint
 from helpers import (
     codim_by_subsets,
     disjoint_by_subsets,
@@ -141,11 +145,17 @@ def test_symbolic_power_work_cap():
 
 
 def test_symbolic_power_minimalizes_once_per_prime(monkeypatch):
-    # the fold of the last minimal prime leaves the minimal generators
+    # one fold per minimal prime, each minimalized once; the fold of the
+    # last minimal prime leaves the minimal generators
     calls = []
-    minimal_rows = monomials._minimal_rows
-    monkeypatch.setattr(monomials, "_minimal_rows",
-                        lambda rows: calls.append(minimal_rows(rows)) or calls[-1])
+    fold_rows = monomials._fold_rows
+
+    def record(layout, satisfied, lifted):
+        kept = fold_rows(layout, satisfied, lifted)
+        calls.append([layout.unpack(key) for key in sorted(kept)])
+        return kept
+
+    monkeypatch.setattr(monomials, "_fold_rows", record)
     for ideal, k in ((TRIANGLE, 2), (edge_ideal(Graph.cycle(5)), 3), (TRIANGLE, 1)):
         primes = minimal_primes(ideal)
         calls.clear()
@@ -241,6 +251,38 @@ def test_packing_kernels_match_subset_oracles():
         assert max_disjoint_monomials(ideal) == disjoint_by_subsets(ideal), ideal
         primes = [p.indices for p in minimal_primes(ideal)]
         assert primes == minimal_covers_by_subsets(ideal), ideal
+
+
+def test_disjoint_search_stops_at_its_goal():
+    # asked for goal disjoint masks, the search finds such a family exactly
+    # when the largest one has at least goal masks
+    rng = rng_from_seed("idealkit:symbolic:disjoint-goal")
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        masks = tuple({rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 8))})
+        best, _ = _max_disjoint(masks)
+        for goal in range(1, best + 2):
+            count, picks = _max_disjoint(masks, goal)
+            if goal > best:
+                assert (count, picks) == (0, ()), (masks, goal)
+                continue
+            assert count == goal == len(picks), (masks, goal)
+            used = 0
+            for i in picks:
+                assert not masks[i] & used
+                used |= masks[i]
+
+
+def test_cover_deepening_starts_at_a_disjoint_family():
+    # the greedy family is disjoint, so it bounds the cover number from below
+    rng = rng_from_seed("idealkit:symbolic:cover-start")
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        masks = tuple({rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 8))})
+        cover, greedy = _cover_number(masks)
+        assert greedy <= _max_disjoint(masks)[0] <= cover
+        assert cover == min(bin(c).count("1") for c in range(1 << n)
+                            if all(c & m for m in masks))
 
 
 def test_codim_of_non_squarefree_ideals_matches_subset_oracle():
@@ -356,3 +398,26 @@ def test_packing_is_necessary_for_equality():
             continue
         if all(symbolic_equals_ordinary(ideal, k)[0] for k in (2, 3, 4)):
             assert is_packed(ideal)[0]
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def test_searches_on_a_maximal_ideal_need_no_stack(default_recursion_limit):
+    # the cover searches go one level per variable, 1,200 levels deep, and
+    # a symbolic power lifts over all 1,200 variables at once
+    ring = Ring(tuple(f"x{i}" for i in range(1200)))
+    ideal = MonomialIdeal.from_generators(ring, map(ring.variable, ring.variables))
+    assert [p.indices for p in minimal_primes(ideal)] == [tuple(range(1200))]
+    assert codim(ideal) == 1200
+    lifts = _minimal_lifts((1,) * 1200, 2)
+    assert next(lifts) == (0,) * 1199 + (2,)
+    assert next(lifts) == (0,) * 1198 + (1, 1)
+    # C(1201, 2) = 720,600 lifts: refused before any is formed
+    with pytest.raises(ResourceCapError, match="^lattice-point search made over 500000 rows$"):
+        symbolic_power(ideal, 2)
