@@ -3,8 +3,8 @@
 For ideals I and N the n-th Artin-Rees defect is the least k with
 I^n intersect N  within  I^(n-k) * N; the containment weakens as k grows,
 so a linear descent from k = n (where it always holds) finds the least k.
-The second half searches for power mismatches I^ell != J^(ell-k) * I^k for
-a subideal J of I, the obstruction pattern behind uniform bounds.
+The second half compares I^(k+1) with J * I^k for a subideal J of I; when
+they agree, I^ell = J^(ell-k) * I^k for every ell > k.
 """
 
 from __future__ import annotations
@@ -53,11 +53,12 @@ def artin_rees_number(ideal, sub, n_max):
 
 
 def ar_counterexample_search(ideal, sub, k, ell_max):
-    """First ell in (k, ell_max] with I^ell != J^(ell-k) I^k, plus a witness.
+    """First ell > k with I^ell != J^(ell-k) I^k and a witness, or None.
 
-    Requires J within I, so the product side always sits inside I^ell and a
-    mismatch is witnessed by a generator of I^ell outside the product.
-    Returns (ell, witness) or None when the scan is clean.
+    J must sit inside I, so a mismatch is witnessed by a generator of I^ell
+    outside the product.  If I^(k+1) = J I^k then, by induction, I^(ell+1) =
+    I J^(ell-k) I^k = J^(ell-k) I^(k+1) = J^(ell+1-k) I^k: only ell = k + 1
+    is compared, None holds for every ell, and ``ell_max`` is only validated.
     """
     ideal._check(sub)
     if not ideal.contains_ideal(sub):
@@ -67,12 +68,10 @@ def ar_counterexample_search(ideal, sub, k, ell_max):
     if ell_max < k + 1:
         raise ValueError("ell_max must be at least k + 1")
     ik = ideal.power(k)
-    # I^ell and J^(ell-k) I^k; at ell = k both are I^k
-    sides = zip(ik.ladder(ideal, ell_max - k), ik.ladder(sub, ell_max - k))
-    for ell, (lhs, rhs) in enumerate(sides, k):
-        if lhs != rhs:
-            witness = rhs.first_outside(lhs)
-            if witness is None:
-                raise RuntimeError("internal error: mismatch without witness")
-            return ell, witness
-    return None
+    lhs, rhs = ik * ideal, ik * sub
+    if lhs == rhs:
+        return None
+    witness = rhs.first_outside(lhs)
+    if witness is None:
+        raise RuntimeError("internal error: mismatch without witness")
+    return k + 1, witness

@@ -14,10 +14,10 @@ and render.
 
 Exit codes: 0 when the command answered (even if the answer is "no"),
 1 when a verification subcommand found its claim false, 2 on usage or
-parse problems, 3 when a resource cap tripped, 4 when an internal
-self-check failed or the recursion limit was hit.  ``--json`` reports carry
-a ``schema`` version and sort keys, so identical invocations emit
-byte-identical output.
+parse problems or a closed output, 3 when a resource cap tripped, 4 when
+an internal self-check failed or the recursion limit was hit.  ``--json``
+reports carry a ``schema`` version and sort keys, so identical invocations
+emit byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -658,11 +659,21 @@ def main(argv=None):
     except (ValueError, OSError) as exc:  # ParseError, RingMismatchError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps({"schema": 1, **payload}, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps({"schema": 1, **payload}, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError as exc:
+        # the signal module docs' recipe: with stdout on devnull, the flush
+        # at exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

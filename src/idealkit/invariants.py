@@ -231,13 +231,13 @@ def _standard_counts(rows, n, degrees):
 
 def _series_coefficient(num, n, d):
     """Coefficient of z^d in num(z) / (1 - z)^n."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     return sum(c * comb(n - 1 + d - j, n - 1) for j, c in enumerate(num) if j <= d)
 
 
 def hilbert_function(ideal, d):
     """Number of degree-d monomials outside the ideal."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
     return _standard_counts(ideal.rows, ideal.ring.n, [d])[0]
 
 

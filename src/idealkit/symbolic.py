@@ -295,8 +295,9 @@ def is_packed(ideal):
     neither the cover number nor the largest disjoint count.  A mask set
     already checked is not checked again, and only the failing minor, if
     any, is built as an ideal.
-    Visiting more than ``_POINT_WORK_CAP`` (zeros, ones) pairs raises
-    ``ResourceCapError``; there are 3^n - 2^n of them on n variables.
+    Forming more than ``_POINT_WORK_CAP`` minor generators raises
+    ``ResourceCapError``; each of the 3^n - 2^n pairs on n variables forms
+    one per generator missing every zero, counted before it is formed.
 
     Each minor is decided by two bounded searches: ``_cover_number``
     deepens to the least c with a cover of c vertices, starting from a
@@ -310,7 +311,7 @@ def is_packed(ideal):
     supports = [_support_mask(r) for r in ideal.rows]
     bits = [1 << i for i in range(n)]
     seen = set()
-    visited = 0
+    formed = 0
     for total in range(n):
         for zcount in range(total + 1):
             for zeros in combinations(bits, zcount):
@@ -318,11 +319,11 @@ def is_packed(ideal):
                 alive = [g for g in supports if not g & zmask]
                 rest = [b for b in bits if not b & zmask]
                 for ones in combinations(rest, total - zcount):
-                    visited += 1
-                    if visited > monomials._POINT_WORK_CAP:
+                    formed += len(alive)
+                    if formed > monomials._POINT_WORK_CAP:
                         raise ResourceCapError(
-                            f"packedness check visited over "
-                            f"{monomials._POINT_WORK_CAP} minors")
+                            f"packedness check formed over "
+                            f"{monomials._POINT_WORK_CAP} minor generators")
                     keep = ~sum(ones)
                     minor = frozenset([g & keep for g in alive])
                     if not minor or 0 in minor or minor in seen:

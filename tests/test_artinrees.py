@@ -67,7 +67,7 @@ def test_search_validates_inputs():
     with pytest.raises(ValueError):
         ar_counterexample_search(sub, ideal, 1, 6)  # sub must sit inside ideal
     with pytest.raises(ValueError):
-        ar_counterexample_search(ideal, sub, 3, 3)  # scan range is empty
+        ar_counterexample_search(ideal, sub, 3, 3)  # ell_max below k + 1
 
 
 def test_witnesses_separate_the_two_sides():

@@ -1,9 +1,9 @@
 """End-to-end checks of the command line interface.
 
-Every test but one drives idealkit.cli.main in process and freezes the
-observable contract: exit codes, JSON payloads (sorted keys, schema tag),
-and the plain-text renderings.  The elimination-cap test runs the command
-in a child process under a memory limit.
+Most tests drive idealkit.cli.main in process and freeze the observable
+contract: exit codes, JSON payloads (sorted keys, schema tag), and the
+plain-text renderings.  Those that need a time or memory limit, or a
+closed stdout, run the command in a child process.
 """
 
 import argparse
@@ -37,6 +37,15 @@ def run_json(capsys, *argv):
     payload = json.loads(out)
     assert payload["schema"] == 1
     return code, payload
+
+
+def run_child(argv, timeout, **kwargs):
+    """Run the CLI in a child process; its CompletedProcess."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "idealkit", *argv], text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(src)}, **kwargs,
+    )
 
 
 def test_compare_text(capsys):
@@ -478,25 +487,54 @@ def test_closure_of_a_cube_exits_three_at_the_elimination_cap():
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "idealkit", *argv], capture_output=True, text=True,
-        preexec_fn=limit, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
-    )
+    done = run_child(argv, timeout=120, capture_output=True, preexec_fn=limit)
     assert (done.returncode, done.stdout, done.stderr) == (
         3, "", "resource cap: facet elimination exceeded the row cap\n")
 
 
 def test_packedness_cap_exits_three(capsys, monkeypatch):
-    # the 6-vertex path is packed, so the check visits all 3^6 - 2^6 pairs
-    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 100)
-    code, out, err = run_cli(
-        capsys,
-        "symbolic", "packed",
-        "--ring", "a,b,c,d,e,f", "--ideal", "a*b, b*c, c*d, d*e, e*f",
-    )
+    # the 6-vertex path is packed, so the check forms all 1,540 minor
+    # generators of its 3^6 - 2^6 pairs unless the cap stops it
+    argv = ("symbolic", "packed", "--ring", "a,b,c,d,e,f", "--ideal", "a*b, b*c, c*d, d*e, e*f")
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 1539)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err == "resource cap: packedness check visited over 100 minors\n"
+    assert err == "resource cap: packedness check formed over 1539 minor generators\n"
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 1540)
+    assert run_cli(capsys, *argv) == (0, "packed\n", "")
+
+
+def test_packedness_cap_counts_minor_generators_in_a_child():
+    # 1,200 variables give 1,200 generators per pair, so the cap trips
+    # after a few hundred pairs instead of forming ever larger minors
+    names = ",".join(f"x{i}" for i in range(1200))
+    start = time.perf_counter()
+    done = run_child(["symbolic", "packed", "--ring", names, "--ideal", names], timeout=60,
+                     capture_output=True)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "resource cap: packedness check formed over 500000 minor generators\n"
+    assert time.perf_counter() - start < 10
+
+
+def test_closed_output_exits_two_without_a_traceback():
+    # the child writes into a pipe whose read end is already closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_child(["ideal", "gens", "--ring", "x", "--ideal", "x"], timeout=60,
+                         stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def test_clean_mismatch_search_ignores_a_huge_lmax():
+    # one comparison at l = k + 1 settles every l, so --lmax bounds no work;
+    # a scan over l would run far past the child's time limit
+    done = run_child(["artinrees", "exercise4", "--n", "3", "--k", "2", "--lmax", "1000000"],
+                     timeout=20, capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "no mismatch: I^l = J^(l-2) I^2 for l <= 1000000\n", "")
 
 
 def test_frobenius_long_power_chain_answers(capsys):
@@ -592,6 +630,12 @@ def test_frobenius_negative_e_exits_two(capsys):
         "--ring", "x,y", "--polys", "x; y", "--p", "2", "--e", "-1",
     )
     assert (code, out, err) == (2, "", "error: e must be nonnegative\n")
+    # a negative degree is refused where the series is read, as in the library
+    code, out, err = run_cli(
+        capsys,
+        "invariants", "hilbert", "--ring", "x,y", "--ideal", "x*y", "--degree", "-3",
+    )
+    assert (code, out, err) == (2, "", "error: degree must be nonnegative\n")
 
 
 def test_mather_reports_the_searched_bound(capsys):

@@ -299,12 +299,14 @@ def test_packed_iff_bipartite_on_larger_graphs():
 
 
 def test_packedness_minor_cap(monkeypatch):
-    # the 4-vertex path is packed, so every one of its 3^4 - 2^4 = 65 pairs is visited
+    # the 4-vertex path is packed, so every one of its 3^4 - 2^4 = 65 pairs is
+    # visited; together they form 96 minor generators, one per surviving edge
     path = edge_ideal(Graph.path(4))
-    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 64)
-    with pytest.raises(ResourceCapError, match="packedness check visited over 64 minors"):
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 95)
+    with pytest.raises(ResourceCapError,
+                       match="packedness check formed over 95 minor generators"):
         is_packed(path)
-    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 65)
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 96)
     assert is_packed(path) == (True, None)
 
 
