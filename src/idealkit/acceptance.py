@@ -42,7 +42,7 @@ from .invariants import (
     graded_betti,
     verify_betti_hilbert_identity,
 )
-from .monomials import MonomialIdeal, Ring, parse_ideal, parse_ring
+from .monomials import MonomialIdeal, Ring, parse_ideal, parse_monomial, parse_ring
 from .symbolic import codim, minimal_primes, symbolic_power, verify_edge_theorem
 
 DEFAULT_SEED = 20260813
@@ -170,38 +170,39 @@ def _check_closure(seed):
 
 
 def _check_artin_rees(seed):
+    """I = (x^n, y^n, x^(n-1)*y) has reduction number n - 1 over J = (x^n, y^n).
+
+    (x^(n-1)*y)^n = (x^n)^(n-1)*y^n puts I^n in J*I^(n-1), so by the lemma
+    behind ``exercise4`` I^l = J^(l-k)*I^k for every l once k >= n - 1;
+    (x^(n-1)*y)^(n-1) lies outside J*I^(n-2), so k = n - 2 mismatches at
+    l = n - 1.  Witnesses are re-checked with ideal arithmetic.
+    """
+    ring = parse_ring("x,y")
+    witnesses = []
     for n in (3, 4):
+        big = parse_ideal(ring, f"x^{n}, y^{n}, x^{n - 1}*y")
+        sub = parse_ideal(ring, f"x^{n}, y^{n}")
+        _need(big.power(n) == sub * big.power(n - 1),
+              f"I^{n} != J*I^{n - 1} at n={n}: the reduction number is not n-1")
         code, payload = _cli_json(
-            ["artinrees", "exercise4", "--n", str(n), "--k", str(n - 1),
-             "--lmax", str(2 * n)]
-        )
-        _need(code == 0, f"exercise4 exited {code} at n={n}")
-        if not payload["found"]:
-            code, edge = _cli_json(
-                ["artinrees", "exercise4", "--n", str(n), "--k", str(n - 2),
-                 "--lmax", str(2 * n)]
-            )
-            witness = edge.get("witness") if code == 0 else None
-            _need(
-                False,
-                f"no mismatch exists at n={n}, k={n - 1}: the identity "
-                f"(x^{n - 1}*y)^{n} = (x^{n})^{n - 1}*(y^{n}) rewrites any "
-                f"product to use at most {n - 1} mixed factors, so "
-                f"I^l = J^(l-k)*I^k for every l once k >= {n - 1}; mismatches "
-                f"occur exactly for k <= {n - 2} (k={n - 2} finds witness "
-                f"{witness} at l={edge.get('ell')})",
-            )
-        _need(
-            payload["ell"] <= 2 * n,
-            f"mismatch at l={payload['ell']} beyond 2n at n={n}",
-        )
-        code, payload = _cli_json(
-            ["artinrees", "exercise4", "--n", str(n), "--k", str(n),
-             "--lmax", str(2 * n)]
-        )
-        _need(code == 0, f"exercise4 exited {code} at n={n}, k={n}")
-        _need(not payload["found"], f"unexpected mismatch at n={n}, k={n}")
-    return "n = 3, 4: mismatch found for k = n-1 within 2n, none for k = n"
+            ["artinrees", "exercise4", "--n", str(n), "--k", str(n - 2)])
+        _need(code == 0 and payload["found"] and payload["ell"] == n - 1,
+              f"k={n - 2} at n={n}: exit {code}, {payload}, expected a mismatch "
+              f"at l={n - 1}")
+        witness = parse_monomial(ring, payload["witness"])
+        expected = f"x^{(n - 1) ** 2}*y^{n - 1}"
+        _need(payload["witness"] == expected,
+              f"witness {payload['witness']} at n={n}, expected {expected}")
+        _need(witness in big.power(n - 1) and witness not in sub * big.power(n - 2),
+              f"witness {witness} at n={n} is not in I^{n - 1} minus J*I^{n - 2}")
+        witnesses.append(payload["witness"])
+        for k in (n - 1, n):
+            code, payload = _cli_json(
+                ["artinrees", "exercise4", "--n", str(n), "--k", str(k)])
+            _need(code == 0 and not payload["found"],
+                  f"k={k} at n={n}: exit {code}, {payload}, expected no mismatch")
+    return (f"n = 3, 4: reduction number n-1; k = n-2 mismatches at l = n-1 "
+            f"({', '.join(witnesses)}), k = n-1 and n do not")
 
 
 def _check_kollar(seed):

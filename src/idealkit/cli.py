@@ -298,7 +298,7 @@ def _cmd_artinrees_exercise4(args):
         "witness": None if hit is None else str(hit[1]),
     }
     if hit is None:
-        lines = [f"no mismatch: I^l = J^(l-{args.k}) I^{args.k} for l <= {lmax}"]
+        lines = [f"no mismatch: I^l = J^(l-{args.k}) I^{args.k} for every l >= {args.k}"]
     else:
         ell, witness = hit
         lines = [f"mismatch at l={ell}: {witness} outside J^({ell - args.k}) I^{args.k}"]

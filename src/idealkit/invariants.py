@@ -10,7 +10,14 @@ independent numerator: the colon recursion of Bayer and Stillman,
 time and shares no pivot logic with the above.  The two numerators must be
 equal; since h(d) = sum_{j<=d} c_j * C(n-1+d-j, n-1) weighs c_d by one,
 their first differing coefficient is the first degree where the two series
-differ.  ``hilbert_polynomial`` takes its samples from the checked series.
+differ.
+
+The Hilbert polynomial p(d) = sum_j c_j * C(d - j + n - 1, n - 1) is one
+integer expansion, of (n-1)! * p(d) = sum_j c_j * prod_{i=1}^{n-1} (d - j + i).
+From d0 = deg N - n + 1 on, the checked series' coefficients are the values
+of a polynomial of degree below n (Hilbert-Serre; Bruns-Herzog 4.1), and so
+is p; ``hilbert_polynomial`` compares the two at the n degrees
+d0, ..., d0 + n - 1, which proves every printed coefficient.
 
 The colon recursion runs on packed rows: each exponent vector is one int in
 the lex ``monomials.PackedLayout`` with the first variable highest, with
@@ -31,6 +38,8 @@ K^a is the union of the full simplices on {i : r_i < a_i} over the
 generators r dividing x^a, so its faces are the submasks of those facets.
 With this convention the (x_1..x_n) table is the binomial row C(n, i) in
 total degree j = i, which the tests pin down.
+The walk's one default bound is ``_LATTICE_CAP`` lattice points; a generator
+count is refused only when a caller or a caps file sets ``max_generators``.
 
 The lattice is built in one pass: each generator joins the lcms formed
 before it, and itself.  Facets come from packed rows with the guard bits
@@ -52,6 +61,7 @@ columns left over over Q are ranked by fraction-free integer elimination
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, prod
@@ -78,15 +88,6 @@ def _strip(coeffs):
     out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
-    return out
-
-
-def _poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
     return out
 
 
@@ -295,73 +296,56 @@ def hilbert_series(ideal):
     return HilbertSeries(ideal.ring, tuple(_checked_numerator(ideal.rows, ideal.ring.n)))
 
 
-def _binom_poly(m, k):
-    """The polynomial binomial coefficient C(m, k) at any integer m."""
-    num = 1
-    for i in range(k):
-        num *= m - i
-    return num // factorial(k)
-
-
 @dataclass(frozen=True)
 class HilbertPolynomial:
-    """Hilbert polynomial in the shifted binomial basis.
-
-    Stored as the numerator coefficients: p(d) is the sum of
-    c_j * C(d - j + n - 1, n - 1) with the binomials read as polynomials in
-    d.  Values agree with the Hilbert function from ``stability`` onward.
-    """
+    """Hilbert polynomial p of S/I from its series numerator; it agrees
+    with the Hilbert function from ``stability`` on.  Every method reads one
+    integer expansion, the coefficients of (n-1)! * p(d), ascending."""
 
     ring: object
     numerator: tuple[int, ...]
     stability: int
 
-    def __call__(self, d):
-        n = self.ring.n
-        return sum(
-            c * _binom_poly(d - j + n - 1, n - 1)
-            for j, c in enumerate(self.numerator)
-        )
-
-    def coefficients(self):
-        """Standard-basis coefficients, ascending, as exact rationals."""
-        n = self.ring.n
-        total = [Fraction(0)]
+    @cached_property
+    def _scaled(self):
+        total = []
         for j, c in enumerate(self.numerator):
             if c == 0:
                 continue
-            # expand C(d + n - 1 - j, n - 1) as a polynomial in d
-            poly = [Fraction(1)]
-            for i in range(n - 1):
-                shift = n - 1 - j - i
-                poly = _poly_add(
-                    [v * shift for v in poly], [Fraction(0)] + list(poly)
-                )
-            poly = [v / factorial(n - 1) for v in poly]
-            total = _poly_add(total, [v * c for v in poly])
+            term = [c]
+            for i in range(1, self.ring.n):
+                # times d + (i - j)
+                term = [a * (i - j) + b for a, b in zip(term + [0], [0] + term)]
+            total = [a + b for a, b in zip_longest(total, term, fillvalue=0)]
         return tuple(_strip(total))
+
+    def __call__(self, d):
+        value = 0
+        for c in reversed(self._scaled):
+            value = value * d + c
+        # a product of n - 1 consecutive integers is a multiple of (n-1)!
+        return value // factorial(self.ring.n - 1)
+
+    def coefficients(self):
+        """Standard-basis coefficients, ascending, as exact rationals."""
+        scale = factorial(self.ring.n - 1)
+        return tuple(Fraction(c, scale) for c in self._scaled)
 
     @property
     def degree(self):
-        return len(self.coefficients()) - 1
+        return len(self._scaled) - 1
 
     def __str__(self):
-        coeffs = self.coefficients()
-        if not coeffs:
-            return "0"
-        return _format_poly(list(coeffs), var="d")
+        return _format_poly(self.coefficients(), var="d")
 
 
 def hilbert_polynomial(ideal):
-    """Hilbert polynomial plus its stability threshold, verified on samples.
-
-    The samples at the stability degree and the two after it are the
-    coefficients of the checked series.
-    """
+    """Hilbert polynomial plus its stability degree d0, proved by agreeing
+    with the checked series at the n degrees d0, ..., d0 + n - 1."""
     series = hilbert_series(ideal)
     d0 = _stability(series.numerator, ideal.ring.n)
     poly = HilbertPolynomial(ideal.ring, series.numerator, d0)
-    for d in (d0, d0 + 1, d0 + 2):
+    for d in range(d0, d0 + ideal.ring.n):
         if poly(d) != series.coefficient(d):
             raise RuntimeError(
                 f"internal error: polynomial disagrees with function at degree {d}"
@@ -568,18 +552,19 @@ def _lcm_lattice(rows):
     return lattice
 
 
-def graded_betti(ideal, field=None, max_generators=20):
+def graded_betti(ideal, field=None, max_generators=None):
     """Graded Betti table of S/I over Q (default) or a prime field.
 
     Works multidegree by multidegree over the lcm lattice of the minimal
     generators; outside that lattice every upper-Koszul complex is acyclic.
+    ``max_generators``, when given, refuses more minimal generators.
     """
     if field is None:
         field = QQ
     if ideal.is_unit:
         raise ValueError("unit ideal has a zero quotient")
     rows = ideal.rows
-    if len(rows) > max_generators:
+    if max_generators is not None and len(rows) > max_generators:
         raise ResourceCapError(
             f"{len(rows)} generators exceed the enumeration cap {max_generators}"
         )

@@ -38,6 +38,7 @@ from idealkit import (
     verify_betti_hilbert_identity,
 )
 from idealkit import invariants
+from idealkit.cli import main
 from idealkit.linalg import rank_over
 from helpers import (
     betti_by_subset_scan,
@@ -229,6 +230,8 @@ def _check_corpus():
 
 CYCLE10 = edge_ideal(Graph.cycle(10))
 TABLE = parse_ideal(R3, "x^2, y^3, z^4, x*y*z")
+# numerator 1 - 2z^2 + z^4, Hilbert polynomial 4d from degree 1
+TWO_EDGES = parse_ideal(parse_ring("x, y, z, w"), "x*y, z*w")
 STAIRCASE301 = parse_ideal(R2, ", ".join(f"x^{i}*y^{300 - i}" for i in range(301)))
 
 
@@ -467,15 +470,35 @@ def test_hilbert_polynomial_counts_once_for_its_check(monkeypatch, ideal):
     assert len(runs) == 1
 
 
-@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
 def test_polynomial_check_fires_on_a_corrupt_count(monkeypatch, index):
-    # the polynomial is sampled at its stability degree and the two after it
-    degree = hilbert_polynomial(TABLE).stability + index
+    # the polynomial is sampled at the n degrees from its stability degree on
     real = invariants.HilbertSeries.coefficient
-    monkeypatch.setattr(invariants.HilbertSeries, "coefficient",
-                        lambda self, d: real(self, d) + (d == degree))
-    with pytest.raises(RuntimeError, match="internal error: polynomial disagrees"):
-        hilbert_polynomial(TABLE)
+    for ideal in (TABLE, TWO_EDGES):
+        if index >= ideal.ring.n:
+            continue
+        degree = hilbert_polynomial(ideal).stability + index
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants.HilbertSeries, "coefficient",
+                          lambda self, d: real(self, d) + (d == degree))
+            with pytest.raises(RuntimeError, match=(
+                    f"internal error: polynomial disagrees with function at degree {degree}$")):
+                hilbert_polynomial(ideal)
+
+
+def test_polynomial_check_fires_on_a_corrupt_expansion(monkeypatch, capsys):
+    poly = hilbert_polynomial(TWO_EDGES)
+    assert (poly.numerator, poly.stability, str(poly)) == ((1, 0, -2, 0, 1), 1, "4*d")
+    # 3! p(d) plus 6 (d - 1)(d - 2)(d - 3): right at the first three samples,
+    # d = 1, 2, 3, wrong at the fourth
+    real = invariants.HilbertPolynomial._scaled.func
+    extra = (-36, 66, -36, 6)
+    monkeypatch.setattr(invariants.HilbertPolynomial, "_scaled", property(
+        lambda self: tuple(a + b for a, b in zip(real(self) + (0, 0), extra))))
+    code = main(["invariants", "hilbert", "--ring", "x,y,z,w", "--ideal", "x*y, z*w"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        4, "", "internal error: polynomial disagrees with function at degree 4\n")
 
 
 def test_hilbert_series_of_c10_square_is_checked_quickly():
@@ -609,7 +632,17 @@ def test_regularity_of_powers_of_cycles_and_paths():
     start = time.perf_counter()
     for kind, n, s in REGULARITY_CASES:
         ideal = edge_ideal(getattr(Graph, kind)(n)).power(s)
-        table = graded_betti(ideal, max_generators=len(ideal.generators))
+        table = graded_betti(ideal)
         offset = n // 3 if kind == "cycle" else (n + 1) // 3
         assert table.regularity() + 1 == 2 * s + offset - 1, (kind, n, s)
     assert time.perf_counter() - start < 3
+
+
+def test_betti_bound_is_the_lcm_lattice_not_the_generator_count():
+    quintics = parse_ideal(R3, "x, y, z").power(5)
+    assert len(quintics.rows) == 21
+    assert verify_betti_hilbert_identity(quintics)
+    assert is_cohen_macaulay(quintics)
+    assert stillman_monomial_check(quintics)
+    with pytest.raises(ResourceCapError, match="^21 generators exceed the enumeration cap 20$"):
+        graded_betti(quintics, max_generators=20)
