@@ -7,9 +7,10 @@ returned basis is the reduced Groebner basis and normal forms are canonical.
 Every element, input or S-polynomial remainder, enters as a normal form
 against those before it, so the elements the pair criteria keep active are
 the minimal basis; interreduction reduces their tails in ascending lead order.
-Every construction re-checks the result unless the caller opts out: all
-S-polynomials of the final basis and all input generators must reduce to
-zero against it, so it is a Groebner basis and generates the input ideal.
+Every construction re-checks the result unless the caller opts out: the
+S-polynomials of a pair subset that Buchberger's coprime and chain criteria
+prove sufficient, and all input generators, must reduce to zero against it,
+so it is a Groebner basis and generates the input ideal.
 
 Inside the engine (reduction, S-polynomials, the pair criteria,
 interreduction, the certificate and normal forms) a monomial is one int
@@ -53,9 +54,9 @@ import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations, repeat
 from math import comb, prod
-from operator import add, mul, neg
+from operator import add, le, mul, neg
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 from .fields import QQ
@@ -707,8 +708,10 @@ def buchberger(
     brings, the B-criterion on the queued ones, and every pair with coprime
     leading terms.  Every polynomial stays a reducer, in insertion order.
     The basis is certified on construction unless ``certify`` is false:
-    every S-polynomial of the result and every generator reduce to zero
-    against it, so it is a Groebner basis of the input ideal.
+    the S-polynomials of the pairs ``_certificate_pairs`` keeps and every
+    generator reduce to zero against it.  The pairs left out have
+    lcm-representations by the coprime and chain criteria, so it is a
+    Groebner basis of the input ideal.
     """
     gens = list(gens)
     if not gens:
@@ -844,30 +847,58 @@ def _interreduce(basis):
     return [p.unpack(shared) for p in reducers.polys]
 
 
+def _certificate_pairs(leads):
+    """The pairs (i, j), i < j, whose S-polynomials prove a basis with
+    leading exponent tuples ``leads`` Groebner.
+
+    A pair is left out when its leads are coprime, or when some third lead
+    lm_k divides L = lcm(lm_i, lm_j) and lcm(lm_i, lm_k), lcm(lm_j, lm_k)
+    both differ from L, so are proper divisors of it.  If every kept pair
+    reduces to zero, every pair has an lcm-representation, by induction on L
+    under divisibility: a coprime pair has one, and a left-out pair is a
+    combination of (i, k) and (j, k), whose lcms are smaller (Cox, Little and
+    O'Shea, "Ideals, Varieties, and Algorithms", ch. 2 section 9, Thm 6 and
+    Prop 8; Becker-Weispfenning, "Groebner Bases", section 5.5).
+    """
+    pairs = []
+    for i, j in combinations(range(len(leads)), 2):
+        a, b = leads[i], leads[j]
+        if not any(map(min, a, b)):
+            continue
+        m = tuple(map(max, a, b))
+        # k = i and k = j fail the test: lcm(lm_j, lm_i) = lcm(lm_i, lm_j) = L
+        for c in leads:
+            if all(map(le, c, m)) and tuple(map(max, a, c)) != m != tuple(map(max, b, c)):
+                break
+        else:
+            pairs.append((i, j))
+    return pairs
+
+
 def _certify(gb, gens):
     """Raise unless gb is a Groebner basis of the ideal of ``gens``.
 
-    Every S-polynomial of the basis must reduce to zero (the Groebner
-    property), and so must every generator, which puts (gens) inside the
-    basis's ideal; the basis is built from the generators, so the two agree.
-    The reducers are packed through ``gb`` and kept there for its next
-    normal form.
+    The S-polynomial of every pair ``_certificate_pairs`` keeps must reduce
+    to zero, which proves the Groebner property, and so must every
+    generator, which puts (gens) inside the basis's ideal; the basis is
+    built from the generators, so the two agree.  The reducers are packed
+    through ``gb`` and kept there for its next normal form.
     """
     gens = [_in_order(g, gb.order) for g in gens]
     degree = max((p.total_degree() for p in gb.polys), default=0)
     bound = max([2 * degree] + [g.total_degree() for g in gens])
+    pairs = _certificate_pairs([p.terms[0][0] for p in gb.polys])
 
     def run(layout):
         reducers = gb._reducers(layout)
         polys = reducers.polys
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                s = _s_polynomial(polys[i], polys[j])
-                if not _reduce_full(s, reducers).is_zero:
-                    raise RuntimeError(
-                        "internal error: an S-polynomial of the reduced basis "
-                        "does not reduce to zero"
-                    )
+        for i, j in pairs:
+            s = _s_polynomial(polys[i], polys[j])
+            if not _reduce_full(s, reducers).is_zero:
+                raise RuntimeError(
+                    "internal error: an S-polynomial of the reduced basis "
+                    "does not reduce to zero"
+                )
         for g in gens:
             if not _reduce_full(_pack(g, layout), reducers).is_zero:
                 raise RuntimeError(

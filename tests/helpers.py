@@ -28,6 +28,15 @@ from idealkit import (
 )
 from idealkit.closure import _power_closure
 from idealkit.errors import ParseError
+from idealkit.groebner import (
+    _Reducers,
+    _in_order,
+    _layout,
+    _pack,
+    _reduce_full,
+    _s_polynomial,
+    _widening,
+)
 from idealkit.linalg import rank_over
 from idealkit.monomials import _NAME_RE, _colon_row, _minimal_rows
 
@@ -476,6 +485,60 @@ def reduce_by_tuples(f, basis):
             else:
                 work[term] = field.sub(old, field.mul(factor, mcoeff))
     return Polynomial._trusted(f.ring, field, f.order, tuple(remainder))
+
+
+def random_sparse_poly(rng, ring, field, order, degree, terms, least=0):
+    """Up to ``terms`` random terms of total degree ``least`` to ``degree``
+    with coefficients in -9..9 (a later draw of the same exponents replaces
+    an earlier one, and over GF(p) a coefficient may vanish)."""
+    acc = {}
+    for _ in range(terms):
+        exps = [0] * ring.n
+        for _ in range(rng.randint(least, degree)):
+            exps[rng.randrange(ring.n)] += 1
+        acc[tuple(exps)] = rng.choice([c for c in range(-9, 10) if c])
+    return Polynomial(ring, field, order, acc)
+
+
+def cyclic_system(n):
+    """The cyclic-n system as (ring text, polynomial texts) in a, b, c, ..."""
+    names = "abcdefgh"[:n]
+    polys = []
+    for k in range(1, n):
+        polys.append(" + ".join(
+            "*".join(names[(i + j) % n] for j in range(k)) for i in range(n)))
+    polys.append("*".join(names) + " - 1")
+    return ",".join(names), polys
+
+
+def certify_all_pairs(gb, gens):
+    """The Groebner certificate as it was before the pair criteria pruned
+    it: raise unless every S-polynomial of gb, over all n(n-1)/2 pairs, and
+    every generator reduce to zero against gb, with ``groebner._certify``'s
+    two messages.  It packs its own reducers, so gb's kept packing is
+    untouched."""
+    gens = [_in_order(g, gb.order) for g in gens]
+    degree = max((p.total_degree() for p in gb.polys), default=0)
+    bound = max([2 * degree] + [g.total_degree() for g in gens])
+
+    def run(layout):
+        reducers = _Reducers(layout, [_pack(p, layout) for p in gb.polys])
+        polys = reducers.polys
+        for i, j in combinations(range(len(polys)), 2):
+            s = _s_polynomial(polys[i], polys[j])
+            if not _reduce_full(s, reducers).is_zero:
+                raise RuntimeError(
+                    "internal error: an S-polynomial of the reduced basis "
+                    "does not reduce to zero"
+                )
+        for g in gens:
+            if not _reduce_full(_pack(g, layout), reducers).is_zero:
+                raise RuntimeError(
+                    "internal error: an input generator does not reduce to zero "
+                    "against the reduced basis"
+                )
+
+    _widening(run, _layout(gb.order, bound))
 
 
 # The character scanners that read monomial and polynomial text before both

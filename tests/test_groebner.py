@@ -2,9 +2,22 @@
 
 The reduced-basis goldens were computed independently (hand runs and a
 second computer algebra system) before being frozen here.
+
+The certificate reduces only the S-pairs that ``_certificate_pairs`` keeps.
+A seeded differential holds it to the all-pairs certificate it replaced,
+``helpers.certify_all_pairs``, on reduced bases over QQ, GF(32003) and
+GF(2) in lex and grevlex, as computed and after one corruption: a perturbed
+tail coefficient, a dropped element or an extra element.  Both must pass,
+or both raise with the same message.  Run it at larger sizes with::
+
+    PYTHONPATH=src:tests python -c "import test_groebner as t; print(t.certificate_differential(SEED, COUNT))"
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -13,6 +26,7 @@ from idealkit import (
     MonomialOrder,
     ParseError,
     Polynomial,
+    PrimeField,
     QQ,
     ResourceCapError,
     RingMismatchError,
@@ -39,10 +53,13 @@ from idealkit import (
     rng_from_seed,
 )
 from idealkit import groebner
-from helpers import numbered_ring
+from helpers import certify_all_pairs, cyclic_system, numbered_ring, random_sparse_poly
 
 R2 = parse_ring("x, y")
 R3 = parse_ring("x, y, z")
+GFP = PrimeField(32003)
+CERTIFICATE_FIELDS = (QQ, GFP, PrimeField(2))
+CERTIFICATE_BASES = 300
 
 
 def poly(text, ring=R2, field=QQ, order=None):
@@ -226,6 +243,154 @@ def test_certificate_fires_on_a_perturbed_tail_coefficient(monkeypatch):
     ]
     with pytest.raises(RuntimeError, match="^internal error: an S-polynomial"):
         buchberger(twisted)
+
+
+def _corrupt(rng, polys, gens, corruption):
+    """``polys`` after ``corruption``; "perturb" needs an element with a tail."""
+    polys = list(polys)
+    if corruption == "perturb":
+        i = rng.choice([i for i, p in enumerate(polys) if len(p.terms) > 1])
+        p = polys[i]
+        terms = list(p.terms)
+        t = rng.randrange(1, len(terms))
+        exps, coeff = terms[t]
+        terms[t] = (exps, p.field.add(coeff, p.field.one))  # over GF(2) it vanishes
+        polys[i] = Polynomial(p.ring, p.field, p.order, terms)
+    elif corruption == "drop":
+        del polys[rng.randrange(len(polys))]
+    elif corruption == "extra":
+        g = gens[0]
+        extra = random_sparse_poly(rng, g.ring, g.field, g.order, 3, rng.randint(1, 3), 1)
+        if rng.random() < 0.5:
+            extra = rng.choice(gens) * extra  # inside the ideal
+        if not extra.is_zero:
+            polys.insert(rng.randint(0, len(polys)), extra)
+    return polys
+
+
+def _certificate_outcome(certify, gb, gens):
+    try:
+        certify(gb, gens)
+    except RuntimeError as exc:
+        return str(exc)
+    return "pass"
+
+
+def certificate_differential(seed, count):
+    """Certify ``count`` seeded bases with ``groebner._certify`` and with
+    ``helpers.certify_all_pairs``, and fail on any difference.
+
+    Each basis is the reduced basis of 2-4 random polynomials on 2-4
+    variables, the corruption cycling through none, perturb, drop and
+    extra within each field and order.  Returns a ``Counter`` of (corruption, outcome), plus the pairs
+    the two certificates formed under "pairs" and "all pairs" and the
+    coprime ones among all pairs under "coprime".
+    """
+    rng = random.Random(seed)
+    kinds = Counter()
+    corruptions = ("none", "perturb", "drop", "extra")
+    done = 0
+    while done < count:
+        # every 24 bases take each (corruption, field, order) once
+        field = CERTIFICATE_FIELDS[done // 4 % 3]
+        ring = numbered_ring(rng.randint(2, 4))
+        kind = ("lex", "grevlex")[done // 12 % 2]
+        order = getattr(MonomialOrder, kind)(ring)
+        # no constant terms, so the ideal is never the unit ideal
+        gens = [
+            random_sparse_poly(rng, ring, field, order, rng.randint(2, 3), rng.randint(2, 4), 1)
+            for _ in range(rng.randint(2, 4))
+        ]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        try:
+            polys = buchberger(gens, max_basis=40, max_degree=10, certify=False).polys
+        except ResourceCapError:
+            continue
+        corruption = corruptions[done % 4]
+        if corruption == "perturb" and all(len(p.terms) == 1 for p in polys):
+            continue
+        done += 1
+        polys = _corrupt(rng, polys, gens, corruption)
+        gb = GroebnerBasis(ring, field, order, tuple(polys), certified=False)
+        got = _certificate_outcome(groebner._certify, gb, gens)
+        want = _certificate_outcome(certify_all_pairs, gb, gens)
+        assert got == want, (seed, done, corruption, [str(p) for p in polys], got, want)
+        kinds[corruption, got] += 1
+        leads = [p.terms[0][0] for p in polys]
+        kinds["pairs"] += len(groebner._certificate_pairs(leads))
+        kinds["all pairs"] += comb(len(leads), 2)
+        kinds["coprime"] += sum(
+            not any(map(min, a, b)) for a, b in combinations(leads, 2)
+        )
+    return kinds
+
+
+def test_pruned_certificate_agrees_with_all_pairs():
+    kinds = certificate_differential(seed=23, count=CERTIFICATE_BASES)
+    s_fail = "internal error: an S-polynomial of the reduced basis does not reduce to zero"
+    gen_fail = ("internal error: an input generator does not reduce to zero "
+                "against the reduced basis")
+    # the sample reaches every outcome each corruption can have
+    for key in (
+        ("none", "pass"),
+        ("perturb", s_fail), ("perturb", gen_fail),
+        ("drop", gen_fail),
+        ("extra", "pass"), ("extra", s_fail),
+    ):
+        assert kinds[key] > 0, (key, kinds)
+    assert kinds["none", "pass"] == CERTIFICATE_BASES // 4
+    # the chain criterion leaves out pairs that are not coprime
+    assert kinds["pairs"] + kinds["coprime"] < kinds["all pairs"], kinds
+
+
+def test_certificate_pairs_skip_coprime_and_chained_pairs():
+    # x^2 and y are coprime; y divides lcm(x^2, x*y) = x^2*y, but
+    # lcm(x^2, y) is that same lcm, so (0, 2) is kept
+    assert groebner._certificate_pairs([(2, 0), (0, 1), (1, 1)]) == [(0, 2), (1, 2)]
+    # x^2*y^2 divides x^3*y^3 = lcm(x^3*y, x*y^3), and its lcms with both
+    # are proper divisors of it, so (0, 2) is left out
+    assert groebner._certificate_pairs([(3, 1), (2, 2), (1, 3)]) == [(0, 1), (1, 2)]
+
+
+def _cyclic_gens(n, kind):
+    ring_text, texts = cyclic_system(n)
+    ring = parse_ring(ring_text)
+    order = getattr(MonomialOrder, kind)(ring)
+    return [parse_polynomial(ring, t, GFP, order) for t in texts]
+
+
+@pytest.fixture(scope="module")
+def cyclic6():
+    gens = _cyclic_gens(6, "grevlex")
+    return gens, buchberger(gens, certify=False)
+
+
+@pytest.mark.parametrize("n, kind, certified, pairs", [
+    (4, "grevlex", 11, 21), (4, "lex", 7, 15), (5, "grevlex", 58, 190), (6, "grevlex", 209, 990),
+])
+def test_certificate_pair_counts(monkeypatch, cyclic6, n, kind, certified, pairs):
+    if n == 6:
+        gens, gb = cyclic6
+    else:
+        gens = _cyclic_gens(n, kind)
+        gb = buchberger(gens, certify=False)
+    calls = []
+    s_polynomial = groebner._s_polynomial
+    monkeypatch.setattr(
+        groebner, "_s_polynomial", lambda f, g: calls.append(1) or s_polynomial(f, g)
+    )
+    groebner._certify(gb, gens)
+    assert (len(calls), comb(len(gb), 2)) == (certified, pairs)
+
+
+def test_certified_cyclic6_matches_the_uncertified_basis(cyclic6):
+    gens, plain = cyclic6
+    gb = buchberger(gens)
+    assert gb.certified and len(gb) == 45
+    assert gb.polys == plain.polys
+    certify_all_pairs(gb, gens)
 
 
 def test_pair_criteria_skip_pairs_without_changing_the_basis(monkeypatch):

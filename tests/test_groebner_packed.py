@@ -24,20 +24,10 @@ from idealkit import (
     parse_ring,
     rng_from_seed,
 )
-from helpers import numbered_ring, reduce_by_tuples
+from helpers import numbered_ring, random_sparse_poly, reduce_by_tuples
 
 FIELDS = (QQ, PrimeField(32003), PrimeField(2))
 SYSTEMS = 100  # two reductions each
-
-
-def _random_poly(rng, ring, field, order, degree, terms):
-    acc = {}
-    for _ in range(terms):
-        exps = [0] * ring.n
-        for _ in range(rng.randint(0, degree)):
-            exps[rng.randrange(ring.n)] += 1
-        acc[tuple(exps)] = rng.choice([c for c in range(-9, 10) if c])
-    return Polynomial(ring, field, order, acc)
 
 
 def _case(index):
@@ -55,7 +45,7 @@ def _case(index):
     kind = ("lex", "grevlex")[index // 3 % 2]
     order = getattr(MonomialOrder, kind)(ring, permutation)
     gens = [
-        _random_poly(rng, ring, field, order, rng.randint(1, 3), rng.randint(1, 4))
+        random_sparse_poly(rng, ring, field, order, rng.randint(1, 3), rng.randint(1, 4))
         for _ in range(rng.randint(1, 3))
     ]
     gens = [g for g in gens if not g.is_zero]
@@ -69,8 +59,8 @@ def _case(index):
         polys = [p.scale(rng.choice([2, 3, 5, 7])) for p in polys]
         polys = [p for p in polys if not p.is_zero] or gens[:1]
     targets = [
-        gens[0] * _random_poly(rng, ring, field, order, 2, 3),
-        _random_poly(rng, ring, field, order, 5, 6),
+        gens[0] * random_sparse_poly(rng, ring, field, order, 2, 3),
+        random_sparse_poly(rng, ring, field, order, 5, 6),
     ]
     return ring, field, order, polys, targets
 
@@ -138,7 +128,7 @@ def test_interreduction_receives_a_minimal_basis(monkeypatch):
         kind = ("lex", "grevlex")[index // 4 % 2]
         order = getattr(MonomialOrder, kind)(ring, rng.sample(range(ring.n), ring.n))
         gens = [
-            _random_poly(rng, ring, field, order, rng.randint(1, 3), rng.randint(1, 4))
+            random_sparse_poly(rng, ring, field, order, rng.randint(1, 3), rng.randint(1, 4))
             for _ in range(rng.randint(1, 4))
         ]
         argument_leads.clear()
@@ -224,8 +214,8 @@ def test_least_degree_of_a_multiple_sees_a_unit_cofactor():
         ring = numbered_ring(rng.randint(1, 4))
         kind = rng.choice(("lex", "grevlex"))
         order = getattr(MonomialOrder, kind)(ring, rng.sample(range(ring.n), ring.n))
-        f = _random_poly(rng, ring, field, order, 3, rng.randint(1, 4))
-        q = _random_poly(rng, ring, field, order, 3, rng.randint(1, 4))
+        f = random_sparse_poly(rng, ring, field, order, 3, rng.randint(1, 4))
+        q = random_sparse_poly(rng, ring, field, order, 3, rng.randint(1, 4))
         if rng.random() < 0.5:
             q = q + Polynomial.constant(ring, field, order, rng.randint(1, 2))
         if f.is_zero or q.is_zero:
@@ -244,8 +234,8 @@ def test_monomial_products_match_the_general_product(field):
         ring = numbered_ring(rng.randint(1, 4))
         kind = ("lex", "grevlex")[index % 2]
         order = getattr(MonomialOrder, kind)(ring, rng.sample(range(ring.n), ring.n))
-        many = _random_poly(rng, ring, field, order, 4, rng.randint(0, 6))
-        mono = _random_poly(rng, ring, field, order, 4, 1)
+        many = random_sparse_poly(rng, ring, field, order, 4, rng.randint(0, 6))
+        mono = random_sparse_poly(rng, ring, field, order, 4, 1)
         acc = {}
         for ea, ca in many.terms:
             for eb, cb in mono.terms:

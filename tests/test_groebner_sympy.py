@@ -20,7 +20,7 @@ from idealkit import (
     random_homogeneous,
     rng_from_seed,
 )
-from helpers import numbered_ring
+from helpers import cyclic_system, numbered_ring
 
 sympy = pytest.importorskip("sympy")
 
@@ -32,16 +32,6 @@ CYCLIC4 = ["a + b + c + d", "a*b + b*c + c*d + d*a",
            "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]
 KATSURA3 = ["a + 2*b + 2*c + 2*d - 1", "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
             "2*a*b + 2*b*c + 2*c*d - b", "b^2 + 2*a*c + 2*b*d - c"]
-
-
-def _cyclic(n):
-    names = "abcdefgh"[:n]
-    polys = []
-    for k in range(1, n):
-        polys.append(" + ".join(
-            "*".join(names[(i + j) % n] for j in range(k)) for i in range(n)))
-    polys.append("*".join(names) + " - 1")
-    return ",".join(names), polys
 
 
 def _to_sympy(poly, symbols):
@@ -105,7 +95,7 @@ def test_seeded_systems_match_sympy(block):
 @pytest.mark.parametrize("name", ["cyclic-4", "katsura-3", "cyclic-5"])
 def test_named_systems_match_sympy_over_gf_p(name):
     if name == "cyclic-5":
-        ring_text, texts = _cyclic(5)
+        ring_text, texts = cyclic_system(5)
     else:
         ring_text, texts = "a,b,c,d", CYCLIC4 if name == "cyclic-4" else KATSURA3
     ring = parse_ring(ring_text)
@@ -116,7 +106,7 @@ def test_named_systems_match_sympy_over_gf_p(name):
 
 @pytest.mark.parametrize("field", [GFP, QQ], ids=str)
 def test_certified_cyclic5_matches_sympy(field):
-    ring_text, texts = _cyclic(5)
+    ring_text, texts = cyclic_system(5)
     ring = parse_ring(ring_text)
     order = MonomialOrder.grevlex(ring)
     gens = [parse_polynomial(ring, t, field, order) for t in texts]
