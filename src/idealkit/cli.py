@@ -7,10 +7,16 @@ containment scans, ``invariants`` for Hilbert/Betti data, ``groebner`` for
 polynomial experiments, and ``verify`` for the full acceptance suite.
 
 Every command is one row of ``COMMANDS``: handler, flags and caps-file
-keys.  ``build_parser`` builds a fresh parser tree from it.  ``main``
-parses with one tree, built on its first call and reused for the rest of
-the process, and parses each input flag once, so handlers only compute
-and render.
+keys.  ``build_parser`` builds a fresh argparse tree from it (root, group
+and command parsers) and records each command's parser by the words that
+name it.  ``main`` uses one tree, built on its first call and reused for
+the rest of the process.  When the first words of argv name a command,
+the rest goes to that command's parser alone, the same object the tree
+would reach after its root and group parsers had each scanned the whole
+argv.  The root parser sees argv only when no command is named or the
+command's parser leaves an argument unparsed; both end in an error or a
+help page, which the root then prints exactly as the tree always has.
+Each input flag is parsed once, so handlers only compute and render.
 
 Exit codes: 0 when the command answered (even if the answer is "no"),
 1 when a verification subcommand found its claim false, 2 on usage or
@@ -613,21 +619,26 @@ def build_parser():
     )
     groups = parser.add_subparsers(dest="group", required=True)
     subs = {}
+    # the words naming each command, mapped to its parser, for main's dispatch
+    parser.leaves = {}
     for command in COMMANDS:
         summary = _GROUPS[command.group]
         if command.name is None:
             p = groups.add_parser(command.group, parents=[common], help=summary)
+            words = (command.group,)
         else:
             if command.group not in subs:
                 group = groups.add_parser(command.group, help=summary)
                 subs[command.group] = group.add_subparsers(dest="sub", required=True)
             p = subs[command.group].add_parser(command.name, parents=[common])
+            words = (command.group, command.name)
         for flag, kwargs in command.flags:
             if flag == "graph":
                 _add_graph_source(p)
             else:
                 p.add_argument(f"--{flag}", **kwargs)
         p.set_defaults(command=command)
+        parser.leaves[words] = p
     return parser
 
 
@@ -635,17 +646,57 @@ def build_parser():
 def _parser():
     """The tree ``main`` parses with, built on the first call, not at import.
 
-    Parsing leaves no state in the tree, and help width is read when help is
+    A command's parser, found in ``leaves``, reads every argv that names
+    the command; the root reads only argv that no command parser can take
+    whole, which ends in an error or a help page.  Parsing leaves no state
+    in any of the tree's parsers, and help width is read when help is
     printed, so one tree serves every call.
     """
     return build_parser()
 
 
+def _parse(argv):
+    """argv's namespace, as the tree's ``parse_args`` would give it.
+
+    When ``argv[:2]`` names a command (``argv[:1]`` for ``verify``), that
+    command's parser reads the rest, as the tree's would after its root and
+    group parsers had each scanned argv, and its namespace is merged as
+    argparse's subparsers action merges it: copied over ``group`` and
+    ``sub`` (``artinrees number`` has its own ``--sub``).  Any other argv,
+    or words the command leaves unparsed, goes to the tree, whose root then
+    only ever exits: on a usage error, on unrecognized arguments or after
+    a help page.
+    """
+    root = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(argv[:2])
+    if words not in root.leaves:
+        words = words[:1]
+    leaf = root.leaves.get(words)
+    if leaf is not None:
+        parsed, rest = leaf.parse_known_args(argv[len(words):])
+        if not rest:
+            args = argparse.Namespace(**dict(zip(("group", "sub"), words)))
+            vars(args).update(vars(parsed))
+            return args
+    return root.parse_args(argv)
+
+
 def main(argv=None):
+    """Answer one request; the exit code.
+
+    ``_parse`` reads argv; argparse's exit, on a usage error or after a
+    help page, becomes exit code 2 or 0.
+    """
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    return _answer(args)
+
+
+def _answer(args):
+    """Run the parsed command and print its report; the exit code."""
     try:
         _parse_inputs(args)
         code, payload, lines = args.command.handler(args)

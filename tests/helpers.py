@@ -26,6 +26,7 @@ from idealkit import (
     newton_polyhedron,
     parse_ring,
 )
+from idealkit.cli import _answer, _parser
 from idealkit.closure import _power_closure
 from idealkit.errors import ParseError
 from idealkit.groebner import (
@@ -805,3 +806,13 @@ def ar_counterexample_search_by_powers(ideal, sub, k, ell_max):
                     return ell, g
             raise RuntimeError("internal error: mismatch without witness")
     return None
+
+
+def main_by_tree(argv):
+    """``cli.main`` as it parsed before dispatch: every argv through the
+    whole argparse tree's ``parse_args``, root, group and command parser."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    return _answer(args)

@@ -10,10 +10,21 @@ Four contracts are frozen here:
 * the argparse tree keeps its commands, flags, types, defaults,
   required-ness and choices, and its ``--help`` pages;
 * ``main`` builds that tree once per process, and a call leaves nothing
-  in it that changes a later call's output.
+  in it that changes a later call's output;
+* ``main`` parses a request in the named command's parser alone, and
+  answers every argv as ``helpers.main_by_tree`` does, which sends it
+  through the whole tree: the same exit code, stdout and stderr, and for a
+  successful parse the same namespace.  The inputs are every golden
+  command, fault and help page, pinned edge cases, and seeded mutations of
+  the golden commands.  The usage goldens hold only on the Python that
+  recorded them; this comparison holds on any.
 
 To re-record after a deliberate interface change:
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
+
+Run the dispatch differential on more mutations with::
+
+    PYTHONPATH=src:tests python -c "import test_cli_golden as t; print(t.differential(SEED, COUNT))"
 """
 
 import argparse
@@ -24,6 +35,7 @@ import random
 import re
 import shlex
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -31,6 +43,7 @@ import pytest
 
 from idealkit import cli
 from idealkit.cli import build_parser, main
+from helpers import main_by_tree
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_FILE = Path(__file__).with_name("cli_goldens.json")
@@ -103,10 +116,10 @@ FAULTS = [
 ]
 
 
-def capture(argv):
+def capture(argv, run=main):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        code = run(list(argv))
     stdout = out.getvalue()
     if argv[:1] == ["verify"]:
         # per-criterion timings are the one nondeterministic field
@@ -312,3 +325,122 @@ def test_cached_parser_wraps_help_to_the_current_width(monkeypatch):
         widths[columns] = max(len(line) for line in lines)
     assert widths["60"] <= 60 < widths["80"] <= 80
     assert cli._parser() is parser
+
+
+# --------------------------------------------- dispatch to the command ---
+
+DIFFERENTIAL_SIZE = 300
+LEFTOVER = ["ideal", "power", "--ring", "x,y", "--ideal", "x, y", "--k", "2", "extra"]
+# one case each for what the dispatch must hand to the tree or keep apart
+PINNED = [
+    ["artinrees", "number", "--ring", "x,y", "--ideal", "x^2, y", "--sub", "x^2*y"],
+    LEFTOVER,
+    ["ideal", "gens", "--ri", "x,y", "--ideal", "x*y"],
+    ["groebner", "kollar", "--degrees=3,3", "--nvars", "2"],
+    ["-h"],
+    ["ideal", "-h"],
+    ["ideal", "gens", "-h"],
+    ["verify", "-h"],
+    ["IDEAL", "gens", "--ring", "x", "--ideal", "x"],
+    ["ideal", "GENS", "--ring", "x", "--ideal", "x"],
+    ["groebner", "member", "--ring", "x1,x2", "--polys", "x1; x2", "--f",
+     "- 5*x2^8 - x1"],
+    ["symbolic", "edge", "--complete-bipartite", "-1,2"],
+    ["verify", "stray"],
+    ["ideal", "gens", "--ring", "x", "--ideal", "x", "--", "--json"],
+]
+# a mutation inserts a golden token, or a word that argparse treats apart
+_TOKENS = sorted({word for argv in COMMANDS for word in argv})
+_EXTRA = ["--bogus", "--", "-h", "stray"]
+
+
+def _mutate(rng, argv):
+    """``argv`` after one seeded edit, and the edit's kind."""
+    argv = list(argv)
+    kind = rng.choice(("drop", "insert", "swap", "abbreviate", "repeat", "extra"))
+    at = rng.randrange(len(argv) + 1)
+    flags = [i for i, word in enumerate(argv) if word.startswith("--")]
+    if kind == "drop" and argv:
+        del argv[rng.randrange(len(argv))]
+    elif kind == "insert":
+        argv.insert(at, rng.choice(_TOKENS))
+    elif kind == "swap" and len(argv) > 1:
+        i, j = rng.sample(range(len(argv)), 2)
+        argv[i], argv[j] = argv[j], argv[i]
+    elif kind == "abbreviate" and flags:
+        i = rng.choice(flags)
+        argv[i] = argv[i][:rng.randint(2, len(argv[i]) - 1)]
+    elif kind == "repeat" and flags:
+        i = rng.choice(flags)
+        argv += argv[i:i + 2]
+    else:
+        kind = "extra"
+        argv.insert(at, rng.choice(_EXTRA))
+    return kind, argv
+
+
+def _namespace(parse, argv):
+    """``parse(argv)``, or None where argparse exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return parse(list(argv))
+        except SystemExit:
+            return None
+
+
+def _same_as_tree(argv):
+    """Fail unless ``main`` and the tree answer ``argv`` alike; its exit code."""
+    got, want = capture(argv), capture(argv, main_by_tree)
+    assert got == want, argv
+    assert _namespace(cli._parse, argv) == _namespace(cli._parser().parse_args, argv), argv
+    return got["code"]
+
+
+def differential(seed, count):
+    """Compare ``main`` with the tree on ``count`` seeded mutations of the
+    golden commands; a ``Counter`` of (edit kind, exit code)."""
+    rng = random.Random(seed)
+    outcomes = Counter()
+    for _ in range(count):
+        kind, argv = _mutate(rng, rng.choice(GOLDEN["commands"])["argv"])
+        outcomes[kind, _same_as_tree(argv)] += 1
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [c["argv"] for c in GOLDEN["commands"] + GOLDEN["faults"]]
+    + [path.split() + ["--help"] for path in GOLDEN["help"]]
+    + PINNED,
+    ids=lambda argv: " ".join(argv) or "(none)",
+)
+def test_dispatch_answers_as_the_tree(argv):
+    _same_as_tree(argv)
+
+
+def test_dispatch_answers_mutations_as_the_tree():
+    outcomes = differential(seed=24, count=DIFFERENTIAL_SIZE)
+    assert sum(outcomes.values()) == DIFFERENTIAL_SIZE
+    # every edit is drawn, and the sample holds answers as well as errors
+    assert {kind for kind, _ in outcomes} == {
+        "drop", "insert", "swap", "abbreviate", "repeat", "extra"}
+    assert {code for _, code in outcomes} >= {0, 2}
+
+
+def test_dispatch_skips_the_root_parser(monkeypatch):
+    parser = cli._parser()
+    calls = []
+    parse_args = parser.parse_args
+
+    def counted(argv):
+        calls.append(argv)
+        return parse_args(argv)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+    for case in GOLDEN["commands"]:
+        capture(case["argv"])
+    assert calls == []
+    routed = [[], ["ideal"], ["nonsense"], ["ideal", "--help"], LEFTOVER]
+    for argv in routed:
+        capture(argv)
+    assert calls == routed
