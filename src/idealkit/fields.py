@@ -1,8 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Field objects carry the arithmetic; coefficients themselves are plain
-``Fraction`` values (rationals) or ints in ``[0, p)`` (prime fields), so
-polynomials stay cheap and hashable.
+Field objects carry the arithmetic; the coefficients of a ``Polynomial``
+are plain ``Fraction`` values (rationals) or ints in ``[0, p)`` (prime
+fields), so polynomials stay cheap and hashable.  The Groebner engine does
+not call these methods on its inner loops: it computes on int coefficients
+in both fields, rationals as integer polynomials over one denominator
+(see ``groebner._Packed``), and converts at its boundary.
 """
 
 from __future__ import annotations

@@ -31,6 +31,13 @@ can break that rule, so it is checked where elements enter; lex reduction
 can also raise an exponent past the cap, setting its guard bit so nothing
 wraps.  Either way the entry point reruns on a layout of twice the width.
 GF(p) coefficients are plain ints, reduced mod p when a term is popped.
+QQ coefficients are ints too: a polynomial is packed as an integer
+polynomial over one denominator, elements enter the basis as primitive
+integer polynomials, and reduction is integer pseudo-division (the
+content-free strategy of Becker-Weispfenning, "Groebner Bases", ch. 5).
+Scaling by a nonzero constant changes neither which terms vanish nor which
+reducer a term meets, so every step matches the one over Fractions; the
+reduced basis unpacks to monic Fraction polynomials.
 
 On top of the engine:
 
@@ -55,7 +62,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations, repeat
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 from operator import add, le, mul, neg
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
@@ -460,32 +467,51 @@ class _Packed:
 
     Keys come from ``layout``, whose integer order is the term order; the
     engine packs at its boundary with ``_pack`` and hands back ``unpack()``.
-    Coefficients are field elements and never zero.
+    Coefficients are ints and never zero.  Over GF(p) they stand for their
+    residues and ``denominator`` is 1.  Over QQ the polynomial is the terms
+    divided by ``denominator``: the engine computes on integer polynomials
+    (Becker-Weispfenning, "Groebner Bases", ch. 5), and the only Fractions
+    are those ``_pack`` reads and ``unpack`` builds.
     """
 
-    __slots__ = ("ring", "field", "order", "layout", "terms")
+    __slots__ = ("ring", "field", "order", "layout", "terms", "denominator")
 
-    def __init__(self, ring, field, order, layout, terms):
+    def __init__(self, ring, field, order, layout, terms, denominator=1):
         self.ring, self.field, self.order = ring, field, order
-        self.layout, self.terms = layout, terms
+        self.layout, self.terms, self.denominator = layout, terms, denominator
 
     @property
     def is_zero(self):
         return not self.terms
 
-    def _with(self, terms):
-        return _Packed(self.ring, self.field, self.order, self.layout, terms)
+    def _with(self, terms, denominator=1):
+        return _Packed(self.ring, self.field, self.order, self.layout, terms, denominator)
 
     def total_degree(self):
-        return max(map(self.layout.degree, (k for k, _ in self.terms)), default=-1)
+        layout = self.layout
+        if layout.kind == "grevlex" and self.terms:
+            # a graded order: no term has a larger degree than the lead
+            return layout.degree(self.terms[0][0])
+        return max(map(layout.degree, (k for k, _ in self.terms)), default=-1)
 
-    def monic(self):
+    def primitive(self):
+        """The monic multiple, as the element a basis keeps: over GF(p) the
+        terms are monic; over QQ they are the integer polynomial with
+        coprime coefficients and a positive lead, over that lead as the
+        denominator, so it unpacks monic."""
         lc = self.terms[0][1]
-        if lc == 1:
-            return self
-        field = self.field
-        inv, mul = field.inv(lc), field.mul
-        return self._with(tuple((k, mul(c, inv)) for k, c in self.terms))
+        if self.field.characteristic:
+            if lc == 1:
+                return self
+            field = self.field
+            inv, mul = field.inv(lc), field.mul
+            return self._with(tuple((k, mul(c, inv)) for k, c in self.terms))
+        content = gcd(*[c for _, c in self.terms])
+        if lc < 0:
+            content = -content
+        if content == 1:
+            return self if self.denominator == lc else self._with(self.terms, lc)
+        return self._with(tuple([(k, c // content) for k, c in self.terms]), lc // content)
 
     def unpack(self, shared=None):
         """The Polynomial; ``shared`` maps keys to exponent tuples that
@@ -497,15 +523,27 @@ class _Packed:
             (shared[k] if k in shared else shared.setdefault(k, unpack(k)), c)
             for k, c in self.terms
         )
+        if not self.field.characteristic:
+            den = self.denominator
+            terms = tuple([(e, Fraction(c, den)) for e, c in terms])
         return Polynomial._trusted(self.ring, self.field, self.order, terms)
 
 
 def _pack(f, layout):
     """f on ``layout``, whose order must be f's and whose cap must reach
-    f's total degree."""
+    f's total degree.  Over QQ the terms are f times the lcm of its
+    coefficients' denominators, which is kept as the denominator; a monic
+    f so packs to a primitive integer polynomial."""
     pack = layout.pack
-    terms = tuple([(pack(e), c) for e, c in f.terms])
-    return _Packed(f.ring, f.field, f.order, layout, terms)
+    if f.field.characteristic:
+        terms = tuple([(pack(e), c) for e, c in f.terms])
+        return _Packed(f.ring, f.field, f.order, layout, terms)
+    den = lcm(*[c.denominator for _, c in f.terms])
+    if den == 1:
+        terms = tuple([(pack(e), c.numerator) for e, c in f.terms])
+    else:
+        terms = tuple([(pack(e), c.numerator * (den // c.denominator)) for e, c in f.terms])
+    return _Packed(f.ring, f.field, f.order, layout, terms, den)
 
 
 class _Reducers:
@@ -518,6 +556,11 @@ class _Reducers:
     guards, plus the complement of the guards carries into a block's spare
     top bit exactly when that block's monomial divides x.  The lowest carry
     names the first divisor.
+
+    ``heads`` keeps, per polynomial, what reduction by it needs: the leading
+    key, the scale of its coefficient (1/lc over GF(p), the integer lc
+    itself over QQ, where ``_reduce_full`` pseudo-divides; None when lc is
+    1) and the tail with negated int coefficients.
     """
 
     __slots__ = ("layout", "polys", "heads", "leads", "blocks", "repunit")
@@ -525,7 +568,6 @@ class _Reducers:
     def __init__(self, layout, polys=()):
         self.layout = layout
         self.polys = []
-        # (lead, 1/lead coefficient or None for 1, tail with negated coefficients)
         self.heads = []
         self.leads, self.blocks, self.repunit = [], 0, 0
         for g in polys:
@@ -538,10 +580,9 @@ class _Reducers:
         shift = len(self.heads) * (layout.top + 1)
         self.blocks |= lead << shift
         self.repunit |= 1 << shift
-        # both fields' unit equals the int 1, which a Fraction compares fastest
-        inv = None if lc == 1 else g.field.inv(lc)
+        scale = None if lc == 1 else g.field.inv(lc) if g.field.characteristic else lc
         # a negative int stands for its residue mod p until the term is popped
-        self.heads.append((lm, inv, tuple([(m, -c) for m, c in g.terms[1:]])))
+        self.heads.append((lm, scale, tuple([(m, -c) for m, c in g.terms[1:]])))
         self.leads.append(lead)
         self.polys.append(g)
 
@@ -555,8 +596,12 @@ def _reduce_full(f, reducers):
     removes, so a key is pushed at most once and a popped one never
     returns.  A term cancelled while waiting keeps a zero coefficient and
     is dropped when popped; GF(p) coefficients wait unreduced and are
-    reduced mod p when popped.  A new term whose exponent overflows its
-    field raises _FieldOverflow before it is stored.
+    reduced mod p when popped.  Over QQ this is integer pseudo-division:
+    when the reducer's lead a does not divide the popped coefficient c, the
+    waiting terms and the remainder are multiplied by a / gcd(a, c) and the
+    remainder's denominator with them, so the result is the normal form
+    over QQ exactly.  A new term whose exponent overflows its field raises
+    _FieldOverflow before it is stored.
     """
     layout = f.layout
     flip, guard, low = layout.flip, layout.guard, layout.low
@@ -565,6 +610,7 @@ def _reduce_full(f, reducers):
     guards, fill = guard * repunit, (low + 1 - guard) * repunit
     spares = repunit << layout.top
     p = f.field.characteristic
+    denominator = f.denominator
     work = dict(f.terms)
     get = work.get
     heap = [-k for k in work]
@@ -580,10 +626,21 @@ def _reduce_full(f, reducers):
         if not hit:
             remainder.append((t, c))
             continue
-        lm, inv, tail = heads[(hit & -hit).bit_length() // block - 1]
+        lm, scale, tail = heads[(hit & -hit).bit_length() // block - 1]
         shift = t - lm
-        if inv is not None:
-            c = c * inv % p if p else c * inv
+        if scale is not None:
+            if p:
+                c = c * scale % p
+            elif c % scale:
+                common = gcd(scale, c)
+                s = scale // common
+                for k in work:
+                    work[k] *= s
+                remainder = [(k, v * s) for k, v in remainder]
+                denominator *= s
+                c //= common
+            else:
+                c //= scale
         for m, mc in tail:
             k = shift + m
             old = get(k)
@@ -594,25 +651,31 @@ def _reduce_full(f, reducers):
                 heappush(heap, -k)
             else:
                 work[k] = old + c * mc
-    return f._with(tuple(remainder))
+    return f._with(tuple(remainder), denominator)
 
 
 def _s_polynomial(f, g):
-    """S-polynomial of packed f and g.
+    """S-polynomial of packed f and g, up to a nonzero constant factor.
 
+    With leads a*x^u and b*x^v, h = gcd(a, b) and x^w = lcm(x^u, x^v), it
+    is (b/h)*x^(w-u)*f - (a/h)*x^(w-v)*g: an integer polynomial over QQ,
+    and over GF(p), where basis elements are monic, x^(w-u)*f - x^(w-v)*g.
     Callers keep every polynomial they pair within half the layout's cap,
     which holds every exponent of an S-polynomial, so no check here.
     """
-    # the leading terms cancel by construction; basis elements are monic
-    f, g = f.monic(), g.monic()
     layout = f.layout
     flip, low = layout.flip, layout.low
-    lmf, lmg = f.terms[0][0], g.terms[0][0]
-    lcm = layout.key(layout.lcm((lmf ^ flip) & low, (lmg ^ flip) & low))
-    sf, sg = lcm - lmf, lcm - lmg
-    acc = {sf + k: c for k, c in f.terms[1:]}
+    (lmf, a), (lmg, b) = f.terms[0], g.terms[0]
+    w = layout.key(layout.lcm((lmf ^ flip) & low, (lmg ^ flip) & low))
+    sf, sg = w - lmf, w - lmg
+    ftail, gtail = f.terms[1:], g.terms[1:]
+    if a != b:
+        h = gcd(a, b)
+        ftail = [(k, c * (b // h)) for k, c in ftail]
+        gtail = [(k, c * (a // h)) for k, c in gtail]
+    acc = {sf + k: c for k, c in ftail}
     get = acc.get
-    for k, c in g.terms[1:]:
+    for k, c in gtail:
         k += sg
         old = get(k)
         acc[k] = -c if old is None else old - c
@@ -738,9 +801,10 @@ def buchberger(
 
 def _buchberger_on(inputs, layout, max_basis, max_degree):
     """The reduced basis of ``inputs`` on ``layout``.  Inputs and
-    S-polynomial remainders ``enter`` as monic nonzero normal forms, so no
-    leading monomial is divisible by an earlier one and ``active`` is the
-    minimal basis; the width rule is checked there, the caps on remainders.
+    S-polynomial remainders ``enter`` as primitive nonzero normal forms
+    (``_Packed.primitive``: monic over GF(p)), so no leading monomial is
+    divisible by an earlier one and ``active`` is the minimal basis; the
+    width rule is checked there, the caps on remainders.
     """
     reducers = _Reducers(layout)
     basis = reducers.polys
@@ -759,7 +823,7 @@ def _buchberger_on(inputs, layout, max_basis, max_degree):
             )
         if degree > layout.cap // 2:
             raise _FieldOverflow
-        reducers.add(f.monic())
+        reducers.add(f.primitive())
         if capped and len(basis) > max_basis:
             raise ResourceCapError(f"basis grew past {max_basis} polynomials")
         _gebauer_moeller(layout, reducers.leads, len(basis) - 1, active, queued, queue)
@@ -829,9 +893,11 @@ def _gebauer_moeller(layout, leads, new, active, queued, queue):
 
 def _interreduce(basis):
     """The reduced basis, as Polynomials in ascending lead order, of a
-    minimal monic packed Groebner basis.  A lead that divides a term is at
-    most that term, so each tail, taken in ascending lead order, is reduced
-    by the elements already reduced, which it then joins.
+    minimal packed Groebner basis of ``_Packed.primitive`` elements.  A lead
+    that divides a term is at most that term, so each tail, taken in
+    ascending lead order, is reduced by the elements already reduced, which
+    it then joins.  A tail comes back over its own denominator, so the head
+    coefficient is scaled by it.
 
     Runs inside buchberger's ``_widening``, which reruns the whole
     computation on a wider layout if a lex tail reduction overflows.
@@ -841,8 +907,8 @@ def _interreduce(basis):
     reducers = _Reducers(basis[0].layout)
     for p in sorted(basis, key=lambda p: p.terms[0][0]):
         # reduction only lowers terms, so the head stays in front
-        tail = _reduce_full(p._with(p.terms[1:]), reducers)
-        reducers.add(p._with(p.terms[:1] + tail.terms))
+        (lm, lc), tail = p.terms[0], _reduce_full(p._with(p.terms[1:]), reducers)
+        reducers.add(p._with(((lm, lc * tail.denominator),) + tail.terms).primitive())
     shared = {}
     return [p.unpack(shared) for p in reducers.polys]
 

@@ -501,6 +501,22 @@ def random_sparse_poly(rng, ring, field, order, degree, terms, least=0):
     return Polynomial(ring, field, order, acc)
 
 
+def random_rational_poly(rng, ring, order, degree, terms, least=0):
+    """Up to ``terms`` random terms over QQ of total degree ``least`` to
+    ``degree``.  Each coefficient is a signed numerator, 1-9 or one time in
+    six a 40-digit one, over a denominator that is 2-9 half the time and 1
+    otherwise (a later draw of the same exponents replaces an earlier one)."""
+    acc = {}
+    for _ in range(terms):
+        exps = [0] * ring.n
+        for _ in range(rng.randint(least, degree)):
+            exps[rng.randrange(ring.n)] += 1
+        num = rng.randrange(10**39, 10**40) if rng.random() < 1 / 6 else rng.randint(1, 9)
+        den = rng.randint(2, 9) if rng.random() < 0.5 else 1
+        acc[tuple(exps)] = Fraction(rng.choice((-1, 1)) * num, den)
+    return Polynomial(ring, QQ, order, acc)
+
+
 def cyclic_system(n):
     """The cyclic-n system as (ring text, polynomial texts) in a, b, c, ..."""
     names = "abcdefgh"[:n]
@@ -540,6 +556,32 @@ def certify_all_pairs(gb, gens):
                 )
 
     _widening(run, _layout(gb.order, bound))
+
+
+def certify_by_fractions(gb, gens):
+    """The all-pairs certificate on Polynomials alone: raise, with
+    ``groebner._certify``'s two messages, unless every S-polynomial of gb,
+    formed with Fraction coefficients, and every generator reduce to zero
+    under ``reduce_by_tuples``.  Nothing here touches the packed engine."""
+    polys = gb.polys
+    for f, g in combinations(polys, 2):
+        (lf, cf), (lg, cg) = f.terms[0], g.terms[0]
+        m = tuple(map(max, lf, lg))
+        s = (Polynomial.monomial(f.ring, f.field, f.order, tuple(map(sub, m, lf)),
+                                 f.field.inv(cf)) * f
+             - Polynomial.monomial(g.ring, g.field, g.order, tuple(map(sub, m, lg)),
+                                   g.field.inv(cg)) * g)
+        if not reduce_by_tuples(s, polys).is_zero:
+            raise RuntimeError(
+                "internal error: an S-polynomial of the reduced basis "
+                "does not reduce to zero"
+            )
+    for g in gens:
+        if not reduce_by_tuples(_in_order(g, gb.order), polys).is_zero:
+            raise RuntimeError(
+                "internal error: an input generator does not reduce to zero "
+                "against the reduced basis"
+            )
 
 
 # The character scanners that read monomial and polynomial text before both

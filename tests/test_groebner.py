@@ -11,6 +11,14 @@ tail coefficient, a dropped element or an extra element.  Both must pass,
 or both raise with the same message.  Run it at larger sizes with::
 
     PYTHONPATH=src:tests python -c "import test_groebner as t; print(t.certificate_differential(SEED, COUNT))"
+
+Over QQ the engine certifies on primitive integer polynomials.  A second
+differential, ``rational_certificate_differential``, corrupts rational
+bases so that scaling could hide an error if it were wrong: a tail
+coefficient moved by 1/2 must fail, an element scaled by 2/3 (still a
+Groebner basis) must pass, and ``_certify``, ``certify_all_pairs`` and
+``helpers.certify_by_fractions``, which computes on Fractions alone, must
+agree.
 """
 
 import random
@@ -53,7 +61,14 @@ from idealkit import (
     rng_from_seed,
 )
 from idealkit import groebner
-from helpers import certify_all_pairs, cyclic_system, numbered_ring, random_sparse_poly
+from helpers import (
+    certify_all_pairs,
+    certify_by_fractions,
+    cyclic_system,
+    numbered_ring,
+    random_rational_poly,
+    random_sparse_poly,
+)
 
 R2 = parse_ring("x, y")
 R3 = parse_ring("x, y, z")
@@ -343,6 +358,67 @@ def test_pruned_certificate_agrees_with_all_pairs():
     assert kinds["none", "pass"] == CERTIFICATE_BASES // 4
     # the chain criterion leaves out pairs that are not coprime
     assert kinds["pairs"] + kinds["coprime"] < kinds["all pairs"], kinds
+
+
+def rational_certificate_differential(seed, count):
+    """Certify ``count`` corrupted rational bases three ways and fail on
+    any difference, or on an outcome the corruption does not allow.
+
+    Each basis is the reduced basis of 2-3 random rational polynomials
+    (``helpers.random_rational_poly``, no constant terms) on 2-3
+    variables, in lex and grevlex by turns.  Then one element is changed:
+    "half" adds 1/2 to a tail coefficient, which takes the element out of
+    the ideal, so the basis must fail; "scale" multiplies it by 2/3, which
+    keeps a Groebner basis of the same ideal, so it must pass.  Returns a
+    ``Counter`` of (corruption, outcome).
+    """
+    rng = random.Random(seed)
+    kinds = Counter()
+    done = 0
+    while done < count:
+        ring = numbered_ring(rng.randint(2, 3))
+        kind = ("lex", "grevlex")[done // 2 % 2]
+        order = getattr(MonomialOrder, kind)(ring)
+        gens = [
+            random_rational_poly(rng, ring, order, rng.randint(2, 3), rng.randint(2, 3), 1)
+            for _ in range(rng.randint(2, 3))
+        ]
+        try:
+            polys = list(buchberger(gens, max_basis=40, max_degree=10, certify=False).polys)
+        except ResourceCapError:
+            continue
+        corruption = ("half", "scale")[done % 2]
+        tailed = [i for i, p in enumerate(polys) if len(p.terms) > 1]
+        if corruption == "half" and not tailed:
+            continue
+        done += 1
+        if corruption == "half":
+            p = polys[rng.choice(tailed)]
+            terms = list(p.terms)
+            t = rng.randrange(1, len(terms))
+            terms[t] = (terms[t][0], terms[t][1] + Fraction(1, 2))
+            polys[polys.index(p)] = Polynomial(ring, QQ, order, terms)
+        else:
+            i = rng.randrange(len(polys))
+            polys[i] = polys[i].scale(Fraction(2, 3))
+        gb = GroebnerBasis(ring, QQ, order, tuple(polys), certified=False)
+        outcomes = [
+            _certificate_outcome(certify, gb, gens)
+            for certify in (groebner._certify, certify_all_pairs, certify_by_fractions)
+        ]
+        assert len(set(outcomes)) == 1, (seed, done, [str(p) for p in polys], outcomes)
+        assert (outcomes[0] == "pass") == (corruption == "scale"), (seed, done, outcomes)
+        kinds[corruption, outcomes[0]] += 1
+    return kinds
+
+
+def test_rational_certificate_sees_through_scaling():
+    kinds = rational_certificate_differential(seed=25, count=120)
+    s_fail = "internal error: an S-polynomial of the reduced basis does not reduce to zero"
+    gen_fail = ("internal error: an input generator does not reduce to zero "
+                "against the reduced basis")
+    assert kinds["scale", "pass"] == 60
+    assert kinds["half", s_fail] > 0 and kinds["half", gen_fail] > 0, kinds
 
 
 def test_certificate_pairs_skip_coprime_and_chained_pairs():

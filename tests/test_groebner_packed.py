@@ -5,8 +5,20 @@ order (``monomials.PackedLayout``).  ``helpers.reduce_by_tuples`` is the
 reducer on exponent tuples and order keys; both reduce the largest term by
 the first listed divisor, so their remainders agree term for term, also
 against lists that are not Groebner bases.
+
+Over QQ the engine computes on integer polynomials over one denominator.
+A seeded differential holds it to ``reduce_by_tuples``, which computes
+on Fractions, with rational coefficients: denominators 2-9, 40-digit
+numerators, negative leads and reducer lists scaled by 3/7.  Run it at
+larger sizes with::
+
+    PYTHONPATH=src:tests python -c "import test_groebner_packed as t; print(t.rational_differential(SEED, COUNT))"
 """
 
+import random
+from collections import Counter
+from fractions import Fraction
+from math import gcd
 from operator import le, lt
 
 import pytest
@@ -24,10 +36,17 @@ from idealkit import (
     parse_ring,
     rng_from_seed,
 )
-from helpers import numbered_ring, random_sparse_poly, reduce_by_tuples
+from helpers import (
+    cyclic_system,
+    numbered_ring,
+    random_rational_poly,
+    random_sparse_poly,
+    reduce_by_tuples,
+)
 
 FIELDS = (QQ, PrimeField(32003), PrimeField(2))
 SYSTEMS = 100  # two reductions each
+RATIONAL_CASES = 600  # two reductions each
 
 
 def _case(index):
@@ -85,6 +104,122 @@ def test_differential_cases_cover_every_field_order_and_remainder():
             seen.add((field.characteristic, order.kind, zero))
     assert seen == {(p, kind, zero) for p in (0, 32003, 2)
                     for kind in ("lex", "grevlex") for zero in (False, True)}
+
+
+def rational_differential(seed, count):
+    """Reduce two seeded rational polynomials against each of ``count``
+    seeded reducer lists with ``GroebnerBasis.normal_form`` and
+    ``contains``, and with ``helpers.reduce_by_tuples``, and fail on any
+    difference.
+
+    A list is the reduced basis of 1-3 random polynomials on 2-4
+    variables (or the polynomials themselves when the basis hits a cap),
+    its last 0-2 elements dropped; in turn it is kept as it is, every
+    element is scaled by 3/7, or every element by -1, -5/2 or 2, so that
+    some leads are negative.  Returns a ``Counter`` of what was reached.
+    """
+    rng = random.Random(seed)
+    seen = Counter()
+    for index in range(count):
+        ring = numbered_ring(rng.randint(2, 4))
+        kind = ("lex", "grevlex")[index // 3 % 2]
+        order = getattr(MonomialOrder, kind)(ring, rng.sample(range(ring.n), ring.n))
+        gens = [
+            random_rational_poly(rng, ring, order, rng.randint(1, 3), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 3))
+        ]
+        try:
+            polys = list(buchberger(gens, max_basis=40, max_degree=12, certify=False))
+        except ResourceCapError:
+            polys = gens
+        polys = polys[: len(polys) - rng.randint(0, 2)] or polys[:1]
+        shape = ("as computed", "scaled by 3/7", "signs")[index % 3]
+        if shape == "scaled by 3/7":
+            polys = [p.scale(Fraction(3, 7)) for p in polys]
+        elif shape == "signs":
+            polys = [p.scale(rng.choice((-1, Fraction(-5, 2), 2))) for p in polys]
+        seen[shape] += 1
+        seen["negative lead"] += any(p.leading_coefficient() < 0 for p in polys)
+        basis = GroebnerBasis(ring, QQ, order, tuple(polys), certified=False)
+        targets = [
+            gens[0] * random_rational_poly(rng, ring, order, 2, 3),
+            random_rational_poly(rng, ring, order, 5, 6),
+        ]
+        for f in targets:
+            want = reduce_by_tuples(f, polys)
+            got = basis.normal_form(f)
+            assert got.terms == want.terms, (seed, index, str(f), [str(p) for p in polys])
+            assert basis.contains(f) == want.is_zero, (seed, index)
+            seen[kind, "zero" if want.is_zero else "nonzero"] += 1
+            seen["40-digit"] += any(abs(c.numerator) >= 10**39 for _, c in f.terms)
+            seen["fractional remainder"] += any(c.denominator > 1 for _, c in got.terms)
+    return seen
+
+
+def test_rational_reduction_matches_the_fraction_reducer():
+    seen = rational_differential(seed=25, count=RATIONAL_CASES)
+    for key in ("as computed", "scaled by 3/7", "signs", "negative lead",
+                "40-digit", "fractional remainder"):
+        assert seen[key] > 0, (key, seen)
+    for kind in ("lex", "grevlex"):
+        for zero in ("zero", "nonzero"):
+            assert seen[kind, zero] > 0, (kind, zero, seen)
+
+
+def test_qq_reducers_hold_primitive_integer_polynomials(monkeypatch):
+    # over QQ every element the engine reduces by (the Buchberger loop,
+    # interreduction, the certificate and kept normal-form packings) is an
+    # integer polynomial with coprime coefficients and a positive lead;
+    # over GF(p) it is monic with residues in [0, p); the basis a caller
+    # sees is monic either way, with Fraction coefficients over QQ
+    entries = []
+    add = groebner._Reducers.add
+
+    def spy(self, g):
+        entries.append(g)
+        return add(self, g)
+
+    monkeypatch.setattr(groebner._Reducers, "add", spy)
+    ring_text, texts = cyclic_system(4)
+    ring = parse_ring(ring_text)
+    katsura3 = ["a + 2*b + 2*c + 2*d - 1", "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
+                "2*a*b + 2*b*c + 2*c*d - b", "b^2 + 2*a*c + 2*b*d - c"]
+    systems = []
+    for field in (QQ, PrimeField(32003)):
+        for kind in ("lex", "grevlex"):
+            order = getattr(MonomialOrder, kind)(ring)
+            for system in (texts, katsura3):
+                systems.append([parse_polynomial(ring, t, field, order) for t in system])
+    rng = random.Random(25)
+    for _ in range(40):
+        small = numbered_ring(rng.randint(2, 3))
+        order = MonomialOrder.grevlex(small)
+        systems.append([random_rational_poly(rng, small, order, rng.randint(1, 3), 3)
+                        for _ in range(rng.randint(2, 3))])
+    leads, answered = Counter(), 0
+    for gens in systems:
+        field = gens[0].field
+        entries.clear()
+        try:
+            gb = buchberger(gens, max_basis=40, max_degree=12)
+        except ResourceCapError:
+            continue
+        answered += 1
+        gb.normal_form(gens[0] * gens[-1] + gens[0])
+        assert entries
+        for g in entries:
+            coeffs = [c for _, c in g.terms]
+            assert all(type(c) is int for c in coeffs), [str(p) for p in gens]
+            if field.characteristic:
+                assert coeffs[0] == 1 and all(0 < c < field.characteristic for c in coeffs)
+            else:
+                assert gcd(*coeffs) == 1 and coeffs[0] > 0, [str(p) for p in gens]
+                leads[coeffs[0] > 1] += 1
+        for p in gb.polys:
+            assert p.leading_coefficient() == 1
+            if not field.characteristic:
+                assert all(type(c) is Fraction for _, c in p.terms)
+    assert answered >= 30 and leads[True] > 0 and leads[False] > 0, (answered, leads)
 
 
 def test_lex_overflow_widens_and_matches_the_tuple_reducer():
