@@ -307,7 +307,7 @@ _CRITERIA = (
     ("artin-rees-exercise", 30.0, _check_artin_rees),
     ("kollar-sharpness", 120.0, _check_kollar),
     ("mather-evidence", 60.0, _check_mather),
-    ("frobenius-containment", 60.0, _check_frobenius),
+    ("frobenius-containment", 5.0, _check_frobenius),
     ("structural-suites", 300.0, _check_structural),
 )
 

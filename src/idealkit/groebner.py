@@ -13,10 +13,11 @@ prove sufficient, and all input generators, must reduce to zero against it,
 so it is a Groebner basis and generates the input ideal.
 
 Inside the engine (reduction, S-polynomials, the pair criteria,
-interreduction, the certificate and normal forms) a monomial is one int
-whose integer order is the term order: the ``monomials.PackedLayout`` of
-the order, after Bachmann and Schoenemann, "Monomial representations for
-Groebner bases computations" (ISSAC 1998).
+interreduction, the certificate, normal forms and the products of the
+Frobenius containment check) a monomial is one int whose integer order is
+the term order: the ``monomials.PackedLayout`` of the order, after Bachmann
+and Schoenemann, "Monomial representations for Groebner bases computations"
+(ISSAC 1998).
 Lex puts the exponents in permutation order; grevlex puts the degree on
 top, then cap - x_i with the last variable most significant.  Each field
 has a guard bit, so a shifted term is ``t - lm + m``, the heap key is the
@@ -30,6 +31,9 @@ the cap, which holds every exponent of an S-polynomial.  A lex normal form
 can break that rule, so it is checked where elements enter; lex reduction
 can also raise an exponent past the cap, setting its guard bit so nothing
 wraps.  Either way the entry point reruns on a layout of twice the width.
+The Frobenius check multiplies on packed keys (``_times``: a key sum less
+the layout's offset), so its cap must reach t*p^e times the largest
+generator degree, which bounds every exponent of every product it forms.
 GF(p) coefficients are plain ints, reduced mod p when a term is popped.
 QQ coefficients are ints too: a polynomial is packed as an integer
 polynomial over one denominator, elements enter the basis as primitive
@@ -49,7 +53,8 @@ On top of the engine:
   d^(n-1), the sharpness witness for the product-of-degrees Nullstellensatz
   bound, plus the bound itself,
 * Frobenius powers over GF(p) and the pigeonhole containment
-  I^(t*p^e) inside the e-th Frobenius power of a t-generated I.
+  I^(t*p^e) inside the e-th Frobenius power of a t-generated I, every
+  product of generator powers formed and fully reduced on packed keys.
 
 Worst-case Buchberger behavior is doubly exponential, so basis size and
 degree are capped and overflow raises ResourceCapError rather than hanging.
@@ -1278,13 +1283,44 @@ class FrobeniusCheck:
     to_json = asdict  # the JSON keys are the fields
 
 
+def _times(a, b, offset, p):
+    """The terms of a*b over GF(p) for packed terms on a layout of ``offset``
+    whose cap reaches every exponent of the product.  Packing is affine, so
+    a product of monomials has the key sum less ``offset``; a one-term
+    factor shifts the other's keys alike, keeping them descending, and only
+    two longer factors collect, sort and drop the terms that cancel mod p.
+    """
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((m, c),) = a
+        m -= offset
+        return tuple([(m + k, c * v % p) for k, v in b])
+    acc = {}
+    get = acc.get
+    for ka, ca in a:
+        ka -= offset
+        for kb, cb in b:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    terms = [(k, acc[k] % p) for k in sorted(acc, reverse=True)]
+    return tuple([t for t in terms if t[1]])
+
+
 def frobenius_containment_check(gens, t, p, e, max_products=20_000):
     """Verify I^(t*p^e) lies in the e-th Frobenius power of I = (gens).
 
     Every generator of the power is a product of the g_i with multiplicities
     summing to t*p^e; by pigeonhole some multiplicity reaches p^e, which is
-    why the containment must hold.  The check runs all such products through
-    Groebner membership, refusing upfront when there are too many.
+    why the containment must hold.  The check forms every such product and
+    reduces it in full against the Groebner basis of the bracket power,
+    refusing upfront when there are too many.
+
+    Products are formed by ``_times`` and reduced by ``_reduce_full`` on a
+    layout whose cap reaches t*p^e times the largest generator degree, a
+    bound on every product's degree, so no product key wraps under lex or
+    grevlex.  A lex reduction past the cap repacks the generators and their
+    powers on a wider layout (``_widening``) and starts over.
     """
     gens = list(gens)
     if t != len(gens):
@@ -1292,29 +1328,35 @@ def frobenius_containment_check(gens, t, p, e, max_products=20_000):
     # validates e and the characteristic before p**e feeds the count
     bracket = frobenius_power(gens, p, e)
     exponent = t * p**e
-    # the power chains take up to `exponent` multiplications; for t >= 2
-    # the product count already exceeds that, for t = 1 it is a single product
+    # each power chain takes `exponent` multiplications; for t >= 2 the
+    # product count already exceeds that, for t = 1 it is a single product
     count = max(comb(exponent + t - 1, t - 1), exponent)
     if count > max_products:
         raise ResourceCapError(
             f"containment check needs {count} products, over the cap {max_products}"
         )
     gb = buchberger(bracket, gens[0].order, certify=False)
-    # powers[i][k] is gens[i]^k, filled upward on demand
-    powers = [[Polynomial.constant(g.ring, g.field, g.order, 1)] for g in gens]
+    for g in gens:
+        gb._check(g)
 
-    def gen_power(i, k):
-        cache = powers[i]
-        while len(cache) <= k:
-            cache.append(cache[-1] * gens[i])
-        return cache[k]
+    def run(layout):
+        reducers = gb._reducers(layout)
+        offset, packed = layout.offset, [_pack(g, layout) for g in gens]
+        # powers[i][k] is the terms of gens[i]^k, k = 0..exponent
+        powers = [
+            list(accumulate(repeat(g.terms, exponent),
+                            lambda a, b: _times(a, b, offset, p), initial=((offset, 1),)))
+            for g in packed
+        ]
+        checked = 0
+        for split in _compositions(exponent, t):
+            terms = powers[0][split[0]]
+            for i in range(1, t):
+                terms = _times(terms, powers[i][split[i]], offset, p)
+            checked += 1
+            if not _reduce_full(packed[0]._with(terms), reducers).is_zero:
+                return FrobeniusCheck(False, exponent, checked, str(split))
+        return FrobeniusCheck(True, exponent, checked, None)
 
-    checked = 0
-    for split in _compositions(exponent, t):
-        product = gen_power(0, split[0])
-        for i in range(1, t):
-            product = product * gen_power(i, split[i])
-        checked += 1
-        if not gb.contains(product):
-            return FrobeniusCheck(False, exponent, checked, str(split))
-    return FrobeniusCheck(True, exponent, checked, None)
+    degree = max(g.total_degree() for g in gens)
+    return _widening(run, gb._layout(exponent * degree))

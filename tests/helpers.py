@@ -16,11 +16,15 @@ from idealkit import (
     QQ,
     ArReport,
     BsCheck,
+    FrobeniusCheck,
     MinorFailure,
     Monomial,
     MonomialIdeal,
     MonomialOrder,
     Polynomial,
+    ResourceCapError,
+    buchberger,
+    frobenius_power,
     invariants,
     minimal_primes,
     newton_polyhedron,
@@ -583,6 +587,45 @@ def certify_by_fractions(gb, gens):
                 "against the reduced basis"
             )
 
+
+
+def frobenius_check_by_polynomials(gens, t, p, e, max_products=20_000):
+    """``groebner.frobenius_containment_check`` as it was before products
+    were formed on packed keys, verbatim but for the compositions, which
+    come from ``compositions`` here: every product of generator powers is
+    a Polynomial product, tested with ``GroebnerBasis.contains``."""
+    gens = list(gens)
+    if t != len(gens):
+        raise ValueError("t must equal the number of generators")
+    # validates e and the characteristic before p**e feeds the count
+    bracket = frobenius_power(gens, p, e)
+    exponent = t * p**e
+    # the power chains take up to `exponent` multiplications; for t >= 2
+    # the product count already exceeds that, for t = 1 it is a single product
+    count = max(comb(exponent + t - 1, t - 1), exponent)
+    if count > max_products:
+        raise ResourceCapError(
+            f"containment check needs {count} products, over the cap {max_products}"
+        )
+    gb = buchberger(bracket, gens[0].order, certify=False)
+    # powers[i][k] is gens[i]^k, filled upward on demand
+    powers = [[Polynomial.constant(g.ring, g.field, g.order, 1)] for g in gens]
+
+    def gen_power(i, k):
+        cache = powers[i]
+        while len(cache) <= k:
+            cache.append(cache[-1] * gens[i])
+        return cache[k]
+
+    checked = 0
+    for split in compositions(exponent, t):
+        product = gen_power(0, split[0])
+        for i in range(1, t):
+            product = product * gen_power(i, split[i])
+        checked += 1
+        if not gb.contains(product):
+            return FrobeniusCheck(False, exponent, checked, str(split))
+    return FrobeniusCheck(True, exponent, checked, None)
 
 # The character scanners that read monomial and polynomial text before both
 # parsers shared one tokenizer, kept as they were (names aside): the

@@ -19,6 +19,15 @@ coefficient moved by 1/2 must fail, an element scaled by 2/3 (still a
 Groebner basis) must pass, and ``_certify``, ``certify_all_pairs`` and
 ``helpers.certify_by_fractions``, which computes on Fractions alone, must
 agree.
+
+The Frobenius containment check forms and reduces its products on packed
+keys.  ``frobenius_differential`` holds its whole ``FrobeniusCheck`` to
+``helpers.frobenius_check_by_polynomials``, the Polynomial loop it
+replaced, on seeded non-monomial ideals over GF(2), GF(3) and GF(5) in
+lex, permuted lex and grevlex, with e = 0, 1, 2.  Run it at larger sizes
+with::
+
+    PYTHONPATH=src:tests python -c "import test_groebner as t; print(t.frobenius_differential(SEED, COUNT))"
 """
 
 import random
@@ -64,7 +73,9 @@ from idealkit import groebner
 from helpers import (
     certify_all_pairs,
     certify_by_fractions,
+    compositions,
     cyclic_system,
+    frobenius_check_by_polynomials,
     numbered_ring,
     random_rational_poly,
     random_sparse_poly,
@@ -75,6 +86,9 @@ R3 = parse_ring("x, y, z")
 GFP = PrimeField(32003)
 CERTIFICATE_FIELDS = (QQ, GFP, PrimeField(2))
 CERTIFICATE_BASES = 300
+FROBENIUS_FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5))
+FROBENIUS_CAP = 200
+FROBENIUS_CASES = 216
 
 
 def poly(text, ring=R2, field=QQ, order=None):
@@ -605,6 +619,9 @@ def test_frobenius_containment():
     assert frobenius_containment_check(r3gens, 3, 3, 1).contained
     with pytest.raises(ValueError):
         frobenius_containment_check(gens, 3, 2, 1)  # t must match the count
+    with pytest.raises(RingMismatchError):
+        frobenius_containment_check(
+            [gens[0], poly("y", field=f2, order=MonomialOrder.lex(R2))], 2, 2, 1)
     # e and the characteristic are checked before p^e sizes the product count
     with pytest.raises(ValueError, match="nonnegative"):
         frobenius_containment_check(gens, 2, 2, -1)
@@ -625,3 +642,133 @@ def test_frobenius_power_chain_counts_against_the_cap():
     f2 = parse_field("fp:2")
     with pytest.raises(ResourceCapError, match="needs 1073741824 products, over the cap 20000"):
         frobenius_containment_check([poly("x", field=f2)], 1, 2, 30)
+
+
+def test_frobenius_grid_reduces_every_product():
+    # the benchmark's grid: every generator of I^(t*p^e) is formed and
+    # reduced, none is skipped on the strength of the pigeonhole argument
+    for ring in (R2, R3):
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            gens = [Polynomial.variable(ring, field, MonomialOrder.grevlex(ring), i)
+                    for i in range(ring.n)]
+            t = len(gens)
+            for e in (1, 2):
+                report = frobenius_containment_check(gens, t, p, e)
+                assert report.contained and report.failure is None
+                assert report.products_checked == comb(t * p**e + t - 1, t - 1)
+
+
+def _frobenius_outcome(check, gens, p, e):
+    try:
+        return check(gens, len(gens), p, e, max_products=FROBENIUS_CAP)
+    except ResourceCapError as exc:
+        return str(exc)
+
+
+def frobenius_differential(seed, count):
+    """Run ``count`` seeded containment checks through
+    ``frobenius_containment_check`` and ``helpers.frobenius_check_by_polynomials``,
+    and fail unless both return the same ``FrobeniusCheck`` or refuse with
+    the same message.
+
+    Each ideal has 1-3 generators of 1-3 distinct random terms of degree 1-3
+    on 1-3 variables, the first with two terms or more.  The field cycles
+    through GF(2), GF(3) and GF(5), the order through lex, lex on a random
+    permutation and grevlex, and e through 0, 1 and 2; one case in four has
+    a zero generator in place of one drawn, and another a nonzero constant.  ``FROBENIUS_CAP`` refuses the largest.
+    Returns a ``Counter`` of (variant, outcome), outcome "contained",
+    "refused" or "failed".
+    """
+    rng = random.Random(seed)
+    kinds = Counter()
+    for done in range(count):
+        field = FROBENIUS_FIELDS[done % 3]
+        ring = numbered_ring(rng.randint(1, 3))
+        kind = ("lex", "permuted lex", "grevlex")[done // 3 % 3]
+        permutation = list(range(ring.n))
+        if kind == "permuted lex":
+            rng.shuffle(permutation)
+        order = getattr(MonomialOrder, kind.split()[-1])(ring, permutation)
+        e = done // 9 % 3
+        monomials = [m for d in (1, 2, 3) for m in compositions(d, ring.n)]
+        # the first generator has two terms or more, so the ideal is not monomial
+        sizes = [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+        gens = [
+            Polynomial(ring, field, order, {
+                m: rng.randrange(1, field.characteristic)
+                for m in rng.sample(monomials, min(terms, len(monomials)))
+            })
+            for terms in sizes
+        ]
+        variant = ("drawn", "zero", "drawn", "constant")[done % 4]
+        if variant == "zero":
+            gens[rng.randrange(len(gens))] = Polynomial.zero(ring, field, order)
+        elif variant == "constant":
+            c = rng.randrange(1, field.characteristic)
+            gens[rng.randrange(len(gens))] = Polynomial.constant(ring, field, order, c)
+        p = field.characteristic
+        got = _frobenius_outcome(frobenius_containment_check, gens, p, e)
+        want = _frobenius_outcome(frobenius_check_by_polynomials, gens, p, e)
+        assert got == want, (seed, done, [str(g) for g in gens], str(order), p, e, got, want)
+        if isinstance(got, str):
+            kinds[variant, "refused"] += 1
+        else:
+            kinds[variant, "contained" if got.contained else "failed"] += 1
+    return kinds
+
+
+def test_frobenius_check_agrees_with_the_polynomial_loop():
+    kinds = frobenius_differential(seed=31, count=FROBENIUS_CASES)
+    # the pigeonhole step holds for every ideal, zero and unit ones included
+    assert not any(outcome == "failed" for _, outcome in kinds), kinds
+    for variant in ("drawn", "zero", "constant"):
+        assert kinds[variant, "contained"] > 0, kinds
+    assert sum(n for (_, outcome), n in kinds.items() if outcome == "refused") > 0, kinds
+
+
+def test_frobenius_failure_branch_agrees_with_the_polynomial_loop(monkeypatch):
+    # a bracket basis missing an element: the first product outside it is
+    # the same split on both paths, after the same number of products
+    interreduce = groebner._interreduce
+    monkeypatch.setattr(groebner, "_interreduce", lambda basis: interreduce(basis)[:-1])
+    kinds = frobenius_differential(seed=37, count=FROBENIUS_CASES)
+    assert kinds["drawn", "failed"] > 0, kinds
+    lex = MonomialOrder.lex(R2)
+    cases = [
+        ([Polynomial.variable(ring, PrimeField(p), MonomialOrder.grevlex(ring), i)
+          for i in range(ring.n)], p)
+        for ring in (R2, R3) for p in (2, 3)
+    ]
+    # this one also overflows its first lex layout
+    cases.append(([poly(text, field=PrimeField(5), order=lex) for text in ("x^2", "x*y - y^3")], 5))
+    for gens, p in cases:
+        got = frobenius_containment_check(gens, len(gens), p, 1)
+        assert not got.contained
+        assert got == frobenius_check_by_polynomials(gens, len(gens), p, 1)
+
+
+def test_frobenius_check_widens_a_lex_layout_and_starts_over(monkeypatch):
+    # the products fit the first layout, but a lex reducer such as
+    # x^q - y^(3q) lifts a reduced term's y exponent past its cap
+    lex = MonomialOrder.lex(R2)
+    widths = []
+    reducers = GroebnerBasis._reducers
+
+    def spy(gb, layout):
+        widths.append(layout.width)
+        return reducers(gb, layout)
+
+    monkeypatch.setattr(GroebnerBasis, "_reducers", spy)
+    for texts, p, width in (
+        (("x - y^3", "x^2 - y"), 2, 5),
+        (("x - y^3", "x^2 - y"), 5, 6),
+        (("x^2 - y", "x + y^2"), 3, 5),
+        (("x - y^2", "x^2"), 3, 5),
+    ):
+        gens = [poly(text, field=PrimeField(p), order=lex) for text in texts]
+        widths.clear()
+        got = frobenius_containment_check(gens, 2, p, 1)
+        assert widths == [width, 2 * width]
+        assert got == frobenius_check_by_polynomials(gens, 2, p, 1)
+        assert got.contained and got.products_checked == 2 * p + 1
