@@ -21,9 +21,10 @@ and Schoenemann, "Monomial representations for Groebner bases computations"
 Lex puts the exponents in permutation order; grevlex puts the degree on
 top, then cap - x_i with the last variable most significant.  Each field
 has a guard bit, so a shifted term is ``t - lm + m``, the heap key is the
-negated int, and divisibility is one subtraction and mask.  Polynomials
-are packed on the way in and unpacked on the way out; ``Polynomial.terms``
-stays the public exponent-tuple view.
+negated int, divisibility is one subtraction and mask, and the first
+reducer whose lead divides a term is one ``monomials._Blocks`` test.
+Polynomials are packed on the way in and unpacked on the way out;
+``Polynomial.terms`` stays the public exponent-tuple view.
 
 Field widths are derived, never set: the cap starts at twice the larger of
 ``max_degree`` and the input degree, and every element must stay within half
@@ -72,7 +73,7 @@ from operator import add, le, mul, neg
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 from .fields import QQ
-from .monomials import PackedLayout, Ring, _compositions, _int_text, _tokens
+from .monomials import PackedLayout, Ring, _Blocks, _compositions, _int_text, _tokens
 from .monomials import _monomial_text
 
 DEFAULT_BASIS_CAP = 5000
@@ -554,13 +555,8 @@ def _pack(f, layout):
 class _Reducers:
     """Packed polynomials to reduce by, in list order, kept in ``polys``.
 
-    Their leading monomials' plain fields are kept in ``leads`` and also
-    sit side by side in ``blocks``, in blocks of ``layout.top + 1`` bits,
-    as the kept rows of ``_minimal_rows`` do: a term x with its guards set,
-    copied into every block by the repunit, minus ``blocks``, masked to the
-    guards, plus the complement of the guards carries into a block's spare
-    top bit exactly when that block's monomial divides x.  The lowest carry
-    names the first divisor.
+    Their leading monomials' plain fields are kept in ``leads`` and, for
+    the first-divisor search, in the ``_Blocks`` of the layout.
 
     ``heads`` keeps, per polynomial, what reduction by it needs: the leading
     key, the scale of its coefficient (1/lc over GF(p), the integer lc
@@ -568,13 +564,11 @@ class _Reducers:
     1) and the tail with negated int coefficients.
     """
 
-    __slots__ = ("layout", "polys", "heads", "leads", "blocks", "repunit")
+    __slots__ = ("layout", "polys", "heads", "leads", "blocks")
 
     def __init__(self, layout, polys=()):
-        self.layout = layout
-        self.polys = []
-        self.heads = []
-        self.leads, self.blocks, self.repunit = [], 0, 0
+        self.layout, self.blocks = layout, _Blocks(layout)
+        self.polys, self.heads, self.leads = [], [], []
         for g in polys:
             self.add(g)
 
@@ -582,9 +576,7 @@ class _Reducers:
         layout = self.layout
         lm, lc = g.terms[0]
         lead = (lm ^ layout.flip) & layout.low
-        shift = len(self.heads) * (layout.top + 1)
-        self.blocks |= lead << shift
-        self.repunit |= 1 << shift
+        self.blocks.extend([lead])
         scale = None if lc == 1 else g.field.inv(lc) if g.field.characteristic else lc
         # a negative int stands for its residue mod p until the term is popped
         self.heads.append((lm, scale, tuple([(m, -c) for m, c in g.terms[1:]])))
@@ -610,10 +602,7 @@ def _reduce_full(f, reducers):
     """
     layout = f.layout
     flip, guard, low = layout.flip, layout.guard, layout.low
-    block = layout.top + 1
-    heads, blocks, repunit = reducers.heads, reducers.blocks, reducers.repunit
-    guards, fill = guard * repunit, (low + 1 - guard) * repunit
-    spares = repunit << layout.top
+    heads, first = reducers.heads, reducers.blocks.first
     p = f.field.characteristic
     denominator = f.denominator
     work = dict(f.terms)
@@ -626,12 +615,11 @@ def _reduce_full(f, reducers):
         c = work.pop(t) % p if p else work.pop(t)
         if not c:
             continue
-        x = ((t ^ flip) & low) | guard
-        hit = (((x * repunit - blocks) & guards) + fill) & spares
-        if not hit:
+        j = first((t ^ flip) & low)
+        if j < 0:
             remainder.append((t, c))
             continue
-        lm, scale, tail = heads[(hit & -hit).bit_length() // block - 1]
+        lm, scale, tail = heads[j]
         shift = t - lm
         if scale is not None:
             if p:

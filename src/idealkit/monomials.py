@@ -14,18 +14,10 @@ keeps the rows that no other row divides.  It visits rows by ascending
 (degree, tuple) and tests each only against kept rows of strictly lower
 degree: a row never divides another of its own degree.  The first
 ``_PACK_AT`` of those are tried one by one, which settles most small inputs
-and most staircases.  The others are tested all at once in one int.  Each
-exponent takes a field of ``w`` bits, one more than the largest exponent
-needs, whose top bit is a guard; a row is the n fields with the first
-variable's highest, and the kept rows sit in blocks of ``n*w + 1`` bits (the
-spare bit catches a carry) of ``K``.  A candidate r with its guards set,
-``pack(r) | G``, copied into every block by multiplying with the repunit U,
-minus K, leaves field i's guard set exactly when ``k_i <= r_i``; no field or
-block borrows.  Masking with ``G*U`` and adding ``(2^(n*w) - G)*U`` carries
-into a block's spare bit exactly when all of that block's guards are set,
-i.e. when that kept row divides r.  So a handful of big-int operations
-replace the pairwise scan.  The containment search ``first_outside`` is one
-such call, on the rows of both ideals.
+and most staircases.  The others are tested all at once by ``_Blocks``,
+which holds packed rows side by side in one int: a handful of big-int
+operations replace the pairwise scan.  The containment search
+``first_outside`` is one such call, on the rows of both ideals.
 
 The lattice-point folds of ``_minimal_points``, behind symbolic powers and
 integral closures, run on packed keys from the first fold to the last and
@@ -39,11 +31,14 @@ divides a satisfied row s, or g would have divided s in the fold before.
 The fields are wide enough that neither a lifted row nor a partial sum of
 the product carries; ``_minimal_points`` states and proves that width rule.
 
-``PackedLayout`` is that guard layout, taken in its lex form here, by the
-Hilbert check and by the Betti facets; in the Groebner engine a
+``PackedLayout`` packs a row into one int, each exponent in a field whose
+top bit is a guard.  It is taken in its lex form here, by the Hilbert
+check and by the Betti facets; in the Groebner engine a
 monomial is one int whose integer order is a term order (lex, or grevlex
-with the degree above the fields), so the engine's heap keys, shifts,
-divisibility tests and first-divisor search are int operations on it.
+with the degree above the fields), so the engine's heap keys, shifts and
+divisibility tests are int operations on it.  ``_Blocks`` is the one
+all-at-once divisibility test: ``_minimal_rows``, ``_fold_rows`` and the
+engine's first-divisor search all run it.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from operator import add, le, lshift, mul
+from operator import add, le, mul
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 
@@ -238,33 +233,25 @@ def _minimal_rows(rows):
     candidate was already seen, so one pass against the kept rows of lower
     degree suffices: no row divides another of its own degree.  The first
     ``_PACK_AT`` of those rows are scanned one by one; the rest are tested
-    all at once in a packed int (see the module docstring), built only when
-    a candidate gets past the scan, and extended, never rebuilt, as the
-    degree rises.
+    all at once by ``_Blocks``, packed only when a candidate gets past the
+    scan, and extended, never rebuilt, as the degree rises.
     """
     uniq = set(rows)
-    kept, head, degree, lower = [], [], None, 0
-    packed = _PACK_AT  # kept[_PACK_AT:packed] are the blocks of K
+    # blocks holds kept[_PACK_AT:] of lower degree, once a row gets past the head
+    kept, head, degree, lower, blocks = [], [], None, 0, None
     for d, r in sorted(zip(map(sum, uniq), uniq)):
         if d != degree:
             degree, lower, head = d, len(kept), kept[:_PACK_AT]
         if head and any(all(map(le, k, r)) for k in head):
             continue
         if lower > _PACK_AT:
-            if packed == _PACK_AT:
+            if blocks is None:
                 layout = PackedLayout.fitting(
                     "lex", tuple(range(len(r))), max(map(max, uniq)))
-                shifts, guard, width = layout.shifts, layout.guard, layout.top
-                fmt, K = "0%db" % (width + 1), 0
-            if packed < lower:
-                chunk = "".join(format(sum(map(lshift, k, shifts)), fmt)
-                                for k in reversed(kept[packed:lower]))
-                K |= int(chunk, 2) << (packed - _PACK_AT) * (width + 1)
-                packed = lower
-                U = int(("0" * width + "1") * (lower - _PACK_AT), 2)
-                grep, hrep, top = guard * U, ((1 << width) - guard) * U, U << width
-            cand = sum(map(lshift, r, shifts)) | guard
-            if (((cand * U - K) & grep) + hrep) & top:
+                blocks, pack = _Blocks(layout), layout.pack
+            if blocks.count < lower - _PACK_AT:
+                blocks.extend([pack(k) for k in kept[_PACK_AT + blocks.count:lower]])
+            if blocks.first(pack(r)) >= 0:
                 continue
         kept.append(r)
     return kept
@@ -284,11 +271,12 @@ class PackedLayout:
     Packing is affine, ``key = offset + sum(e_i * weights[i])``, so the
     key of x^t / x^lm * x^m is ``t - lm + m`` whenever that monomial fits.
     ``key ^ flip`` holds the plain exponents in the fields under either
-    kind, so lm divides t exactly when the guard test of ``_minimal_rows``,
-    ``(((t ^ flip) | guard) - (lm ^ flip)) & guard == guard``, holds; the
-    grevlex degree bits above the guards do not touch it, and ``& low``
-    drops them, leaving the plain fields that ``lcm``, ``total`` and ``key``
-    take.  Under lex an exponent of t - lm + m past ``cap`` is at most
+    kind, so lm divides t exactly when the guard test
+    ``(((t ^ flip) | guard) - (lm ^ flip)) & guard == guard`` holds
+    (``_Blocks`` runs it against many lm at once); the grevlex degree bits
+    above the guards do not touch it, and ``& low`` drops them, leaving the
+    plain fields that ``lcm``, ``total``, ``key`` and ``_Blocks`` take.
+    Under lex an exponent of t - lm + m past ``cap`` is at most
     2 * cap, so it sets its field's guard without reaching the next field:
     that is how callers see an overflow.  Grevlex keys stay exact while
     degrees stay within ``cap``.
@@ -364,6 +352,51 @@ def _packed_layout(kind, permutation, width):
     return PackedLayout(kind, permutation, width)
 
 
+class _Blocks:
+    """Plain fields of one ``PackedLayout``, side by side in one int, so
+    that a handful of big-int operations find the first that divides x.
+
+    Key j takes the block of ``width`` = ``layout.top + 1`` bits at
+    j * width: its fields, then a spare bit, which is 0.  ``repunit`` has a
+    1 at the bottom of every block.  With its guards set, x copied into
+    every block by the repunit, minus ``keys``, borrows in no field and no
+    block, and leaves the guard of field i in block j set exactly when
+    key_j has at most x_i there.  Or ``fill``, every bit of every block
+    below its spare bit but the guards, and the block is all ones below its
+    spare bit exactly when all of its guards are set: when key j divides x.
+    Plus the repunit, such a block and no other carries into its spare
+    bit, masked by ``spares``.  The lowest carry is the first dividing key
+    in the order the keys were added.
+    """
+
+    __slots__ = ("guard", "width", "count", "keys", "repunit", "fill", "spares")
+
+    def __init__(self, layout):
+        self.guard, self.width = layout.guard, layout.top + 1
+        self.count = self.keys = self.repunit = self.fill = self.spares = 0
+
+    def extend(self, fields):
+        """Hold the list of plain fields ``fields`` after those already held."""
+        guard, width, shift = self.guard, self.width, self.count * self.width
+        chunk, step = fields, width
+        while len(chunk) > 1:  # pairwise: m keys take O(m log m) bit moves, not O(m^2)
+            chunk = [a | b << step for a, b in zip(chunk[::2], chunk[1::2] + [0])]
+            step *= 2
+        self.keys |= sum(chunk) << shift
+        self.count += len(fields)
+        # the new blocks' repunit, (B^m - 1) / (B - 1) in base B = 2^width
+        self.repunit |= ((1 << len(fields) * width) - 1) // ((1 << width) - 1) << shift
+        self.fill = ((1 << width - 1) - 1 - guard) * self.repunit
+        self.spares = self.repunit << width - 1
+
+    def first(self, fields):
+        """The index of the first key held that divides these plain fields;
+        -1 when none does."""
+        carries = ((((fields | self.guard) * self.repunit - self.keys) | self.fill)
+                   + self.repunit) & self.spares
+        return (carries & -carries).bit_length() // self.width - 1
+
+
 def _lcm_row(a, b):
     """Exponents of lcm(x^a, x^b)."""
     return tuple(map(max, a, b))
@@ -404,9 +437,21 @@ def _minimal_lifts(weights, deficit):
 
 def _lift_count(weights, deficit):
     """How many rows ``_minimal_lifts(weights, deficit)`` yields, counted
-    over the deficits each weight can leave, without forming a row."""
-    levels = [{deficit}]
+    over the deficits each weight can leave, without forming a row; or,
+    when that count is past ``_POINT_WORK_CAP``, possibly a lower bound
+    that is past it too.
+
+    A pair (d, f) of a level, a deficit d and a value f below its top,
+    starts at least one lift that no other pair of any level starts: f is
+    followed by the next weight's top, the pairs of later levels by less.
+    So the pairs of all levels together never outnumber the lifts, and the
+    count stops at the level where they pass the cap, before building it.
+    """
+    levels, pairs = [{deficit}], 0
     for w in weights[:-1]:
+        pairs += sum([-(-d // w) for d in levels[-1] if d > 0])
+        if pairs > _POINT_WORK_CAP:
+            return pairs
         levels.append({d - w * f for d in levels[-1] for f in range(max(0, -(-d // w)))})
     counts = dict.fromkeys(levels.pop(), 1)
     for w, level in zip(reversed(weights[:-1]), reversed(levels)):
@@ -445,8 +490,8 @@ def _minimal_points(ring, inequalities):
     still satisfy each of them, as c . (a - e_j) >= c_j * (a_j - 1) >= b.
     A lift r of a deficit at most b has r_j <= ceil(b / c_j) too, and
     ceil(b / c_j) <= b for integers c_j >= 1, so lifted rows reach at most
-    ``reach``, within the field's cap, and the guard test of
-    ``_minimal_rows`` applies.  A field of ``g * C`` sums at most n products
+    ``reach``, within the field's cap, and the guard tests of
+    ``_fold_rows`` apply.  A field of ``g * C`` sums at most n products
     g_i * c_j <= reach * max c, so no field of the product carries and the
     dot product is read exactly.
 
@@ -465,7 +510,7 @@ def _minimal_points(ring, inequalities):
     reach = 2 * max([b for _, b in pending] + [0])
     most = max([max(coeffs) for coeffs, _ in pending] + [1])
     layout = PackedLayout.fitting("lex", tuple(range(n)), n * reach * most)
-    shifts, top, width, cap = layout.shifts, layout.top, layout.width, layout.cap
+    shifts, top, width = layout.shifts, layout.top, layout.width
     at, field = top - width, (1 << width) - 1
     systems = [(layout.pack(coeffs[::-1]), coeffs, bound) for coeffs, bound in pending]
     rows, shapes = [0], {}
@@ -502,7 +547,7 @@ def _minimal_points(ring, inequalities):
         if made > _POINT_WORK_CAP:
             raise _points_refused()
         rows = _fold_rows(layout, satisfied, lifted)
-    return _ideal_from_minimal(ring, [tuple([k >> s & cap for s in shifts]) for k in sorted(rows)])
+    return _ideal_from_minimal(ring, list(map(layout.unpack, sorted(rows))))
 
 
 def _points_refused():
@@ -521,14 +566,14 @@ def _fold_rows(layout, satisfied, lifted):
     ascending key order, each against the rows of lower degree kept so far,
     satisfied or lifted: a row of its own degree cannot divide it.  As in
     ``_minimal_rows``, the first ``_PACK_AT`` of those are tried one by one
-    and the others all at once, as blocks of one int ``K``.
+    and the others all at once by ``_Blocks``.
     """
     if not lifted:
         return satisfied
     guard, top, low = layout.guard, layout.top, layout.low
     satisfied.sort()
-    lower, kept, fresh, degree = [], [], [], None  # fresh: kept at this degree
-    taken, packed = 0, _PACK_AT  # satisfied[:taken] are in lower; lower[_PACK_AT:packed] in K
+    # fresh: kept at this degree; satisfied[:taken] are in lower, lower[_PACK_AT:] in blocks
+    lower, kept, fresh, degree, taken, blocks = [], [], [], None, 0, None
     for c in sorted(set(lifted)):
         if c >> top != degree:
             degree = c >> top
@@ -537,21 +582,15 @@ def _fold_rows(layout, satisfied, lifted):
             lower += fresh
             kept += fresh
             taken, fresh, head = below, [], lower[:_PACK_AT]
-            if len(lower) > packed:
-                if packed == _PACK_AT:
-                    fmt, K = "0%db" % (top + 1), 0
-                chunk = "".join(format(k & low, fmt) for k in reversed(lower[packed:]))
-                K |= int(chunk, 2) << (packed - _PACK_AT) * (top + 1)
-                packed = len(lower)
-                U = int(("0" * top + "1") * (packed - _PACK_AT), 2)
-                grep, hrep, spill = guard * U, ((1 << top) - guard) * U, U << top
+            if len(lower) > _PACK_AT:
+                blocks = blocks or _Blocks(layout)
+                blocks.extend([k & low for k in lower[_PACK_AT + blocks.count:]])
         c_guard = c | guard
         for k in head:
             if (c_guard - k) & guard == guard:
                 break
         else:
-            if packed == _PACK_AT or not (
-                    ((((c & low | guard) * U - K) & grep) + hrep) & spill):
+            if blocks is None or blocks.first(c & low) < 0:
                 fresh.append(c)
     return satisfied + kept + fresh
 

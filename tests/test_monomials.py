@@ -1,4 +1,15 @@
-"""Monomial and ideal arithmetic, pinned examples plus enumeration oracles."""
+"""Monomial and ideal arithmetic, pinned examples plus enumeration oracles.
+
+``blocks_differential`` holds the all-at-once divisibility test
+``monomials._Blocks`` to pairwise divisibility on seeded key lists.  Run it
+at larger sizes with::
+
+    PYTHONPATH=src:tests python -c "import test_monomials as t; print(t.blocks_differential(SEED, COUNT))"
+"""
+
+import time
+from collections import Counter
+from operator import le
 
 import pytest
 
@@ -26,6 +37,8 @@ from idealkit.monomials import (
     _PACK_AT,
     DEFAULT_EXPONENT_CAP,
     PackedLayout,
+    _Blocks,
+    _fold_rows,
     _ideal_from_rows,
     _lcm_row,
     _lift_count,
@@ -281,6 +294,88 @@ def test_layout_operations_match_the_tuple_kernel():
                 seen.update((kind, "bound") for r in (a, b) if sum(r) == limit)
     assert seen == {(kind, case) for kind in ("lex", "grevlex")
                     for case in ("zero", "cap", "bound")}
+
+
+def blocks_differential(seed, count):
+    """``_Blocks`` against pairwise divisibility on ``count`` seeded key
+    lists: lex and grevlex layouts of every field width, exponents at 0, at
+    ``cap`` or between, held in one chunk or in several.  ``first`` must
+    name the first dividing key in list order, or -1.  Returns how many
+    queries had no divisor, one, or several, and how many lists came in
+    one chunk or in several."""
+    rng = rng_from_seed(f"idealkit:monomials:blocks:{seed}")
+    widest = PackedLayout.fitting("lex", (0,), DEFAULT_EXPONENT_CAP).width
+    seen = Counter()
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        kind = rng.choice(("lex", "grevlex"))
+        layout = PackedLayout(kind, tuple(rng.sample(range(n), n)), rng.randint(2, widest))
+        cap = layout.cap
+
+        def fields(row):
+            return (layout.pack(row) ^ layout.flip) & layout.low
+
+        def row():
+            return tuple(rng.choice((0, cap, rng.randint(0, cap))) for _ in range(n))
+
+        keys = [row() for _ in range(rng.randint(1, 40))]
+        blocks = _Blocks(layout)
+        assert blocks.first(fields(row())) == -1
+        cuts = sorted(rng.sample(range(1, len(keys)), rng.randint(0, min(3, len(keys) - 1))))
+        seen["chunks", len(cuts) > 0] += 1
+        for a, b in zip([0] + cuts, cuts + [len(keys)]):
+            blocks.extend([fields(k) for k in keys[a:b]])
+        queries = [row() for _ in range(10)] + rng.sample(keys, min(5, len(keys)))
+        queries += [tuple(min(e + rng.randint(0, 2), cap) for e in k) for k in keys[:5]]
+        for q in queries:
+            dividing = [j for j, k in enumerate(keys) if all(map(le, k, q))]
+            assert blocks.first(fields(q)) == (dividing + [-1])[0], (layout, keys, q)
+            seen["divisors", min(len(dividing), 2)] += 1
+    return seen
+
+
+def test_blocks_find_the_first_divisor():
+    seen = blocks_differential(seed=1, count=400)
+    assert all(seen["divisors", k] for k in (0, 1, 2)), seen
+    assert seen["chunks", True] and seen["chunks", False], seen
+
+
+def _fold_inputs(rng, n, count):
+    """One fold's rows as exponent tuples: an antichain of ``count`` rows,
+    split into rows that satisfy the fold and rows lifted by one to three
+    nonzero steps.  The antichain's first exponent rises while its second
+    falls, by random steps, and the other exponents are random, so its
+    degrees spread and satisfied rows fall below, among and above the
+    lifted ones."""
+    firsts = sorted(rng.sample(range(3 * count), count))
+    seconds = sorted(rng.sample(range(3 * count), count), reverse=True)
+    satisfied, lifted = [], []
+    for a, b in zip(firsts, seconds):
+        g = (a, b) + tuple(rng.randint(0, 9) for _ in range(n - 2))
+        if rng.random() < 0.5:
+            satisfied.append(g)
+            continue
+        for _ in range(rng.randint(1, 3)):
+            step = [0] * n
+            while not any(step):
+                step = [rng.randint(0, 2) for _ in range(n)]
+            lifted.append(tuple(map(sum, zip(g, step))))
+    return satisfied, lifted
+
+
+def test_fold_rows_match_the_scan():
+    rng = rng_from_seed("idealkit:monomials:fold-rows")
+    for n in range(2, 6):
+        for count in (1, _PACK_AT - 1, _PACK_AT, _PACK_AT + 1, 2 * _PACK_AT + 1, 300):
+            satisfied, lifted = _fold_inputs(rng, n, count)
+            rows = satisfied + lifted
+            layout = PackedLayout.fitting("lex", tuple(range(n)), max(map(max, rows)))
+
+            def key(row):
+                return layout.pack(row) | sum(row) << layout.top
+
+            folded = _fold_rows(layout, list(map(key, satisfied)), list(map(key, lifted)))
+            assert sorted(folded) == list(map(key, minimal_rows_by_scan(rows)))
 
 
 def test_pairing_cap_trips_before_forming_rows(monkeypatch):
@@ -583,3 +678,26 @@ def test_lift_count_counts_the_lifts():
         deficit = rng.randint(-2, 14)
         assert _lift_count(weights, deficit) == len(list(_minimal_lifts(weights, deficit)))
     assert _lift_count((1,) * 1200, 2) == 1201 * 1200 // 2
+
+
+def test_lift_count_stops_early_only_past_the_cap(monkeypatch):
+    # a count within the cap is exact; one past it may stop at a lower
+    # bound, which is past the cap too
+    rng = rng_from_seed("idealkit:monomials:lift-count-cap")
+    for _ in range(300):
+        weights = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+        deficit = rng.randint(-2, 14)
+        lifts = len(list(_minimal_lifts(weights, deficit)))
+        cap = rng.randint(0, 2 * lifts)
+        monkeypatch.setattr(monomials, "_POINT_WORK_CAP", cap)
+        count = _lift_count(weights, deficit)
+        assert count == lifts if lifts <= cap else count > cap, (weights, deficit, cap)
+
+
+def test_lift_count_refuses_unequal_weights_quickly():
+    # the first weight leaves 500,000 deficits, the second's pairs pass
+    # the cap: refused without counting every lift
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="^lattice-point search made over 500000 rows$"):
+        _minimal_points(numbered_ring(3), [((2, 3, 5), 10**6)])
+    assert time.perf_counter() - start < 5

@@ -1,6 +1,7 @@
 """Symbolic powers, minimal primes, packing, and the bipartite edge theorem."""
 
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -142,6 +143,17 @@ def test_symbolic_power_work_cap():
     # the first fold alone makes k + 1 rows; the second passes the cap
     with pytest.raises(ResourceCapError):
         symbolic_power(TRIANGLE, 10**5)
+
+
+def test_symbolic_power_refuses_large_k_quickly():
+    # the one fold would make C(k + 2, 2) rows; counting them stops once
+    # the first weights' choices alone pass the cap
+    ideal = parse_ideal(parse_ring("x, y, z"), "x, y, z")
+    start = time.perf_counter()
+    for k in (32_000, 10**6):
+        with pytest.raises(ResourceCapError, match="^lattice-point search made over 500000 rows$"):
+            symbolic_power(ideal, k)
+    assert time.perf_counter() - start < 5
 
 
 def test_symbolic_power_minimalizes_once_per_prime(monkeypatch):
