@@ -303,7 +303,7 @@ _CRITERIA = (
     ("hilbert-betti-numerator", 10.0, _check_hilbert_corpus),
     ("symbolic-witness", 1.0, _check_symbolic_witness),
     ("edge-theorem-sweep", 60.0, _check_edge_sweep),
-    ("closure-briancon-skoda", 120.0, _check_closure),
+    ("closure-briancon-skoda", 5.0, _check_closure),
     ("artin-rees-exercise", 30.0, _check_artin_rees),
     ("kollar-sharpness", 120.0, _check_kollar),
     ("mather-evidence", 60.0, _check_mather),

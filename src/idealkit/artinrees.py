@@ -2,7 +2,9 @@
 
 For ideals I and N the n-th Artin-Rees defect is the least k with
 I^n intersect N  within  I^(n-k) * N; the containment weakens as k grows,
-so a linear descent from k = n (where it always holds) finds the least k.
+so a linear descent from any k where it holds finds the least k.  It holds
+at k = n, and past the largest degree D of a generator of N it holds at the
+previous defect (the pigeonhole lemma of ``artin_rees_number``).
 The second half compares I^(k+1) with J * I^k for a subideal J of I; when
 they agree, I^ell = J^(ell-k) * I^k for every ell > k.
 """
@@ -35,21 +37,44 @@ class ArReport:
 
 
 def artin_rees_number(ideal, sub, n_max):
-    """Least k_n with I^n intersect N within I^(n-k_n) N, for n = 1..n_max."""
+    """Least k_n with I^n intersect N within I^(n-k_n) N, for n = 1..n_max.
+
+    Let D be the largest degree of a minimal generator of N.  Then
+
+        I^(n+1) intersect N = I * (I^n intersect N)    for every n >= D.
+
+    Proof, by pigeonhole.  A generator of I^(n+1) intersect N is
+    x^c = lcm(x^a, x^b) with a = v_1 + ... + v_(n+1), each v_i a generator
+    exponent of I, and b one of N.  If c - v_i >= b for some i, then
+    x^c = x^(v_i) * x^(c - v_i) with x^(c - v_i) in I^n intersect N, as
+    c - v_i >= a - v_i too.  In coordinate j, an index failing
+    c_j - v_ij >= b_j has v_ij >= c_j - b_j + 1, and the v_ij sum to
+    a_j <= c_j.  As c_j >= b_j, b_j + 1 failing indices would sum to at
+    least (b_j + 1)(c_j - b_j + 1) = b_j (c_j - b_j) + c_j + 1 > c_j, so at
+    most b_j fail there.  At most deg b <= D indices fail in all, and some
+    v_i works once n + 1 > D.
+
+    Hence, for n >= D, I^(n+1) intersect N lies in I * I^(n-k_n) N, so
+    k_(n+1) <= k_n, with k_0 = 0 as I^0 intersect N = N.  The descent for
+    each n > D starts at k_(n-1), not at n, and no k_n exceeds the largest
+    k_n with n <= max(1, D): the reported Artin-Rees number up to n_max is
+    the uniform Artin-Rees number of the pair whenever n_max >= D.
+    """
     ideal._check(sub)
     if sub.is_zero:
         raise ValueError("the submodule ideal must be nonzero")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     shifted = list(sub.ladder(ideal, n_max))  # I^j N, j = 0..n_max
-    least = []
+    top = max(map(sum, sub.rows))  # D
+    least = [0]  # k_0: I^0 intersect N = N
     for n, power in enumerate(ideal.ladder(ideal, n_max - 1), 1):
         meet = power & sub
-        k = n
+        k = least[-1] if n > top else n
         while k > 0 and shifted[n - k + 1].contains_ideal(meet):
             k -= 1
         least.append(k)
-    return ArReport(ideal, sub, n_max, tuple(least), max(least))
+    return ArReport(ideal, sub, n_max, tuple(least[1:]), max(least))
 
 
 def ar_counterexample_search(ideal, sub, k, ell_max):

@@ -10,6 +10,22 @@ normals whose tight face has affine dimension n-1 survive (an exact rank
 test), so the emitted system is irredundant.  Everything downstream --
 closure generators, containment scans of closure powers -- is integer
 arithmetic against those facets.
+
+The scans over closure powers stop early by one lemma.  Let s be the number
+of variables that occur in I's minimal generators.  Then
+
+    closure(I^(n+1)) = I * closure(I^n)    for every n >= s - 1
+
+(compare Huneke-Swanson, *Integral Closure of Ideals, Rings, and Modules*,
+ch. 1).  Proof, by Caratheodory.  Let V be the generator exponents; they lie
+in the s-dimensional coordinate subspace of I's support.  A monomial x^a of
+closure(I^(n+1)) has a = c + r with r >= 0 and c in (n+1) * conv(V).  Move c
+down one coordinate axis of that subspace until it meets the boundary of
+(n+1) * conv(V): c stays <= a and now lies on a face of dimension <= s - 1,
+so c = sum(l_i * v_i) with at most s of the l_i nonzero and sum(l_i) = n + 1.
+If n >= s - 1, then n + 1 >= s and some l_i >= 1, so a - v_i = (c - v_i) + r
+is a nonnegative lattice point of n * NP(I): x^a = x^(v_i) * x^(a - v_i)
+with x^(a - v_i) in closure(I^n).  The reverse containment always holds.
 """
 
 from __future__ import annotations
@@ -196,14 +212,23 @@ class BsCheck:
 
 
 def briancon_skoda_check(ideal, ell, n_max):
-    """Verify closure(I^n) within I^(n-ell+1) for every n in [ell, n_max]."""
+    """Verify closure(I^n) within I^(n-ell+1) for every n in [ell, n_max].
+
+    Only n <= max(ell, s - 1) is scanned.  If the containment holds at some
+    n >= s - 1, the module lemma gives closure(I^(n+1)) = I * closure(I^n)
+    within I * I^(n-ell+1) = I^(n+1-ell+1), so it holds at n + 1 and, by
+    induction, at every later n.  The first failure therefore lies in the
+    scanned range, and an answer that holds, holds for every n >= ell once
+    n_max >= s - 1.
+    """
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("need a proper nonzero ideal")
     if ell < 1 or n_max < ell:
         raise ValueError("need 1 <= ell <= n_max")
     facets = newton_polyhedron(ideal).facets
-    targets = ideal.ladder(ideal, n_max - ell)  # I^(n-ell+1), n = ell..n_max
-    for n, target in zip(range(ell, n_max + 1), targets):
+    # s is the number of variables in the support; target is I^(n-ell+1)
+    last = min(n_max, max(ell, sum(map(any, zip(*ideal.rows))) - 1))
+    for n, target in zip(range(ell, last + 1), ideal.ladder(ideal, last - ell)):
         g = target.first_outside(_power_closure(ideal.ring, facets, n))
         if g is not None:
             return BsCheck(ell, n_max, False, (n, g))
@@ -213,21 +238,26 @@ def briancon_skoda_check(ideal, ell, n_max):
 def uniform_bs_number(ideal, n_max):
     """Least k >= 0 with closure(I^n) within I^(n-k) for all k <= n <= n_max.
 
-    Bounded evidence only: the answer is a statement about the scanned range,
-    not a proof for all n.  I^0 is the unit ideal, so k = n_max always
-    succeeds and the search terminates.
+    Let k_n be the least k <= n with closure(I^n) within I^(n-k); k = n works
+    because I^0 is the unit ideal.  A larger k gives a larger I^(n-k), so a
+    shift k serves n exactly when k >= k_n, and the answer is the largest k_n.
+    For n >= s - 1 the module lemma gives closure(I^(n+1)) = I * closure(I^n)
+    within I^(n+1-k_n), so k_(n+1) <= k_n: only n <= max(1, s - 1) is
+    scanned, and the answer holds for every n once n_max >= s - 1.  One
+    running shift, raised while I^(n-k) misses closure(I^n), ends at that
+    maximum.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("need a proper nonzero ideal")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    powers = list(MonomialIdeal.unit(ideal.ring).ladder(ideal, n_max))
+    # s is the number of variables in the support
+    last = min(n_max, max(1, sum(map(any, zip(*ideal.rows))) - 1))
+    powers = list(MonomialIdeal.unit(ideal.ring).ladder(ideal, last))
     facets = newton_polyhedron(ideal).facets
-    closures = {n: _power_closure(ideal.ring, facets, n) for n in range(1, n_max + 1)}
-    for k in range(n_max + 1):
-        if all(
-            powers[n - k].contains_ideal(closures[n])
-            for n in range(max(k, 1), n_max + 1)
-        ):
-            return k
-    raise RuntimeError("internal error: k = n_max must succeed")
+    k = 0
+    for n in range(1, last + 1):
+        closed = _power_closure(ideal.ring, facets, n)
+        while not powers[n - k].contains_ideal(closed):
+            k += 1
+    return k

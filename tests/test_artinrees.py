@@ -97,3 +97,25 @@ def test_empirical_number_is_monotone_in_the_horizon():
         short = artin_rees_number(ideal, sub, 3).ar_number
         long = artin_rees_number(ideal, sub, 6).ar_number
         assert short <= long
+
+
+def test_meets_grow_by_one_factor_from_the_submodule_degree_on():
+    # the pigeonhole lemma: I^(n+1) meet N = I * (I^n meet N) for n >= D,
+    # D the largest generator degree of N
+    rng = rng_from_seed("idealkit:artinrees:pigeonhole")
+    for _ in range(100):
+        ring = numbered_ring(rng.randint(1, 3))
+        ideal = random_ideal(rng, ring, max_generators=3, max_degree=3)
+        sub = random_ideal(rng, ring, max_generators=3, max_degree=3)
+        top = max(map(sum, sub.rows))
+        for n in (top, top + 1):
+            assert ideal.power(n + 1) & sub == ideal * (ideal.power(n) & sub), (ideal, sub, n)
+
+
+def test_artin_rees_descent_shortcut_starts_past_the_degree():
+    # D = 2: k_2 = 2 > k_1, so starting the shortcut at n = D would give 1
+    report = artin_rees_number(parse_ideal(R2, "x*y"), parse_ideal(R2, "y^2"), 5)
+    assert report.least_k == (1, 2, 2, 2, 2) and report.ar_number == 2
+    # D = 0: the unit ideal meets I^n in I^n itself
+    report = artin_rees_number(parse_ideal(R2, "x^2, y"), MonomialIdeal.unit(R2), 4)
+    assert report.least_k == (0, 0, 0, 0)

@@ -537,6 +537,25 @@ def test_clean_mismatch_search_ignores_a_huge_lmax():
         0, "no mismatch: I^l = J^(l-2) I^2 for every l >= 2\n", "")
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["closure", "bs", "--ring", "x,y,z", "--ideal", "x,y,z", "--nmax", "200"],
+     "holds: closure(I^n) within I^(n-3+1) for n <= 200\n"),
+    (["closure", "uniform-bs", "--ring", "x,y,z", "--ideal", "x^3,y^3,z^3", "--nmax", "100"],
+     "least uniform shift k = 2 for n <= 100\n"),
+    (["artinrees", "number", "--ring", "x,y,z", "--ideal", "x,y,z", "--sub", "x*y,z^2",
+      "--nmax", "80"],
+     f"least k per n: {[1] + [2] * 79}\nArtin-Rees number up to n=80: 2\n"),
+], ids=["bs", "uniform-bs", "artinrees-number"])
+def test_uniform_bound_scans_answer_a_large_nmax(argv, text):
+    # the closure scans stop at n = s - 1 and the Artin-Rees descents past
+    # deg N start at the previous defect; a scan of every n up to --nmax
+    # would run far past the time limit
+    start = time.perf_counter()
+    done = run_child(argv, timeout=60, capture_output=True)
+    assert time.perf_counter() - start < 10
+    assert (done.returncode, done.stdout, done.stderr) == (0, text, "")
+
+
 def test_frobenius_long_power_chain_answers(capsys):
     code, payload = run_json(
         capsys,

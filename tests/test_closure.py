@@ -184,3 +184,46 @@ def test_power_scans_match_closures_of_computed_powers():
             failure = next(((n, g) for n in range(ell, 4) for g in closures[n].generators
                             if g not in ideal.power(n - ell + 1)), None)
             assert briancon_skoda_check(ideal, ell, 3).failure == failure
+
+
+def test_closure_powers_grow_by_one_factor_from_the_support_size_on():
+    # the lemma both scans stop by: closure(I^(n+1)) = I * closure(I^n) for
+    # n >= s - 1, s the number of variables in I's support
+    rng = rng_from_seed("idealkit:closure:caratheodory")
+    for _ in range(200):
+        ring = numbered_ring(rng.randint(1, 5))
+        ideal = random_ideal(rng, ring, max_generators=4, max_degree=4)
+        s = sum(map(any, zip(*ideal.rows)))
+        facets = newton_polyhedron(ideal).facets
+        for n in (s - 1, s):
+            assert closure._power_closure(ring, facets, n + 1) == (
+                ideal * closure._power_closure(ring, facets, n)), (ideal, n)
+
+
+def test_uniform_bs_number_needs_the_last_power_before_the_bound():
+    # k_1 = 1 and k_2 = 2 in three variables: the scan must reach n = s - 1
+    ideal = parse_ideal(parse_ring("x, y, z"), "x^4, y^3, z^3")
+    assert uniform_bs_number(ideal, 1) == 1
+    for n_max in range(2, 9):
+        assert uniform_bs_number(ideal, n_max) == 2
+
+
+def test_briancon_skoda_first_fails_at_the_bound():
+    # four variables: n = s - 1 = 3 is the last power scanned, and the
+    # first failure is there
+    ring = parse_ring("x, y, z, w")
+    ideal = parse_ideal(ring, "x^4*y^3, x^4*y*z^2, x*y^4*z^2, w^4")
+    assert briancon_skoda_check(ideal, 2, 2).ok
+    for n_max in (3, 4, 7):
+        report = briancon_skoda_check(ideal, 2, n_max)
+        assert report.to_json() == {"ell": 2, "n_max": n_max, "ok": False,
+                                    "failure": {"n": 3, "monomial": "x^7*y^6*z^3*w^3"}}
+    # three variables, ell = 1: the closure of (x^2, y^3, z^7) is closed,
+    # its square is not, and n = s - 1 = 2 is the last power scanned
+    ring = parse_ring("x, y, z")
+    ideal = integral_closure(parse_ideal(ring, "x^2, y^3, z^7"))
+    assert str(ideal) == "z^7, y*z^5, x*z^4, y^2*z^3, x*y*z^2, x*y^2, y^3, x^2"
+    assert briancon_skoda_check(ideal, 1, 1).ok
+    for n_max in (2, 3, 6):
+        assert briancon_skoda_check(ideal, 1, n_max).failure == (
+            2, parse_monomial(ring, "x*y^2*z^6"))
