@@ -6,11 +6,13 @@ B-criterion and coprime leading terms), and full interreduction, so the
 returned basis is the reduced Groebner basis and normal forms are canonical.
 Every element, input or S-polynomial remainder, enters as a normal form
 against those before it, so the elements the pair criteria keep active are
-the minimal basis; interreduction reduces their tails in ascending lead order.
+the minimal basis; interreduction reduces their tails against every element
+the loop kept, a Groebner basis, so each tail's normal form is unique.
 Every construction re-checks the result unless the caller opts out: the
 S-polynomials of a pair subset that Buchberger's coprime and chain criteria
 prove sufficient, and all input generators, must reduce to zero against it,
-so it is a Groebner basis and generates the input ideal.
+so it is a Groebner basis and generates the input ideal.  The check packs
+the returned Polynomials afresh, independent of the engine's state.
 
 Inside the engine (reduction, S-polynomials, the pair criteria,
 interreduction, the certificate, normal forms and the products of the
@@ -681,9 +683,12 @@ def _s_polynomial(f, g):
 class GroebnerBasis:
     """Reduced Groebner basis; normal forms against it are canonical.
 
-    The basis is packed on first use and the packing kept on the object, so
-    repeated membership tests pack it once; only a polynomial of higher
+    The basis is packed by its first normal form (``normal_form``,
+    ``contains``, the Frobenius check) and the packing kept on the object,
+    so repeated membership tests pack it once; only a polynomial of higher
     degree than the kept layout holds, or a lex overflow, repacks it wider.
+    Construction and its certificate keep nothing here, so a basis that
+    never reduces anything holds only its Polynomials.
     """
 
     ring: object
@@ -828,7 +833,7 @@ def _buchberger_on(inputs, layout, max_basis, max_degree):
         if queued.pop((i, j), None) is None:
             continue  # dropped by the B-criterion after it was queued
         enter(_s_polynomial(basis[i], basis[j]), True)
-    return _interreduce([basis[i] for i in active])
+    return _interreduce(reducers, active)
 
 
 def _in_order(f, order):
@@ -884,26 +889,29 @@ def _gebauer_moeller(layout, leads, new, active, queued, queue):
     active.append(new)
 
 
-def _interreduce(basis):
-    """The reduced basis, as Polynomials in ascending lead order, of a
-    minimal packed Groebner basis of ``_Packed.primitive`` elements.  A lead
-    that divides a term is at most that term, so each tail, taken in
-    ascending lead order, is reduced by the elements already reduced, which
-    it then joins.  A tail comes back over its own denominator, so the head
-    coefficient is scaled by it.
+def _interreduce(reducers, active):
+    """The reduced basis, as Polynomials in ascending lead order, from the
+    finished Buchberger loop's ``reducers`` and the indices ``active`` of
+    its minimal basis of ``_Packed.primitive`` elements.
+
+    Every element the loop kept is in the ideal and together they form a
+    Groebner basis of it, so the full normal form of a tail against them is
+    unique, whichever reducer each step meets.  An element's own lead
+    divides none of its tail terms, which are smaller, so lm + NF(tail) is
+    the element of the ideal with that lead whose other terms are all
+    standard: the reduced basis element, up to a constant.  A tail comes
+    back over its own denominator, so the head coefficient is scaled by it.
 
     Runs inside buchberger's ``_widening``, which reruns the whole
     computation on a wider layout if a lex tail reduction overflows.
     """
-    if not basis:
-        return []
-    reducers = _Reducers(basis[0].layout)
-    for p in sorted(basis, key=lambda p: p.terms[0][0]):
+    shared, reduced = {}, []
+    for p in sorted([reducers.polys[i] for i in active], key=lambda p: p.terms[0][0]):
         # reduction only lowers terms, so the head stays in front
         (lm, lc), tail = p.terms[0], _reduce_full(p._with(p.terms[1:]), reducers)
-        reducers.add(p._with(((lm, lc * tail.denominator),) + tail.terms).primitive())
-    shared = {}
-    return [p.unpack(shared) for p in reducers.polys]
+        head = ((lm, lc * tail.denominator),)
+        reduced.append(p._with(head + tail.terms).primitive().unpack(shared))
+    return reduced
 
 
 def _certificate_pairs(leads):
@@ -940,8 +948,9 @@ def _certify(gb, gens):
     The S-polynomial of every pair ``_certificate_pairs`` keeps must reduce
     to zero, which proves the Groebner property, and so must every
     generator, which puts (gens) inside the basis's ideal; the basis is
-    built from the generators, so the two agree.  The reducers are packed
-    through ``gb`` and kept there for its next normal form.
+    built from the generators, so the two agree.  The reducers are the
+    returned Polynomials, packed here and dropped when the check ends, so
+    the check reads nothing of the engine's state and leaves none on ``gb``.
     """
     gens = [_in_order(g, gb.order) for g in gens]
     degree = max((p.total_degree() for p in gb.polys), default=0)
@@ -949,7 +958,7 @@ def _certify(gb, gens):
     pairs = _certificate_pairs([p.terms[0][0] for p in gb.polys])
 
     def run(layout):
-        reducers = gb._reducers(layout)
+        reducers = _Reducers(layout, [_pack(p, layout) for p in gb.polys])
         polys = reducers.polys
         for i, j in pairs:
             s = _s_polynomial(polys[i], polys[j])

@@ -532,12 +532,30 @@ def cyclic_system(n):
     return ",".join(names), polys
 
 
+def interreduce_by_increments(basis):
+    """``groebner._interreduce`` as it was before it reduced on the
+    Buchberger loop's own reducers: the reduced basis, as Polynomials in
+    ascending lead order, of a minimal packed Groebner basis of
+    ``_Packed.primitive`` elements.  A lead that divides a term is at most
+    that term, so each tail, taken in ascending lead order, is reduced by
+    the elements already reduced, which it then joins.  It packs its own
+    reducers, one ``add`` per element."""
+    if not basis:
+        return []
+    reducers = _Reducers(basis[0].layout)
+    for p in sorted(basis, key=lambda p: p.terms[0][0]):
+        (lm, lc), tail = p.terms[0], _reduce_full(p._with(p.terms[1:]), reducers)
+        reducers.add(p._with(((lm, lc * tail.denominator),) + tail.terms).primitive())
+    shared = {}
+    return [p.unpack(shared) for p in reducers.polys]
+
+
 def certify_all_pairs(gb, gens):
     """The Groebner certificate as it was before the pair criteria pruned
     it: raise unless every S-polynomial of gb, over all n(n-1)/2 pairs, and
     every generator reduce to zero against gb, with ``groebner._certify``'s
-    two messages.  It packs its own reducers, so gb's kept packing is
-    untouched."""
+    two messages.  It packs its own reducers, as the certificate does, so
+    gb's kept packing is untouched."""
     gens = [_in_order(g, gb.order) for g in gens]
     degree = max((p.total_degree() for p in gb.polys), default=0)
     bound = max([2 * degree] + [g.total_degree() for g in gens])

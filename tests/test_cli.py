@@ -621,7 +621,8 @@ def test_corrupt_hilbert_numerator_exits_four(capsys, monkeypatch, name):
 
 def test_failed_groebner_certificate_exits_four(capsys, monkeypatch):
     interreduce = groebner._interreduce
-    monkeypatch.setattr(groebner, "_interreduce", lambda basis: interreduce(basis)[:-1])
+    monkeypatch.setattr(
+        groebner, "_interreduce", lambda reducers, active: interreduce(reducers, active)[:-1])
     code, out, err = run_cli(
         capsys, "groebner", "gb", "--ring", "x,y", "--polys", "x^2 - y; y^2 - 1",
     )

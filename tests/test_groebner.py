@@ -247,7 +247,8 @@ def test_resource_caps_abort():
 def test_certificate_fires_on_a_dropped_basis_element(monkeypatch):
     # {y^2 - 1} passes the S-polynomial check but misses x^2 - y
     interreduce = groebner._interreduce
-    monkeypatch.setattr(groebner, "_interreduce", lambda basis: interreduce(basis)[:-1])
+    monkeypatch.setattr(
+        groebner, "_interreduce", lambda reducers, active: interreduce(reducers, active)[:-1])
     with pytest.raises(RuntimeError, match="^internal error: an input generator"):
         buchberger([poly("x^2 - y"), poly("y^2 - 1")])
     assert len(buchberger([poly("x^2 - y"), poly("y^2 - 1")], certify=False)) == 1
@@ -256,8 +257,8 @@ def test_certificate_fires_on_a_dropped_basis_element(monkeypatch):
 def test_certificate_fires_on_a_perturbed_tail_coefficient(monkeypatch):
     interreduce = groebner._interreduce
 
-    def perturbed(basis):
-        out = interreduce(basis)
+    def perturbed(reducers, active):
+        out = interreduce(reducers, active)
         last = out[-1]  # x^2 - y, which becomes x^2 - 2*y
         terms = list(last.terms)
         terms[1] = (terms[1][0], 2 * terms[1][1])
@@ -731,7 +732,8 @@ def test_frobenius_failure_branch_agrees_with_the_polynomial_loop(monkeypatch):
     # a bracket basis missing an element: the first product outside it is
     # the same split on both paths, after the same number of products
     interreduce = groebner._interreduce
-    monkeypatch.setattr(groebner, "_interreduce", lambda basis: interreduce(basis)[:-1])
+    monkeypatch.setattr(
+        groebner, "_interreduce", lambda reducers, active: interreduce(reducers, active)[:-1])
     kinds = frobenius_differential(seed=37, count=FROBENIUS_CASES)
     assert kinds["drawn", "failed"] > 0, kinds
     lex = MonomialOrder.lex(R2)

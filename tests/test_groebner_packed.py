@@ -38,6 +38,7 @@ from idealkit import (
 )
 from helpers import (
     cyclic_system,
+    interreduce_by_increments,
     numbered_ring,
     random_rational_poly,
     random_sparse_poly,
@@ -241,52 +242,92 @@ def test_lex_overflow_widens_and_matches_the_tuple_reducer():
     assert gb._packing[0].width == 2 * first.width
 
 
-def test_interreduction_receives_a_minimal_basis(monkeypatch):
-    # every element enters Buchberger as a normal form against the ones
-    # before it, so the active set handed to interreduction is minimal;
-    # what interreduction returns is reduced, in ascending lead order
-    argument_leads, results = [], []
-    interreduce = groebner._interreduce
-
-    def spy(basis):
-        argument_leads.append([p.layout.unpack(p.terms[0][0]) for p in basis])
-        results.append(interreduce(basis))
-        return results[-1]
-
-    monkeypatch.setattr(groebner, "_interreduce", spy)
+def _interreduction_systems():
+    """(label, generators) of the interreduction differential: 240 seeded
+    systems over QQ and GF(32003), GF(2), GF(3) in permuted lex and
+    grevlex, then the lex inputs of the overflow test above, whose basis
+    {y^400, x - y^40} no layout sized for the inputs holds."""
     fields = (QQ, PrimeField(32003), PrimeField(2), PrimeField(3))
-    answered, several = set(), 0
     for index in range(240):
         rng = rng_from_seed(f"idealkit:groebner:minimal:{index}")
         field = fields[index % 4]
         ring = numbered_ring(rng.randint(1, 4))
         kind = ("lex", "grevlex")[index // 4 % 2]
         order = getattr(MonomialOrder, kind)(ring, rng.sample(range(ring.n), ring.n))
-        gens = [
+        yield index, [
             random_sparse_poly(rng, ring, field, order, rng.randint(1, 3), rng.randint(1, 4))
             for _ in range(rng.randint(1, 4))
         ]
-        argument_leads.clear()
-        results.clear()
+    ring = parse_ring("x, y")
+    lex = MonomialOrder.lex(ring)
+    for texts in (("x - y^40",), ("x - y^40", "x^10")):
+        yield texts, [parse_polynomial(ring, t, order=lex) for t in texts]
+
+
+def _interreduced_bases(monkeypatch, interreduce):
+    """{label: reduced basis or None at a cap} under ``interreduce``, and
+    the number of ``PackedLayout.wider`` calls they took."""
+    widenings = []
+    wider = groebner.PackedLayout.wider
+
+    def counted(layout):
+        widenings.append(layout.width)
+        return wider(layout)
+
+    monkeypatch.setattr(groebner.PackedLayout, "wider", counted)
+    monkeypatch.setattr(groebner, "_interreduce", interreduce)
+    bases = {}
+    for label, gens in _interreduction_systems():
         try:
-            buchberger(gens, max_basis=60, max_degree=12, certify=False)
+            bases[label] = buchberger(gens, max_basis=60, max_degree=12, certify=False)
         except ResourceCapError:
+            bases[label] = None
+    return bases, len(widenings)
+
+
+def test_interreduction_receives_a_minimal_basis(monkeypatch):
+    # every element enters Buchberger as a normal form against the ones
+    # before it, so the active set handed to interreduction is minimal;
+    # what interreduction returns is reduced, in ascending lead order, and
+    # term for term what the incremental reference makes of the same set
+    argument_leads, results = [], []
+    interreduce = groebner._interreduce
+
+    def spy(reducers, active):
+        basis = [reducers.polys[i] for i in active]
+        argument_leads.append([p.layout.unpack(p.terms[0][0]) for p in basis])
+        results.append(interreduce(reducers, active))
+        return results[-1]
+
+    def reference(reducers, active):
+        return interreduce_by_increments([reducers.polys[i] for i in active])
+
+    got, widened = _interreduced_bases(monkeypatch, spy)
+    want, widened_by_reference = _interreduced_bases(monkeypatch, reference)
+    assert got.keys() == want.keys()
+    for label, gb in got.items():
+        if gb is None:
+            assert want[label] is None, label
             continue
-        answered.add((index, field.characteristic, kind))
-        for leads in argument_leads:
-            for a in leads:
-                for b in leads:
-                    assert a is b or not all(map(le, a, b)), (index, a, b)
-        for out in results:
-            several += len(out) > 1
-            assert all(p.leading_coefficient() == field.one for p in out), index
-            keys = [order.key(p.leading_monomial()) for p in out]
-            assert all(map(lt, keys, keys[1:])), index
-            for q in out:
-                lead = q.leading_monomial()
-                for p in out:
-                    assert p is q or not any(
-                        all(map(le, lead, e)) for e, _ in p.terms), (index, lead)
+        assert [p.terms for p in gb] == [p.terms for p in want[label]], label
+    assert widened <= widened_by_reference
+    assert str(got["x - y^40", "x^10"]) == "{y^400, x - y^40}"
+    several = 0
+    for leads in argument_leads:
+        for a in leads:
+            for b in leads:
+                assert a is b or not all(map(le, a, b)), (a, b)
+    for out in results:
+        several += len(out) > 1
+        assert all(p.leading_coefficient() == p.field.one for p in out)
+        keys = [p.order.key(p.leading_monomial()) for p in out]
+        assert all(map(lt, keys, keys[1:]))
+        for q in out:
+            lead = q.leading_monomial()
+            for p in out:
+                assert p is q or not any(all(map(le, lead, e)) for e, _ in p.terms), lead
+    answered = {(label, gb.field.characteristic, gb.order.kind)
+                for label, gb in got.items() if gb is not None and isinstance(label, int)}
     assert len(answered) >= 200 and several >= 30
     assert {(p, kind) for _, p, kind in answered} == {
         (p, kind) for p in (0, 32003, 2, 3) for kind in ("lex", "grevlex")}
@@ -338,6 +379,20 @@ def test_grevlex_normal_form_past_the_kept_cap_repacks():
     # a later polynomial within the wider cap reuses the kept packing
     assert gb.contains(small * big - small * big)
     assert gb._packing[0] is wide
+
+
+def test_certified_basis_is_packed_by_its_first_normal_form():
+    # the certificate packs the returned Polynomials for itself and keeps
+    # nothing on the basis; the first membership test packs it, the next
+    # reuses that packing
+    ring = parse_ring("x, y")
+    gens = [parse_polynomial(ring, t) for t in ("x^2 - y", "y^2 - 1")]
+    gb = buchberger(gens)
+    assert gb.certified and gb._packing is None
+    assert gb.contains(gens[0] * gens[1])
+    layout, reducers = gb._packing
+    assert not gb.contains(parse_polynomial(ring, "x*y + 1"))
+    assert gb._packing[0] is layout and gb._packing[1] is reducers
 
 
 def test_least_degree_of_a_multiple_sees_a_unit_cofactor():

@@ -57,8 +57,8 @@ def test_interreduce_returns_polynomials(monkeypatch):
     real = groebner._interreduce
     returned = []
 
-    def recorded(basis):
-        returned.append(real(basis))
+    def recorded(reducers, active):
+        returned.append(real(reducers, active))
         return returned[-1]
 
     monkeypatch.setattr(groebner, "_interreduce", recorded)
