@@ -59,6 +59,10 @@ def artin_rees_number(ideal, sub, n_max):
     each n > D starts at k_(n-1), not at n, and no k_n exceeds the largest
     k_n with n <= max(1, D): the reported Artin-Rees number up to n_max is
     the uniform Artin-Rees number of the pair whenever n_max >= D.
+
+    The same identity forms I^n intersect N for n > max(1, D) as the
+    product of I with the previous one, so the powers of I stop at
+    I^max(1, D) and only the intersections up to there are formed.
     """
     ideal._check(sub)
     if sub.is_zero:
@@ -67,9 +71,10 @@ def artin_rees_number(ideal, sub, n_max):
         raise ValueError("n_max must be at least 1")
     shifted = list(sub.ladder(ideal, n_max))  # I^j N, j = 0..n_max
     top = max(map(sum, sub.rows))  # D
-    least = [0]  # k_0: I^0 intersect N = N
-    for n, power in enumerate(ideal.ladder(ideal, n_max - 1), 1):
-        meet = power & sub
+    powers = ideal.ladder(ideal, min(n_max, max(1, top)) - 1)  # I^n, n <= max(1, D)
+    least, meet = [0], None  # k_0: I^0 intersect N = N
+    for n in range(1, n_max + 1):
+        meet = next(powers) & sub if n <= max(1, top) else ideal * meet
         k = least[-1] if n > top else n
         while k > 0 and shifted[n - k + 1].contains_ideal(meet):
             k -= 1

@@ -9,47 +9,58 @@ decides mathematical equality of ideals, with no ``Monomial`` built.
 The zero ideal (no generators) and the unit ideal (generated by 1) are
 distinct values, and ``I**0`` is the unit ideal by convention.
 
-Every operation but the lattice-point folds ends in ``_minimal_rows``, which
-keeps the rows that no other row divides.  It visits rows by ascending
-(degree, tuple) and tests each only against kept rows of strictly lower
-degree: a row never divides another of its own degree.  The first
-``_PACK_AT`` of those are tried one by one, which settles most small inputs
-and most staircases.  The others are tested all at once by ``_Blocks``,
-which holds packed rows side by side in one int: a handful of big-int
-operations replace the pairwise scan.  The containment search
-``first_outside`` is one such call, on the rows of both ideals.
+Products, containment and the lattice-point folds run on byte keys.  A
+byte key is a lex key of ``PackedLayout.bytewise``: the first variable
+highest, each field 8, 16, 32 or 64 bits wide, and the degree above the
+fields, so ascending keys are ascending (degree, exponents) and a proper
+divisor of a row has a smaller key.  A row packs with one
+``int.from_bytes`` and unpacks with one ``to_bytes``.  ``__mul__`` adds
+keys, so a product of two rows is one int addition, and ``_fold_rows``
+keeps the minimal sums.  ``first_outside`` tests each row of the other
+ideal against self's keys.  The lattice-point folds of
+``_minimal_points``, behind symbolic powers and integral closures, stay on
+keys from the first fold to the last and unpack once.  A dot product
+c . g is one multiplication of g by c packed in reverse field order, read
+off the field at (n - 1) * w.  A fold tests only its lifted rows, in
+ascending key order, against the rows that already satisfy the inequality
+and against each other: no lifted row g + r divides a satisfied row s, or
+g would have divided s in the fold before.  The fields are wide enough
+that neither a lifted row nor a partial sum of the product carries;
+``_minimal_points`` states and proves that width rule.
 
-The lattice-point folds of ``_minimal_points``, behind symbolic powers and
-integral closures, run on packed keys from the first fold to the last and
-unpack once.  A row is a lex key with its degree above the fields, so
-ascending keys are ascending (degree, exponents) and a proper divisor of a
-row has a smaller key.  A dot product c . g is one multiplication of g by c
-packed in reverse field order, read off the field at (n - 1) * w.  A fold
-tests only its lifted rows, in ascending key order, against the rows that
-already satisfy the inequality and against each other: no lifted row g + r
-divides a satisfied row s, or g would have divided s in the fold before.
-The fields are wide enough that neither a lifted row nor a partial sum of
-the product carries; ``_minimal_points`` states and proves that width rule.
+Every other operation (intersection, colon, radical, minors, parsing,
+and the callers that pass a few short rows, such as the Hilbert pivot)
+ends in ``_minimal_rows`` on exponent tuples, where packing a handful of
+rows costs more than it saves.  It visits rows by ascending (degree,
+tuple) and tests each only against kept rows of strictly lower degree: a
+row never divides another of its own degree.  Both minimalizations try the
+first ``_PACK_AT`` of those rows one by one, which settles most small
+inputs and most staircases.  The others are tested all at once by
+``_Blocks``, which holds packed rows side by side in one int: a handful of
+big-int operations replace the pairwise scan.
 
 ``PackedLayout`` packs a row into one int, each exponent in a field whose
 top bit is a guard.  It is taken in its lex form here, by the Hilbert
-check and by the Betti facets; in the Groebner engine a
-monomial is one int whose integer order is a term order (lex, or grevlex
-with the degree above the fields), so the engine's heap keys, shifts and
-divisibility tests are int operations on it.  ``_Blocks`` is the one
-all-at-once divisibility test: ``_minimal_rows``, ``_fold_rows`` and the
-engine's first-divisor search all run it.
+check and by the Betti facets, which keep their own widths; in the
+Groebner engine a monomial is one int whose integer order is a term order
+(lex, or grevlex with the degree above the fields), so the engine's heap
+keys, shifts and divisibility tests are int operations on it.  ``_Blocks``
+is the one all-at-once divisibility test: ``_minimal_rows``,
+``_fold_rows``, ``first_outside`` and the engine's first-divisor search
+all run it.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, starmap
 from operator import add, le, mul
+from struct import Struct
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 
@@ -283,7 +294,7 @@ class PackedLayout:
     """
 
     __slots__ = ("kind", "permutation", "width", "cap", "guard", "flip",
-                 "offset", "weights", "shifts", "top", "low", "ones")
+                 "offset", "weights", "shifts", "top", "low", "ones", "code")
 
     def __init__(self, kind, permutation, width):
         n = len(permutation)
@@ -298,9 +309,12 @@ class PackedLayout:
         self.low = (1 << self.top) - 1  # the fields, without grevlex's degree
         self.guard = sum(1 << s + width - 1 for s in shifts)
         self.ones = self.guard >> width - 1  # the lowest bit of every field
+        self.code = None  # the item code of the byte route, for a bytewise layout
         if kind == "lex":
             self.flip = self.offset = 0
             self.weights = tuple(1 << s for s in shifts)
+            if tuple(permutation) == tuple(range(n)):
+                self.code = _ITEM_CODES.get(width)
         else:
             self.flip = self.offset = sum(cap << s for s in shifts)
             self.weights = tuple((1 << self.top) - (1 << s) for s in shifts)
@@ -321,6 +335,69 @@ class PackedLayout:
         key ^= self.flip
         cap = self.cap
         return tuple([key >> s & cap for s in self.shifts])
+
+    @staticmethod
+    def bytewise(n, bound):
+        """The shared lex layout on ``n`` variables, the first highest,
+        whose fields are whole bytes: the least width of 8, 16, 32 and 64
+        whose cap holds ``bound``.  ``lex_keys`` and ``lex_rows`` move a
+        row in and out of it with one ``int.from_bytes`` and one
+        ``to_bytes``.  A bound past 2^63 - 1 takes the next power of two,
+        and its rows pack and unpack by one shift per field; no input of
+        the benchmark or the goldens comes near it."""
+        return _bytewise_layout(n, max(8, 1 << bound.bit_length().bit_length()))
+
+    def lex_keys(self, rows, byteorder=sys.byteorder):
+        """Keys of the exponent rows under a ``bytewise`` layout: the
+        fields, and the degree above them, so ascending keys are ascending
+        (degree, exponents).
+
+        A row's fields are its exponents as big-endian items of width / 8
+        bytes, side by side: ``bytes(row)`` at width 8, and at 16, 32 or 64
+        an ``array`` of that itemsize, byte-swapped when the host stores its
+        items little-endian.  ``byteorder`` names that host order."""
+        code, top = self.code, self.top
+        if code == "B":
+            return [int.from_bytes(bytes(r), "big") | sum(r) << top for r in rows]
+        if code is None:
+            return [self.pack(r) | sum(r) << top for r in rows]
+        keys = []
+        for r in rows:
+            items = array(code, r)
+            if byteorder == "little":
+                items.byteswap()
+            keys.append(int.from_bytes(items, "big") | sum(r) << top)
+        return keys
+
+    def lex_spread(self, present):
+        """A function from a list of rows (d, e_1, .., e_s) to the keys that
+        ``lex_keys`` gives the exponent rows with e_1, .., e_s at the
+        variables j with ``present[j]`` true, in order, and zeros at the
+        others; d is the degree, and it must fit in a field.  One ``struct``
+        format packs a row as big-endian items, d first, with zero pad bytes
+        for the absent variables' fields, so no row is spread out first."""
+        code = self.code
+        if code is None:
+            units = [1 << self.top] + [w for w, p in zip(self.weights, present) if p]
+            return lambda rows: [sum(map(mul, r, units)) for r in rows]
+        pad = f"{self.width >> 3}x"
+        pack = Struct(">" + code + "".join([code if p else pad for p in present])).pack
+        return lambda rows: list(map(int.from_bytes, starmap(pack, rows), repeat("big")))
+
+    def lex_rows(self, keys, byteorder=sys.byteorder):
+        """Exponent rows of the keys, under a ``bytewise`` layout; the bits
+        above the fields, such as a degree, are dropped.  One ``to_bytes``
+        per key, then the items of all keys are read at once."""
+        code = self.code
+        if code is None:
+            return [self.unpack(k & self.low) for k in keys]
+        size, low = self.top >> 3, self.low
+        data = b"".join([(k & low).to_bytes(size, "big") for k in keys])
+        if code != "B":
+            data = array(code, data)
+            if byteorder == "little":
+                data.byteswap()
+        return list(zip(*[iter(data)] * len(self.shifts)))
 
     def degree(self, key):
         if self.kind == "lex":
@@ -347,9 +424,19 @@ class PackedLayout:
         return (fields ^ self.flip) | self.total(fields) << self.top
 
 
+# the array typecode of each whole-byte field width, where the host has one;
+# as struct items in standard sizes, B, H, I and Q take 8, 16, 32 and 64 bits
+_ITEM_CODES = {8 * array(code).itemsize: code for code in "IHBQ"}
+
+
 @lru_cache(maxsize=256)
 def _packed_layout(kind, permutation, width):
     return PackedLayout(kind, permutation, width)
+
+
+@lru_cache(maxsize=256)
+def _bytewise_layout(n, width):
+    return _packed_layout("lex", tuple(range(n)), width)
 
 
 class _Blocks:
@@ -475,25 +562,31 @@ def _minimal_points(ring, inequalities):
     lifted row g + r divides it, or g would have divided it in the fold
     before (see ``_fold_rows``).
 
-    Rows are keys of the lex ``PackedLayout`` with the first variable
-    highest, plus the degree above the fields, so ascending keys are
+    Rows are keys of the ``bytewise`` lex layout, the first variable
+    highest and the degree above the fields, so ascending keys are
     ascending (degree, exponents) and every proper divisor of a row has a
-    smaller key.  A lift packs the same way, and lifting is one addition.
-    ``c . g`` is one multiplication: with c packed in reverse field order,
-    ``C = sum(c_j << j*w)``, the product ``g * C`` sums g_i * c_j in the
-    field at (n - 1 - i + j) * w, so the field at (n - 1) * w holds
-    sum(g_j * c_j).  The fields of g's degree bits land above it.
+    smaller key.  A lift packs the same way, by ``lex_spread`` from its
+    values on the support, and lifting is one addition.  ``c . g`` is one
+    multiplication: with c packed in reverse field order,
+    ``C = sum(c_j << j*w)`` plus its degree above, the product ``g * C``
+    sums g_i * c_j in the field at (n - 1 - i + j) * w, so the field at
+    (n - 1) * w holds sum(g_j * c_j).  The degree bits of g and of C only
+    add to bits above it.
 
-    Width rule: fields hold ``n * reach * max c`` with reach = 2 * max b.
-    A minimal point a of any subsystem has a_j <= max ceil(b / c_j) over
-    the subsystem's inequalities with c_j > 0: past that, a - e_j would
+    Width rule: the cap holds reach = 2 * max b, and the whole field, guard
+    bit included, holds ``n * reach * max c``: the width is the least whole
+    byte width whose cap holds both reach and half of that.  A minimal
+    point a of any subsystem has a_j <= max ceil(b / c_j) over the
+    subsystem's inequalities with c_j > 0: past that, a - e_j would
     still satisfy each of them, as c . (a - e_j) >= c_j * (a_j - 1) >= b.
     A lift r of a deficit at most b has r_j <= ceil(b / c_j) too, and
     ceil(b / c_j) <= b for integers c_j >= 1, so lifted rows reach at most
     ``reach``, within the field's cap, and the guard tests of
-    ``_fold_rows`` apply.  A field of ``g * C`` sums at most n products
-    g_i * c_j <= reach * max c, so no field of the product carries and the
-    dot product is read exactly.
+    ``_fold_rows`` apply.  A lift's degree is at most its deficit, as each
+    value f_j it takes lowers the deficit by c_j * f_j >= f_j, so it fits in
+    the one field ``lex_spread`` packs it in.  A field of ``g * C`` sums at
+    most n products g_i * c_j <= reach * max c, below 2^w, so no field of
+    the product carries and the dot product is read exactly.
 
     ``made`` counts every lifted row, those of satisfied rows included;
     past ``_POINT_WORK_CAP`` the search raises before forming more.  The
@@ -509,10 +602,11 @@ def _minimal_points(ring, inequalities):
         raise _points_refused()
     reach = 2 * max([b for _, b in pending] + [0])
     most = max([max(coeffs) for coeffs, _ in pending] + [1])
-    layout = PackedLayout.fitting("lex", tuple(range(n)), n * reach * most)
-    shifts, top, width = layout.shifts, layout.top, layout.width
+    layout = PackedLayout.bytewise(n, max(reach, n * reach * most >> 1))
+    top, width = layout.top, layout.width
     at, field = top - width, (1 << width) - 1
-    systems = [(layout.pack(coeffs[::-1]), coeffs, bound) for coeffs, bound in pending]
+    packed_coeffs = layout.lex_keys([coeffs[::-1] for coeffs, _ in pending])
+    systems = [(C, coeffs, bound) for C, (coeffs, bound) in zip(packed_coeffs, pending)]
     rows, shapes = [0], {}
     while systems:
         pick = 0
@@ -522,7 +616,7 @@ def _minimal_points(ring, inequalities):
         C, coeffs, bound = systems.pop(pick)
         support = [j for j, c in enumerate(coeffs) if c]
         weights = tuple([coeffs[j] for j in support])
-        units = [1 << top | 1 << shifts[j] for j in support]
+        spread = layout.lex_spread(coeffs)
         lifts, satisfied, lifted = {}, [], []
         for g in rows:
             deficit = bound - (g * C >> at & field)
@@ -538,8 +632,9 @@ def _minimal_points(ring, inequalities):
                     if (made + (deficit + 1) ** (len(weights) - 1) > _POINT_WORK_CAP
                             and made + _lift_count(weights, deficit) > _POINT_WORK_CAP):
                         raise _points_refused()
-                    shape = shapes[weights, deficit] = list(_minimal_lifts(weights, deficit))
-                packed = lifts[deficit] = [sum(map(mul, r, units)) for r in shape]
+                    shape = shapes[weights, deficit] = [
+                        (sum(r),) + r for r in _minimal_lifts(weights, deficit)]
+                packed = lifts[deficit] = spread(shape)
             made += len(packed)
             if made > _POINT_WORK_CAP:
                 raise _points_refused()
@@ -547,7 +642,7 @@ def _minimal_points(ring, inequalities):
         if made > _POINT_WORK_CAP:
             raise _points_refused()
         rows = _fold_rows(layout, satisfied, lifted)
-    return _ideal_from_minimal(ring, list(map(layout.unpack, sorted(rows))))
+    return _ideal_from_minimal(ring, layout.lex_rows(sorted(rows)))
 
 
 def _points_refused():
@@ -637,7 +732,7 @@ class MonomialIdeal:
 
     @property
     def is_squarefree(self):
-        return all(e <= 1 for r in self.rows for e in r)
+        return max(map(max, self.rows), default=0) <= 1
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -656,13 +751,40 @@ class MonomialIdeal:
         """The first generator of other, in canonical order, outside self;
         None when other lies in self.
 
-        Other's generators divide none of each other, so minimalizing them
-        together with self's keeps one exactly when no row of self divides
-        it or equals it."""
+        That is the first row of other that no row of self divides.  A row
+        of self divides a row of its own degree only when the two are equal,
+        and never one of lower degree, so equal rows are found in a set, and
+        a row of self's lowest degree or below is outside unless it is one
+        of them.  The other rows are tested on keys of a
+        ``bytewise`` layout, packed with self's rows when the first of them
+        comes: each against self's rows from the lowest degree up, the
+        first ``_PACK_AT`` one by one by the guard test and the rest all at
+        once by ``_Blocks``."""
         self._check(other)
-        rows = self.rows
-        outside = set(_minimal_rows(rows + other.rows)).difference(rows)
-        return next((Monomial(self.ring, r) for r in other.rows if r in outside), None)
+        rows, others = self.rows, other.rows
+        members, floor, keys = set(rows), sum(rows[-1]) if rows else 0, None
+        for i, r in enumerate(others):
+            if r in members:
+                continue
+            if rows and sum(r) > floor:
+                if keys is None:
+                    layout = PackedLayout.bytewise(self.ring.n, max(map(max, rows + others)))
+                    guard, low = layout.guard, layout.low
+                    keys = layout.lex_keys(rows[::-1])
+                    head, blocks, start = keys[:_PACK_AT], None, i
+                    tested = layout.lex_keys(others[i:])
+                c = tested[i - start]
+                c_guard = c | guard
+                if any((c_guard - k) & guard == guard for k in head):
+                    continue
+                if len(keys) > _PACK_AT:
+                    if blocks is None:
+                        blocks = _Blocks(layout)
+                        blocks.extend([k & low for k in keys[_PACK_AT:]])
+                    if blocks.first(c & low) >= 0:
+                        continue
+            return Monomial(self.ring, r)
+        return None
 
     def contains_ideal(self, other):
         """True when every generator of other lies in self."""
@@ -676,19 +798,30 @@ class MonomialIdeal:
             raise ResourceCapError(f"{stage} would make over {_POINT_WORK_CAP} rows")
 
     def __mul__(self, other):
+        """The product, on keys of a ``bytewise`` layout: a product of two
+        rows is the sum of their keys, degrees included, and ``_fold_rows``
+        keeps the minimal sums, which are unpacked once."""
         self._check_pairs(other, "product")
         cap = DEFAULT_EXPONENT_CAP
         left, right = self.rows, other.rows
+        if not left or not right:
+            return MonomialIdeal.zero(self.ring)
+        if self.is_unit or other.is_unit:
+            return other if self.is_unit else self
         # some pair sums past the cap exactly when some column's maxima do
-        if left and right and any(
-            a + b > cap for a, b in zip(map(max, zip(*left)), map(max, zip(*right)))
-        ):
+        bound = max(map(add, map(max, zip(*left)), map(max, zip(*right))))
+        if bound > cap:
             raise ResourceCapError(f"exponent exceeds cap {cap} in product")
+        layout = PackedLayout.bytewise(self.ring.n, bound)
+        keys = layout.lex_keys(left)
         if other is self:  # a square: each unordered pair once
-            rows = {tuple(map(add, a, b)) for i, a in enumerate(left) for b in left[i:]}
+            sums = {a + b for i, a in enumerate(keys) for b in keys[i:]}
         else:
-            rows = {tuple(map(add, a, b)) for a in left for b in right}
-        return _ideal_from_rows(self.ring, rows)
+            others = layout.lex_keys(right)
+            sums = {a + b for a in keys for b in others}
+        # every exponent is within the cap checked above
+        rows = layout.lex_rows(_fold_rows(layout, [], sums))
+        return MonomialIdeal(self.ring, tuple(reversed(rows)))
 
     def power(self, k):
         """I^k by repeated squaring, minimalizing after every product."""

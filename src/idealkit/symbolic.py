@@ -12,7 +12,7 @@ edge-ideal dictionary between graphs and their square-free quadratic ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 
 from . import monomials
 from .errors import ParseError, ResourceCapError
@@ -56,13 +56,10 @@ def _require_squarefree_proper(ideal):
         raise ValueError("ideal is not square-free")
 
 
-def _support_mask(row):
-    """The support of an exponent row as an int: bit i is set when r_i > 0."""
-    mask = 0
-    for i, e in enumerate(row):
-        if e:
-            mask |= 1 << i
-    return mask
+def _support_masks(rows):
+    """The supports of exponent rows as ints: bit i is set when r_i > 0."""
+    bits = [1 << i for i in range(len(rows[0]))] if rows else []
+    return [sum(compress(bits, r)) for r in rows]
 
 
 def _mask_indices(mask):
@@ -190,7 +187,7 @@ def _max_disjoint(supports, goal=None):
 def minimal_primes(ideal):
     """Minimal primes of a square-free proper nonzero monomial ideal."""
     _require_squarefree_proper(ideal)
-    covers = _minimal_covers([_support_mask(r) for r in ideal.rows])
+    covers = _minimal_covers(_support_masks(ideal.rows))
     primes = [PrimeComponent(ideal.ring, _mask_indices(c)) for c in covers]
     primes.sort(key=lambda p: (len(p), p.indices))
     return tuple(primes)
@@ -206,7 +203,7 @@ def codim(ideal):
         raise ValueError("unit ideal has no codimension")
     if ideal.is_zero:
         return 0
-    return _cover_number([_support_mask(r) for r in ideal.rows])[0]
+    return _cover_number(_support_masks(ideal.rows))[0]
 
 
 def dim_quotient(ideal):
@@ -262,7 +259,7 @@ def max_disjoint_monomials(ideal):
     """
     _require_squarefree_proper(ideal)
     rows = ideal.rows
-    count, picks = _max_disjoint([_support_mask(r) for r in rows])
+    count, picks = _max_disjoint(_support_masks(rows))
     return count, tuple(Monomial(ideal.ring, rows[i]) for i in picks)
 
 
@@ -283,23 +280,74 @@ class MinorFailure:
         )
 
 
+def _core(masks):
+    """The core of support masks: the inclusion-minimal ones, singletons
+    removed.  A mask that meets a singleton contains it, so it goes too."""
+    singles = 0
+    for m in masks:
+        if not m & m - 1:
+            singles |= m
+    return frozenset(_minimal_masks([m for m in masks if not m & singles]))
+
+
+def _excess_cover(masks):
+    """The cover number of the masks when it exceeds their largest number
+    of pairwise disjoint masks, else 0."""
+    c, greedy = _cover_number(masks)
+    return c if greedy < c and not _max_disjoint(masks, c)[0] else 0
+
+
+def _count_formed(formed, more):
+    """``formed`` + ``more`` minor generators, refused past the cap."""
+    formed += more
+    if formed > monomials._POINT_WORK_CAP:
+        raise ResourceCapError(
+            f"packedness check formed over {monomials._POINT_WORK_CAP} minor generators")
+    return formed
+
+
 def is_packed(ideal):
     """Check packedness over every (zeros, ones) minor.
 
-    Minors are visited smallest reduction first, lexicographically over the
+    The answer is decided on the cores of the minors.  The core of a set of
+    support masks is its inclusion-minimal masks, singletons removed, and
+    a minor passes exactly when its core does:
+
+    - minimalizing changes neither the cover number nor the largest
+      disjoint count (see below);
+    - a minimal singleton {u} adds one to both, as u is in every cover and
+      {u} is disjoint from every other minimal mask;
+    - minimalizing and dropping singletons commute with setting one
+      variable to 0 or to 1;
+    - every minor of a zero or unit minor is zero or unit again.
+
+    So the cores reached from the generators' core by setting one variable
+    of a core's union at a time, to 0 (masks holding it dropped) or to 1
+    (it cleared from every mask), are exactly the cores of the non-vacuous
+    minors: a variable outside the union leaves the core as it is, and one
+    whose singleton was dropped would make the minor the unit ideal.  The
+    search keeps its own stack, checks each distinct core once, and stops
+    at the first that fails; an empty core, all of whose minor's minimal
+    masks are singletons, passes.  When every core passes, the ideal is
+    packed.
+
+    Only then does the ordered scan run, to name the failure.  Minors are
+    visited smallest reduction first, lexicographically over the
     (zeros, ones) name pairs, so the returned failure is canonical.  Each
     minor is formed on generator support masks, as the set of ``g & ~ones``
     over the generators g missing every zero; minors that collapse to the
     zero or unit ideal are vacuous and skipped, as are assignments touching
     every variable.  The set need not be minimal: non-minimal masks change
     neither the cover number nor the largest disjoint count.  A mask set
-    already checked is not checked again, and only the failing minor, if
-    any, is built as an ideal.
-    Forming more than ``_POINT_WORK_CAP`` minor generators raises
-    ``ResourceCapError``; each of the 3^n - 2^n pairs on n variables forms
-    one per generator missing every zero, counted before it is formed.
+    already checked is not checked again, and only the failing minor is
+    built as an ideal.
 
-    Each minor is decided by two bounded searches: ``_cover_number``
+    Forming more than ``_POINT_WORK_CAP`` minor generators, over the search
+    and the scan together, raises ``ResourceCapError``.  The search counts
+    the masks of both children of a core before forming them; each of the
+    3^n - 2^n pairs of the scan forms one per generator missing every zero.
+
+    A core or minor is decided by two bounded searches: ``_cover_number``
     deepens to the least c with a cover of c vertices, starting from a
     greedy disjoint family, and when that family falls short of c,
     ``_max_disjoint`` asks only whether c disjoint masks exist and stops at
@@ -307,11 +355,40 @@ def is_packed(ideal):
     for the failing minor that is reported.
     """
     _require_squarefree_proper(ideal)
+    supports = _support_masks(ideal.rows)
+    first = _core(supports)
+    stack, seen, formed = [first], {first}, 0
+    while stack:
+        core = stack.pop()
+        if _excess_cover(tuple(core)):
+            break
+        union = 0
+        for m in core:
+            union |= m
+        while union:
+            v = union & -union
+            union ^= v
+            formed = _count_formed(formed, 2 * len(core))
+            # dropping masks leaves an antichain without singletons: a core
+            zero = frozenset([m for m in core if not m & v])
+            for child in (zero, _core([m & ~v for m in core])):
+                if child and child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+    else:
+        return True, None
+    failure = _first_failure(ideal, supports, formed)
+    if failure is None:
+        raise RuntimeError("internal error: a failing core without a failing minor")
+    return False, failure
+
+
+def _first_failure(ideal, supports, formed):
+    """The first failing minor of the ordered scan of ``is_packed``, or None;
+    ``formed`` minor generators are already counted against the cap."""
     n = ideal.ring.n
-    supports = [_support_mask(r) for r in ideal.rows]
     bits = [1 << i for i in range(n)]
     seen = set()
-    formed = 0
     for total in range(n):
         for zcount in range(total + 1):
             for zeros in combinations(bits, zcount):
@@ -319,26 +396,22 @@ def is_packed(ideal):
                 alive = [g for g in supports if not g & zmask]
                 rest = [b for b in bits if not b & zmask]
                 for ones in combinations(rest, total - zcount):
-                    formed += len(alive)
-                    if formed > monomials._POINT_WORK_CAP:
-                        raise ResourceCapError(
-                            f"packedness check formed over "
-                            f"{monomials._POINT_WORK_CAP} minor generators")
+                    formed = _count_formed(formed, len(alive))
                     keep = ~sum(ones)
                     minor = frozenset([g & keep for g in alive])
                     if not minor or 0 in minor or minor in seen:
                         continue
                     seen.add(minor)
                     masks = tuple(minor)
-                    c, greedy = _cover_number(masks)
-                    if greedy < c and not _max_disjoint(masks, c)[0]:
+                    c = _excess_cover(masks)
+                    if c:
                         d, _ = _max_disjoint(masks)
                         names = ideal.ring.variables
                         zeros = tuple(names[b.bit_length() - 1] for b in zeros)
                         ones = tuple(names[b.bit_length() - 1] for b in ones)
                         built = ideal.minor(zeros=zeros, ones=ones)
-                        return False, MinorFailure(zeros, ones, built, c, d)
-    return True, None
+                        return MinorFailure(zeros, ones, built, c, d)
+    return None
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,9 @@ from idealkit.groebner import (
     _widening,
 )
 from idealkit.linalg import rank_over
-from idealkit.monomials import _NAME_RE, _colon_row, _minimal_rows
+from idealkit import monomials
+from idealkit.monomials import _NAME_RE, _colon_row, _ideal_from_rows, _minimal_rows
+from idealkit.symbolic import _cover_number, _max_disjoint
 
 
 def numbered_ring(n):
@@ -109,6 +111,35 @@ def minimal_rows_by_scan(rows):
         if not any(all(a <= b for a, b in zip(k, r)) for k in lower):
             kept.append(r)
     return kept
+
+
+def product_by_tuples(left, right):
+    """``left * right`` on exponent tuples, the implementation the keyed
+    product replaced: every sum of two generators, a square's unordered
+    pairs once, minimalized by ``_minimal_rows``; the pairing cap and the
+    exponent cap are checked before any row is formed."""
+    left._check_pairs(right, "product")
+    cap = monomials.DEFAULT_EXPONENT_CAP
+    a_rows, b_rows = left.rows, right.rows
+    if a_rows and b_rows and any(
+        a + b > cap for a, b in zip(map(max, zip(*a_rows)), map(max, zip(*b_rows)))
+    ):
+        raise ResourceCapError(f"exponent exceeds cap {cap} in product")
+    if right is left:
+        rows = {tuple(map(add, a, b)) for i, a in enumerate(a_rows) for b in a_rows[i:]}
+    else:
+        rows = {tuple(map(add, a, b)) for a in a_rows for b in b_rows}
+    return _ideal_from_rows(left.ring, rows)
+
+
+def first_outside_by_minimalization(big, small):
+    """``big.first_outside(small)`` by one joint minimalization: small's
+    generators divide none of each other, so minimalizing them together
+    with big's keeps one exactly when no row of big divides it."""
+    big._check(small)
+    rows = big.rows
+    outside = set(_minimal_rows(rows + small.rows)).difference(rows)
+    return next((Monomial(big.ring, r) for r in small.rows if r in outside), None)
 
 
 def minimal_lifts_by_recursion(weights, deficit):
@@ -390,6 +421,44 @@ def packed_by_minor_ideals(ideal):
                     d, _ = disjoint_by_subsets(minor)
                     if d < c:
                         return False, MinorFailure(zeros, ones, minor, c, d)
+    return True, None
+
+
+def is_packed_by_scan(ideal):
+    """``is_packed`` as the ordered scan alone, which decides and names:
+    every (zeros, ones) minor on support masks, smallest reduction first,
+    lexicographically, with the cap counted per pair as it forms."""
+    n = ideal.ring.n
+    supports = [sum(1 << i for i, e in enumerate(r) if e) for r in ideal.rows]
+    bits = [1 << i for i in range(n)]
+    seen = set()
+    formed = 0
+    for total in range(n):
+        for zcount in range(total + 1):
+            for zeros in combinations(bits, zcount):
+                zmask = sum(zeros)
+                alive = [g for g in supports if not g & zmask]
+                rest = [b for b in bits if not b & zmask]
+                for ones in combinations(rest, total - zcount):
+                    formed += len(alive)
+                    if formed > monomials._POINT_WORK_CAP:
+                        raise ResourceCapError(
+                            f"packedness check formed over "
+                            f"{monomials._POINT_WORK_CAP} minor generators")
+                    keep = ~sum(ones)
+                    minor = frozenset([g & keep for g in alive])
+                    if not minor or 0 in minor or minor in seen:
+                        continue
+                    seen.add(minor)
+                    masks = tuple(minor)
+                    c, greedy = _cover_number(masks)
+                    if greedy < c and not _max_disjoint(masks, c)[0]:
+                        d, _ = _max_disjoint(masks)
+                        names = ideal.ring.variables
+                        zeros = tuple(names[b.bit_length() - 1] for b in zeros)
+                        ones = tuple(names[b.bit_length() - 1] for b in ones)
+                        built = ideal.minor(zeros=zeros, ones=ones)
+                        return False, MinorFailure(zeros, ones, built, c, d)
     return True, None
 
 
@@ -888,6 +957,26 @@ def artin_rees_number_by_products(ideal, sub, n_max):
             k -= 1
         least.append(k)
     return ArReport(ideal, sub, n_max, tuple(least), max(least))
+
+
+def artin_rees_number_by_intersections(ideal, sub, n_max):
+    """``artin_rees_number`` with I^n intersect N formed by an intersection
+    at every n, each I^n from the ladder of powers."""
+    ideal._check(sub)
+    if sub.is_zero:
+        raise ValueError("the submodule ideal must be nonzero")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    shifted = list(sub.ladder(ideal, n_max))  # I^j N, j = 0..n_max
+    top = max(map(sum, sub.rows))  # D
+    least = [0]  # k_0: I^0 intersect N = N
+    for n, power in enumerate(ideal.ladder(ideal, n_max - 1), 1):
+        meet = power & sub
+        k = least[-1] if n > top else n
+        while k > 0 and contains_ideal_by_scan(shifted[n - k + 1], meet):
+            k -= 1
+        least.append(k)
+    return ArReport(ideal, sub, n_max, tuple(least[1:]), max(least))
 
 
 def ar_counterexample_search_by_powers(ideal, sub, k, ell_max):

@@ -11,7 +11,7 @@ from idealkit import (
     random_ideal,
     rng_from_seed,
 )
-from helpers import numbered_ring
+from helpers import artin_rees_number_by_intersections, numbered_ring
 
 R2 = parse_ring("x, y")
 
@@ -119,3 +119,19 @@ def test_artin_rees_descent_shortcut_starts_past_the_degree():
     # D = 0: the unit ideal meets I^n in I^n itself
     report = artin_rees_number(parse_ideal(R2, "x^2, y"), MonomialIdeal.unit(R2), 4)
     assert report.least_k == (0, 0, 0, 0)
+
+
+def test_product_recurrence_matches_the_intersection_loop():
+    # past D the meets come from products with I, and the powers stop at
+    # I^max(1, D); least_k must be what an intersection at every n gives
+    rng = rng_from_seed("idealkit:artinrees:recurrence")
+    past = 0
+    for _ in range(200):
+        ring = numbered_ring(3)
+        ideal = random_ideal(rng, ring, max_generators=3, max_degree=3)
+        sub = random_ideal(rng, ring, max_generators=3, max_degree=rng.randint(1, 3))
+        n_max = rng.randint(1, 6)
+        report = artin_rees_number(ideal, sub, n_max)
+        assert report == artin_rees_number_by_intersections(ideal, sub, n_max), (ideal, sub)
+        past += n_max > max(map(sum, sub.rows))
+    assert past >= 50

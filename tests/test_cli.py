@@ -493,23 +493,30 @@ def test_closure_of_a_cube_exits_three_at_the_elimination_cap():
 
 
 def test_packedness_cap_exits_three(capsys, monkeypatch):
-    # the 6-vertex path is packed, so the check forms all 1,540 minor
-    # generators of its 3^6 - 2^6 pairs unless the cap stops it
+    # the 6-vertex path is packed, so the core search forms all 388 masks
+    # of the cores of its minors unless the cap stops it
     argv = ("symbolic", "packed", "--ring", "a,b,c,d,e,f", "--ideal", "a*b, b*c, c*d, d*e, e*f")
-    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 1539)
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 387)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err == "resource cap: packedness check formed over 1539 minor generators\n"
-    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 1540)
+    assert err == "resource cap: packedness check formed over 387 minor generators\n"
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 388)
     assert run_cli(capsys, *argv) == (0, "packed\n", "")
 
 
 def test_packedness_cap_counts_minor_generators_in_a_child():
-    # 1,200 variables give 1,200 generators per pair, so the cap trips
-    # after a few hundred pairs instead of forming ever larger minors
+    # the maximal ideal on 1,200 variables has only singleton supports, so
+    # its core is empty and it is packed at once
     names = ",".join(f"x{i}" for i in range(1200))
     start = time.perf_counter()
     done = run_child(["symbolic", "packed", "--ring", names, "--ideal", names], timeout=60,
+                     capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "packed\n", "")
+    # the 16-vertex path is packed, and the cores of its minors take
+    # 741,072 masks, so the cap trips part way through the search
+    names = ",".join(f"x{i}" for i in range(16))
+    edges = ", ".join(f"x{i}*x{i + 1}" for i in range(15))
+    done = run_child(["symbolic", "packed", "--ring", names, "--ideal", edges], timeout=60,
                      capture_output=True)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "resource cap: packedness check formed over 500000 minor generators\n"

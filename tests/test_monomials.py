@@ -7,6 +7,7 @@ at larger sizes with::
     PYTHONPATH=src:tests python -c "import test_monomials as t; print(t.blocks_differential(SEED, COUNT))"
 """
 
+import sys
 import time
 from collections import Counter
 from operator import le
@@ -48,6 +49,8 @@ from idealkit.monomials import (
 )
 from helpers import (
     compositions,
+    first_outside_by_minimalization,
+    product_by_tuples,
     minimal_lifts_by_recursion,
     minimal_points_by_tuples,
     minimal_rows_by_scan,
@@ -296,6 +299,109 @@ def test_layout_operations_match_the_tuple_kernel():
                     for case in ("zero", "cap", "bound")}
 
 
+def test_bytewise_width_is_the_least_whole_byte_width():
+    for bound, width in ((0, 8), (1, 8), (127, 8), (128, 16), (32767, 16), (32768, 32),
+                         (DEFAULT_EXPONENT_CAP, 32), (2**31 - 1, 32), (2**31, 64),
+                         (2**63 - 1, 64), (2**63, 128)):
+        layout = PackedLayout.bytewise(3, bound)
+        assert (layout.kind, layout.permutation, layout.width) == ("lex", (0, 1, 2), width)
+        assert layout.cap >= bound and (width == 8 or bound > (1 << width // 2 - 1) - 1)
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+def test_byte_keys_round_trip_at_each_width(byteorder):
+    # the array branch of either byte order runs on any host; only the
+    # host's own order gives the keys of the shift route
+    rng = rng_from_seed(f"idealkit:monomials:byte-keys:{byteorder}")
+    for width in (8, 16, 32, 64, 128):
+        for n in (1, 2, 5, 40):
+            layout = PackedLayout.bytewise(n, (1 << width - 1) - 1)
+            assert layout.width == width
+            cap = layout.cap
+            rows = [tuple(rng.choice((0, 1, cap, rng.randint(0, cap))) for _ in range(n))
+                    for _ in range(20)]
+            keys = layout.lex_keys(rows, byteorder)
+            assert layout.lex_rows(keys, byteorder) == rows
+            assert [k >> layout.top for k in keys] == list(map(sum, rows))
+            if byteorder == sys.byteorder or width in (8, 128):
+                assert keys == [layout.pack(r) | sum(r) << layout.top for r in rows]
+            # rows over a support, their degree first, spread with zeros
+            present = [rng.random() < 0.5 for _ in range(n)]
+            spread = [tuple(e if p else 0 for e, p in zip(r, present)) for r in rows]
+            spread = [r for r in spread if sum(r) <= cap]
+            small = [(sum(r),) + tuple(e for e, p in zip(r, present) if p) for r in spread]
+            assert layout.lex_spread(present)(small) == layout.lex_keys(spread)
+    assert PackedLayout.bytewise(3, 5).lex_rows([]) == []
+
+
+def _boundary_ideal(rng, ring, total):
+    """An ideal of up to four generators in which some exponent is
+    ``total``, the others random below it."""
+    n = ring.n
+    rows = {tuple(rng.randint(0, total) for _ in range(n)) for _ in range(rng.randint(1, 3))}
+    top = [0] * n
+    top[rng.randrange(n)] = total
+    rows.add(tuple(top))
+    return _ideal_from_rows(ring, rows)
+
+
+def test_products_and_powers_match_the_tuple_product_across_widths():
+    # exponent sums on either side of the 8-, 16- and 32-bit field caps and
+    # of the exponent cap; errors must match the tuple product's
+    rng = rng_from_seed("idealkit:monomials:byte-products")
+    seen = Counter()
+    for target in (127, 128, 32767, 32768, DEFAULT_EXPONENT_CAP, DEFAULT_EXPONENT_CAP + 1):
+        for _ in range(40):
+            ring = numbered_ring(rng.randint(1, 4))
+            half = rng.randint(0, target)
+            left = _boundary_ideal(rng, ring, half)
+            right = _boundary_ideal(rng, ring, target - half)
+            for a, b in ((left, right), (left, left), (right, right)):
+                try:
+                    want = product_by_tuples(a, b)
+                except ResourceCapError as exc:
+                    with pytest.raises(ResourceCapError, match=f"^{exc}$"):
+                        a * b
+                    seen["capped"] += 1
+                    continue
+                got = a * b
+                assert got == want, (a, b)
+                assert got.rows == want.rows and got.ring == want.ring
+                seen[PackedLayout.bytewise(1, max(map(max, got.rows))).width] += 1
+    zero, unit = MonomialIdeal.zero(R3), MonomialIdeal.unit(R3)
+    for a in (zero, unit, TRIANGLE):
+        for b in (zero, unit, TRIANGLE):
+            assert a * b == product_by_tuples(a, b)
+    for k in (1, 2, 3, 5):
+        ideal = parse_ideal(R2, "x^43, x^10*y^30, y^64")
+        want = ideal
+        for _ in range(k - 1):
+            want = product_by_tuples(want, ideal)
+        assert ideal.power(k) == want
+    with pytest.raises(ResourceCapError, match="^exponent exceeds cap 1000000 in product$"):
+        parse_ideal(R2, "x^250001, y").power(4)
+    assert set(seen) == {8, 16, 32, "capped"}, seen
+
+
+def test_first_outside_matches_the_joint_minimalization_across_widths():
+    rng = rng_from_seed("idealkit:monomials:byte-first-outside")
+    found = Counter()
+    for total in (127, 128, 32767, 32768, DEFAULT_EXPONENT_CAP):
+        for _ in range(60):
+            ring = numbered_ring(rng.randint(1, 4))
+            big = _boundary_ideal(rng, ring, total)
+            if rng.random() < 0.5:
+                big = _ideal_from_rows(ring, big.rows + _boundary_ideal(rng, ring, total).rows)
+            small = _ideal_from_rows(ring, [
+                tuple(min(e + rng.randint(0, 2), total) for e in rng.choice(big.rows))
+                for _ in range(rng.randint(1, 20))] + list(_boundary_ideal(rng, ring, total).rows))
+            for a, b in ((big, small), (small, big), (big, big)):
+                want = first_outside_by_minimalization(a, b)
+                assert a.first_outside(b) == want, (a, b)
+                found[want is None] += 1
+    assert found[True] and found[False], found
+
+
 def blocks_differential(seed, count):
     """``_Blocks`` against pairwise divisibility on ``count`` seeded key
     lists: lex and grevlex layouts of every field width, exponents at 0, at
@@ -493,12 +599,12 @@ def test_first_outside_is_the_first_generator_outside():
 
 
 def test_first_outside_on_more_rows_than_the_scan_takes(monkeypatch):
-    # the generators of self of lower degree than other's outnumber
-    # _PACK_AT, so the packed test serves the search
+    # self has more than _PACK_AT generators, so the all-at-once test of
+    # _Blocks serves the rows of other that get past the first ones
     fitted = []
-    fitting = PackedLayout.fitting
-    monkeypatch.setattr(PackedLayout, "fitting", staticmethod(
-        lambda *args: fitted.append(args) or fitting(*args)))
+    extend = _Blocks.extend
+    monkeypatch.setattr(_Blocks, "extend", lambda blocks, fields: fitted.append(fields) or
+                        extend(blocks, fields))
     rng = rng_from_seed("idealkit:monomials:first-outside-packed")
     packed = 0
     for n, d in ((2, 40), (3, 8), (4, 5)):
@@ -511,22 +617,35 @@ def test_first_outside_on_more_rows_than_the_scan_takes(monkeypatch):
                 random_monomial(rng, ring, 3) * rng.choice(steps)
                 for _ in range(rng.randint(1, 3 * _PACK_AT))))
             want = next((g for g in small.generators if g not in big), None)
+            assert first_outside_by_minimalization(big, small) == want
             fitted.clear()
             assert big.first_outside(small) == want
             packed += bool(fitted)
+            assert len(fitted) <= 1  # self's keys past the first ones, packed once
     assert packed > 30
 
 
-def test_first_outside_minimalizes_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(monomials, "_minimal_rows", lambda rows: calls.append(rows) or
-                        _minimal_rows(rows))
+def test_first_outside_packs_only_the_rows_it_tests(monkeypatch):
+    # no minimalization; nothing is packed until a row of other is neither
+    # one of self's nor of self's lowest degree or below, and then self's
+    # rows and other's from that row on are packed once
+    calls, minimized = [], []
     square = TRIANGLE.power(2)
-    for big, small in ((TRIANGLE, square), (square, TRIANGLE), (TRIANGLE, TRIANGLE),
-                       (MonomialIdeal.zero(R3), TRIANGLE), (TRIANGLE, MonomialIdeal.unit(R3))):
+    zero, unit = MonomialIdeal.zero(R3), MonomialIdeal.unit(R3)
+    low, high = parse_ideal(R3, "x, y^2"), parse_ideal(R3, "y^3, x*z, z^2")
+    lex_keys = PackedLayout.lex_keys
+    monkeypatch.setattr(PackedLayout, "lex_keys", lambda layout, rows: calls.append(
+        len(rows)) or lex_keys(layout, rows))
+    monkeypatch.setattr(monomials, "_minimal_rows", lambda rows: minimized.append(rows) or
+                        _minimal_rows(rows))
+    for big, small, packs in ((TRIANGLE, square, [3, 6]), (square, TRIANGLE, []),
+                              (TRIANGLE, TRIANGLE, []), (zero, TRIANGLE, []),
+                              (TRIANGLE, unit, []), (TRIANGLE, zero, []),
+                              (low, high, [2, 3]), (high, low, [])):
         calls.clear()
-        big.first_outside(small)
-        assert len(calls) == 1
+        assert big.first_outside(small) == first_outside_by_minimalization(big, small)
+        assert calls == packs, (big, small)
+    assert not minimized
 
 
 def test_ladder_multiplies_lazily_by_its_factor(monkeypatch):

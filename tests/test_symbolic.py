@@ -2,12 +2,14 @@
 
 import sys
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from idealkit import (
     Graph,
+    Monomial,
     MonomialIdeal,
     ResourceCapError,
     Ring,
@@ -31,10 +33,11 @@ from idealkit import (
 )
 from idealkit import monomials
 from idealkit.monomials import _minimal_lifts
-from idealkit.symbolic import _cover_number, _max_disjoint
+from idealkit.symbolic import _core, _cover_number, _max_disjoint, _support_masks
 from helpers import (
     codim_by_subsets,
     disjoint_by_subsets,
+    is_packed_by_scan,
     minimal_covers_by_subsets,
     numbered_ring,
     packed_by_minor_ideals,
@@ -311,15 +314,97 @@ def test_packed_iff_bipartite_on_larger_graphs():
 
 
 def test_packedness_minor_cap(monkeypatch):
-    # the 4-vertex path is packed, so every one of its 3^4 - 2^4 = 65 pairs is
-    # visited; together they form 96 minor generators, one per surviving edge
+    # the 4-vertex path is packed, so the core search visits every core of
+    # its minors: the path, its two 2-edge paths and its three edges.  Each
+    # forms both children of every variable it covers, 2 * |core| masks
+    # apiece: 4 * 6 + 2 * 3 * 4 + 3 * 2 * 2 = 60 in all
     path = edge_ideal(Graph.path(4))
-    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 95)
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 59)
     with pytest.raises(ResourceCapError,
-                       match="packedness check formed over 95 minor generators"):
+                       match="packedness check formed over 59 minor generators"):
         is_packed(path)
-    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 96)
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 60)
     assert is_packed(path) == (True, None)
+
+
+def _sweep_graphs():
+    """The graphs of the edge-theorem sweep: every connected graph on 2 to 6
+    vertices, then five longer cycles and paths."""
+    graphs = [graph for n in range(2, 7) for graph in connected_graph_reps(n)]
+    return graphs + [Graph.cycle(7), Graph.cycle(8), Graph.path(5), Graph.path(6),
+                     Graph.path(7)]
+
+
+def test_packedness_on_the_sweep_graphs_matches_the_scan():
+    graphs = _sweep_graphs()
+    assert len(graphs) == 147
+    verdicts = [is_packed(edge_ideal(graph)) for graph in graphs]
+    assert verdicts == [is_packed_by_scan(edge_ideal(graph)) for graph in graphs]
+    assert sum(packed for packed, _ in verdicts) == 31
+
+
+def _odd_cycle_ideal(rng, ring):
+    """A square-free ideal holding an odd cycle of edges on some variables,
+    and a few more supports of one to four variables."""
+    n = ring.n
+    length = rng.choice([k for k in (3, 5, 7) if k <= n])
+    cycle = rng.sample(range(n), length)
+    supports = [{cycle[i], cycle[(i + 1) % length]} for i in range(length)]
+    for _ in range(rng.randint(0, 4)):
+        supports.append(set(rng.sample(range(n), rng.randint(1, min(4, n)))))
+    return MonomialIdeal.from_generators(
+        ring, [Monomial(ring, tuple(int(i in sup) for i in range(n))) for sup in supports])
+
+
+def test_packedness_decision_matches_the_scan_on_seeded_ideals():
+    # the core search decides; the scan names the failure, so every verdict
+    # and every MinorFailure equals the scan's own
+    rng = rng_from_seed("idealkit:symbolic:packed-cores")
+    verdicts = Counter()
+    for i in range(2100):
+        ring = numbered_ring(rng.randint(3 if i % 3 == 0 else 2, 8))
+        if i % 3 == 0:
+            ideal = _odd_cycle_ideal(rng, ring)
+        else:
+            ideal = random_hypergraph_ideal(rng, ring, max_generators=rng.randint(1, 9),
+                                            max_support=4)
+        got = is_packed(ideal)
+        assert got == is_packed_by_scan(ideal), ideal
+        verdicts[got[0]] += 1
+    assert verdicts[False] >= 300 and verdicts[True] >= 1000, verdicts
+
+
+def test_cores_drop_singletons_and_what_they_divide():
+    x, y, z, w = 1, 2, 4, 8
+    assert _core([x, x | y, y | z, x | y | z, z | w]) == {y | z, z | w}
+    assert _core([x, y]) == frozenset() and _core([]) == frozenset()
+    assert _core([x | y, x | y, y | z | w, y | z]) == {x | y, y | z}
+    ring = numbered_ring(1200)
+    maximal = MonomialIdeal.from_generators(ring, [ring.variable(v) for v in ring.variables])
+    assert _core(_support_masks(maximal.rows)) == frozenset()
+    assert is_packed(maximal) == (True, None)
+
+
+def test_core_search_counts_the_masks_it_forms(monkeypatch):
+    # the counts of the packed paths and cycles, each checked at its cap
+    for graph, formed in ((Graph.path(10), 10_044), (Graph.path(11), 21_260),
+                          (Graph.cycle(10), 14_880)):
+        ideal = edge_ideal(graph)
+        monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", formed - 1)
+        with pytest.raises(ResourceCapError, match=f"formed over {formed - 1} minor"):
+            is_packed(ideal)
+        monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", formed)
+        assert is_packed(ideal) == (True, None)
+
+
+def test_failing_search_and_scan_share_one_count(monkeypatch):
+    # the triangle fails at its own core before forming a mask, so the scan
+    # counts from 0: its first pair, (), forms the 3 generators
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 2)
+    with pytest.raises(ResourceCapError, match="formed over 2 minor generators"):
+        is_packed(TRIANGLE)
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 3)
+    assert not is_packed(TRIANGLE)[0]
 
 
 def test_edge_ideal_construction():
