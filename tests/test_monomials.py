@@ -770,15 +770,63 @@ def test_minimal_points_match_the_tuple_folds():
 
 def test_point_work_cap_trips_at_the_tuple_folds_count(monkeypatch):
     # the packed folds count every lifted row, as the tuple folds do: a cap
-    # one below that count raises, a cap equal to it answers
+    # one below that count raises, a cap equal to it answers.  Lift keys
+    # held from earlier calls count as formed ones do, so each cap is tried
+    # with the lift cache cleared and with it filled by the same system
+    real_cap = monomials._POINT_WORK_CAP
     for ring, system in _point_systems():
         rows, made = minimal_points_by_tuples(ring.n, system)
-        monkeypatch.setattr(monomials, "_POINT_WORK_CAP", made - 1)
-        with pytest.raises(ResourceCapError,
-                           match=f"^lattice-point search made over {made - 1} rows$"):
-            _minimal_points(ring, system)
-        monkeypatch.setattr(monomials, "_POINT_WORK_CAP", made)
+        for warm in (False, True):
+            for cap in (made - 1, made):
+                monkeypatch.setattr(monomials, "_POINT_WORK_CAP", real_cap)
+                monomials._LIFTS.clear()
+                if warm:
+                    _minimal_points(ring, system)
+                monkeypatch.setattr(monomials, "_POINT_WORK_CAP", cap)
+                if cap < made:
+                    with pytest.raises(ResourceCapError,
+                                       match=f"^lattice-point search made over {cap} rows$"):
+                        _minimal_points(ring, system)
+                else:
+                    assert _minimal_points(ring, system).rows == tuple(reversed(rows))
+
+
+def test_lift_cache_holds_tuples_of_keys_within_its_bound():
+    # (x, y, z)^(d) lifts d over three unit weights, C(d + 2, 2) keys: the
+    # entries pass the bound from d = 28 on, so the oldest go, and d = 90
+    # alone (4,186 keys) is past it and not kept
+    cache, bound = monomials._LIFTS, monomials._LIFT_CACHE_BOUND
+    assert bound == 4096
+    cache.clear()
+    ring = numbered_ring(3)
+    held = []
+    for d in [*range(1, 41), 89, 90]:
+        power = _minimal_points(ring, [((1, 1, 1), d)])
+        assert len(power.rows) == (d + 1) * (d + 2) // 2
+        assert cache.held == sum(map(len, cache.values())) <= bound
+        held.append(cache.held)
+        for (width, coeffs, deficit), lifts in cache.items():
+            assert width in (8, 16) and coeffs == (1, 1, 1) and 0 < deficit <= d
+            assert type(lifts) is tuple and all(type(key) is int for key in lifts)
+            assert len(lifts) == (deficit + 1) * (deficit + 2) // 2
+    assert held[26] == sum((d + 1) * (d + 2) // 2 for d in range(1, 28)) == 4059
+    assert list(cache) == [(16, (1, 1, 1), 89)] and held[-1] == 4095
+
+
+def test_lift_cache_drops_its_oldest_entries_first(monkeypatch):
+    # a cache of ten keys: d = 3 (ten keys) drops d = 1 and d = 2, and
+    # d = 4 (fifteen) is not kept; answers are the same with any of it held
+    cache = monomials._LiftCache(10)
+    monkeypatch.setattr(monomials, "_LIFTS", cache)
+    ring = numbered_ring(3)
+    kept = []
+    for d in (1, 2, 3, 4, 3):
+        system = [((1, 1, 1), d)]
+        rows, _ = minimal_points_by_tuples(3, system)
         assert _minimal_points(ring, system).rows == tuple(reversed(rows))
+        kept.append([deficit for _, _, deficit in cache])
+    assert kept == [[1], [1, 2], [3], [3], [3]]
+    assert cache.held == 10
 
 
 def test_minimal_lifts_match_the_recursion_in_order():

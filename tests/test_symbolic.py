@@ -31,7 +31,7 @@ from idealkit import (
     symbolic_power,
     verify_edge_theorem,
 )
-from idealkit import monomials
+from idealkit import monomials, symbolic
 from idealkit.monomials import _minimal_lifts
 from idealkit.symbolic import _core, _cover_number, _max_disjoint, _support_masks
 from helpers import (
@@ -39,6 +39,7 @@ from helpers import (
     disjoint_by_subsets,
     is_packed_by_scan,
     minimal_covers_by_subsets,
+    minimal_points_by_tuples,
     numbered_ring,
     packed_by_minor_ideals,
     random_hypergraph_ideal,
@@ -157,6 +158,41 @@ def test_symbolic_power_refuses_large_k_quickly():
         with pytest.raises(ResourceCapError, match="^lattice-point search made over 500000 rows$"):
             symbolic_power(ideal, k)
     assert time.perf_counter() - start < 5
+
+
+def test_symbolic_power_caps_refuse_alike_with_the_lift_cache(monkeypatch):
+    # lift keys kept from earlier calls are counted as formed ones are, so
+    # the cap refuses at the tuple folds' count with the same message
+    # whether the cache was cleared or filled by a power just before
+    real_cap = monomials._POINT_WORK_CAP
+
+    def fresh(warm, ideal, k):
+        monkeypatch.setattr(monomials, "_POINT_WORK_CAP", real_cap)
+        monomials._LIFTS.clear()
+        if warm:
+            symbolic_power(ideal, k)
+
+    for warm in (False, True):
+        for graph in NAMED_GRAPHS:
+            ideal = edge_ideal(graph)
+            for k in (2, 3):
+                system = [(tuple(int(j in p.indices) for j in range(graph.vertex_count)), k)
+                          for p in minimal_primes(ideal)]
+                rows, made = minimal_points_by_tuples(graph.vertex_count, system)
+                fresh(warm, ideal, k)
+                monkeypatch.setattr(monomials, "_POINT_WORK_CAP", made - 1)
+                with pytest.raises(ResourceCapError,
+                                   match=f"^lattice-point search made over {made - 1} rows$"):
+                    symbolic_power(ideal, k)
+                fresh(warm, ideal, k)
+                monkeypatch.setattr(monomials, "_POINT_WORK_CAP", made)
+                assert symbolic_power(ideal, k).rows == tuple(reversed(rows))
+        maximal = parse_ideal(R3, "x, y, z")
+        for ideal, k in ((TRIANGLE, 10**5), (maximal, 32_000), (maximal, 10**6)):
+            fresh(warm, ideal, 2)
+            with pytest.raises(ResourceCapError,
+                               match="^lattice-point search made over 500000 rows$"):
+                symbolic_power(ideal, k)
 
 
 def test_symbolic_power_minimalizes_once_per_prime(monkeypatch):
@@ -341,6 +377,57 @@ def test_packedness_on_the_sweep_graphs_matches_the_scan():
     verdicts = [is_packed(edge_ideal(graph)) for graph in graphs]
     assert verdicts == [is_packed_by_scan(edge_ideal(graph)) for graph in graphs]
     assert sum(packed for packed, _ in verdicts) == 31
+
+
+def test_edge_theorem_reports_name_the_failing_minor_only_when_read(monkeypatch):
+    # a report decides packedness on the cores alone: the scan that names
+    # the failing minor runs on the first read of packed_failure, once
+    scans = []
+    first_failure = symbolic._first_failure
+
+    def counted(ideal, supports, formed):
+        scans.append(ideal)
+        return first_failure(ideal, supports, formed)
+
+    monkeypatch.setattr(symbolic, "_first_failure", counted)
+    graphs = _sweep_graphs()
+    reports = [verify_edge_theorem(graph, 3) for graph in graphs]
+    assert scans == []
+    verdicts = [is_packed(edge_ideal(graph)) for graph in graphs]
+    assert [report.packed for report in reports] == [packed for packed, _ in verdicts]
+    scans.clear()
+    failures = [failure for _, failure in verdicts]
+    assert [report.packed_failure for report in reports] == failures
+    assert len(scans) == sum(not packed for packed, _ in verdicts) == 116
+    assert [report.packed_failure for report in reports] == failures
+    assert len(scans) == 116
+
+
+def test_edge_theorem_answers_where_only_the_naming_scan_passes_the_cap(monkeypatch):
+    # the net, a triangle with a pendant edge at each vertex, has 3 disjoint
+    # edges and a least cover of 3 vertices; its first failing minor drops
+    # the pendant vertices.  The core search forms 154 masks up to its
+    # failing core and the powers stop at k = 2 within that count, while
+    # the ordered scan forms 994 before it names the minor
+    net = Graph(6, ((0, 1), (0, 2), (1, 2), (0, 5), (1, 4), (2, 3)))
+    ideal = edge_ideal(net)
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 153)
+    with pytest.raises(ResourceCapError, match="^packedness check formed over 153 minor"):
+        verify_edge_theorem(net, 3)
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 154)
+    report = verify_edge_theorem(net, 3)
+    assert (report.bipartite, report.packed, report.equal_up_to) == (False, False, 1)
+    assert report.agree
+    for cap in (154, 993):
+        monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", cap)
+        message = f"^packedness check formed over {cap} minor generators$"
+        with pytest.raises(ResourceCapError, match=message):
+            is_packed(ideal)
+        with pytest.raises(ResourceCapError, match=message):
+            report.packed_failure
+    monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 994)
+    assert report.packed_failure == is_packed(ideal)[1]
+    assert (report.packed_failure.zeros, report.packed_failure.ones) == (("x4", "x5", "x6"), ())
 
 
 def _odd_cycle_ideal(rng, ring):

@@ -7,7 +7,10 @@ counts the results that are zero; the certificate-corruption tests patch
 tests wrap both the same way during a ``buchberger`` call.  The tracer's
 ``invariants.lcm_lattice.points`` is ``len`` of what
 ``invariants._lcm_lattice`` returns, one exponent tuple per lattice point,
-which the last test pins during a ``graded_betti`` call.
+which a test pins during a ``graded_betti`` call.  It reads the variables
+of a symbolic power's minimal primes as ``set().union(*result)`` of what
+``symbolic._prime_index_sets`` returns, so that must be iterables of
+variable indices; the last test pins it during a ``symbolic_power`` call.
 """
 
 from idealkit import (
@@ -21,8 +24,11 @@ from idealkit import (
     graded_betti,
     groebner,
     invariants,
+    minimal_primes,
     parse_polynomial,
     parse_ring,
+    symbolic,
+    symbolic_power,
 )
 
 CYCLIC4 = ["a + b + c + d", "a*b + b*c + c*d + d*a",
@@ -87,3 +93,24 @@ def test_lcm_lattice_returns_a_set_of_exponent_tuples(monkeypatch):
     # the unions of edges of the 5-cycle: 5 edges, 5 paths of two edges,
     # 5 of three and the whole cycle
     assert len(lattice) == 16
+
+
+def test_prime_index_sets_returns_iterables_of_variable_indices(monkeypatch):
+    real = symbolic._prime_index_sets
+    returned = []
+
+    def recorded(ideal):
+        returned.append(real(ideal))
+        return returned[-1]
+
+    monkeypatch.setattr(symbolic, "_prime_index_sets", recorded)
+    # the 6-cycle has five minimal primes: its two color classes and three
+    # covers of four vertices, returned in the order of minimal_primes
+    ideal = edge_ideal(Graph.cycle(6))
+    symbolic_power(ideal, 2)
+    assert len(returned) == 1
+    primes = returned[0]
+    assert len(primes) == 5
+    assert all(type(i) is int and 0 <= i < 6 for p in primes for i in p)
+    assert [tuple(sorted(p)) for p in primes] == [p.indices for p in minimal_primes(ideal)]
+    assert set().union(*primes) == set(range(6))
