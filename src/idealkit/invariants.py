@@ -1,16 +1,20 @@
 """Hilbert series, Hilbert polynomials, and graded Betti tables.
 
-The Hilbert numerator comes from the pivot recursion
-``N(I) = N(I + (p)) + z^deg(p) * N(I : p)`` with the pivot a pure power of
-the variable hitting the most generators; the recursion bottoms out on
-pairwise-coprime generator sets, where the numerator is a product of
-``1 - z^deg``.  Every series and count is checked on the spot against an
-independent numerator: the colon recursion of Bayer and Stillman,
-``N(J + (m)) = N(J) - z^deg(m) * N(J : m)``, which adds one generator at a
-time and shares no pivot logic with the above.  The two numerators must be
-equal; since h(d) = sum_{j<=d} c_j * C(n-1+d-j, n-1) weighs c_d by one,
-their first differing coefficient is the first degree where the two series
-differ.
+The Hilbert numerator comes from Bigatti's pivot recursion
+``N(I) = N(I + (p)) + z^deg(p) * N(I : p)``, with p = x_j^e for the
+variable x_j in the most generators and the median e of its positive
+exponents.  Before each pivot the generators are split into
+variable-disjoint components, whose numerators multiply.  It bottoms out
+on leaves with a closed form: a few generators (inclusion-exclusion over
+their lcms), pairwise-coprime generators (a product of ``1 - z^deg``) and
+generators in two variables (the staircase formula of their Hilbert-Burch
+resolution); ``_numerator`` proves each.  Every series and count is
+checked on the spot against an independent numerator: the colon recursion
+of Bayer and Stillman, ``N(J + (m)) = N(J) - z^deg(m) * N(J : m)``, which
+adds one generator at a time and shares no pivot logic with the above.
+The two numerators must be equal; since h(d) = sum_{j<=d} c_j *
+C(n-1+d-j, n-1) weighs c_d by one, their first differing coefficient is
+the first degree where the two series differ.
 
 The Hilbert polynomial p(d) = sum_j c_j * C(d - j + n - 1, n - 1) is one
 integer expansion, of (n-1)! * p(d) = sum_j c_j * prod_{i=1}^{n-1} (d - j + i).
@@ -69,19 +73,22 @@ from math import comb, factorial, prod
 from .errors import ResourceCapError
 from .fields import QQ
 from .linalg import rank_over, rank_sparse
-from .monomials import PackedLayout, _minimal_rows
+from .monomials import PackedLayout
 from .symbolic import codim as _codim
 from .symbolic import minimal_primes as _minimal_primes
 
 _LATTICE_CAP = 100_000
-# rows one pivot recursion may read, summed over its worklist steps: C40's
-# edge ideal reads 3,213,239, and each five more cycle vertices about four
-# times as many
+# rows one pivot recursion may read, summed over the components and pivot
+# children it computes: C40's edge ideal reads 3,908, C100's 27,788, and
+# the 496 generators of (x, y, z)^30 read 3,506
 _PIVOT_CAP = 3_500_000
 # rows one colon recursion may read, in its colons and their minimalization:
 # the 1501-generator staircase reads 2,250,000 and (x1..x120) 8,783,390
 # (colons 287,980, minimalization 8,495,410); (x1..x200) would read 67M
 _COLON_CAP = 10_000_000
+# rows up to which a numerator is summed over the subsets of its rows: 31
+# lcms for five rows cost less than a pivot and its two children
+_SUBSETS_AT = 5
 
 
 def _strip(coeffs):
@@ -91,53 +98,227 @@ def _strip(coeffs):
     return out
 
 
-def _numerator(rows, n):
-    """Hilbert numerator of S/I (over (1-z)^n) by the pivot recursion.
+def _dense(poly):
+    """Coefficient list of the sparse polynomial ``{degree: coefficient}``."""
+    poly = {d: c for d, c in poly.items() if c}
+    out = [0] * (max(poly, default=-1) + 1)
+    for d, c in poly.items():
+        out[d] = c
+    return out
 
-    The recursion runs on a worklist of (rows, shift) pairs, so its depth
-    costs no Python stack: the numerator is the sum over the leaves of
-    z^shift times the leaf's numerator.  Each step reads the rows of its
-    entry; reading more than ``_PIVOT_CAP`` rows over all steps raises
-    ``ResourceCapError``.
-    """
-    total = []
-    work, read = [(rows, 0)], 0
-    while work:
-        rows, shift = work.pop()
-        read += len(rows)
-        if read > _PIVOT_CAP:
-            raise ResourceCapError(
-                f"Hilbert pivot recursion read over {_PIVOT_CAP} rows")
-        if not rows:
-            leaf = [1]
-        elif any(sum(r) == 0 for r in rows):
-            leaf = []
+
+def _times(p, q):
+    """Product of two sparse polynomials, one pair of terms at a time."""
+    out = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            out[a + b] = out.get(a + b, 0) + c * d
+    return {d: c for d, c in out.items() if c}
+
+
+def _tuple_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _inclusion_exclusion(rows, lcm, degree):
+    """Sum over the subsets S of the rows of (-1)^|S| * z^deg(lcm(S))."""
+    lcms = []
+    for r in rows:
+        lcms += [(lcm(a, r), -s) for a, s in lcms]
+        lcms.append((r, -1))
+    poly = {0: 1}
+    for a, s in lcms:
+        d = degree(a)
+        poly[d] = poly.get(d, 0) + s
+    return poly
+
+
+def _staircase(pairs):
+    """Numerator of the ideal of the x_u^a * x_v^b over (a, b) in ``pairs``,
+    a ascending and b descending: 1 - sum z^(a_i + b_i) + sum z^(a_i + b_(i-1))."""
+    poly, last = {0: 1}, None
+    for a, b in pairs:
+        poly[a + b] = poly.get(a + b, 0) - 1
+        if last is not None:
+            poly[a + last] = poly.get(a + last, 0) + 1
+        last = b
+    return poly
+
+
+def _minimal_keys(keys, layout):
+    """The divisibility-minimal keys, as a frozenset.  By ascending (degree,
+    key) every divisor of a key comes before it, and only keys of lower
+    degree can divide it, so each is tested against those kept rows alone."""
+    guard, total = layout.guard, layout.total
+    kept, degree, below = [], 0, ()
+    for d, c in sorted({(total(k), k) for k in keys}):
+        if d != degree:
+            degree, below = d, tuple(kept)
+        c_guard = c | guard
+        for k in below:
+            if (c_guard - k) & guard == guard:
+                break
         else:
-            counts = [len(rows) - column.count(0) for column in zip(*rows)]
-            if max(counts) > 1:
-                j = counts.index(max(counts))
-                e = min(r[j] for r in rows if r[j] > 0)
-                pivot = tuple(e if i == j else 0 for i in range(n))
-                # e is x_j's least positive exponent, so r[j] < e means
-                # r[j] = 0: these rows stay minimal, x_j^e divides none of
-                # them, and only the unit row, a leaf above, divides x_j^e
-                work.append(([r for r in rows if r[j] < e] + [pivot], shift))
-                work.append((_minimal_rows(
-                    [r[:j] + (max(r[j] - e, 0),) + r[j + 1:] for r in rows]), shift + e))
+            kept.append(c)
+    return frozenset(kept)
+
+
+def _numerator(rows, n):
+    """Hilbert numerator of S/I (over (1-z)^n) by Bigatti's pivot recursion,
+    split into variable-disjoint components.
+
+    Leaves, tried on the exponent tuples before anything is packed, and
+    then on every packed component:
+
+    - No rows give 1, and a unit row gives 0.
+    - At most ``_SUBSETS_AT`` rows give sum_S (-1)^|S| z^deg(lcm(S)) over
+      the subsets S of the rows, by inclusion-exclusion: a monomial lies in
+      I when some row divides it, and is a multiple of every row in S
+      exactly when lcm(S) divides it.  One row gives 1 - z^deg.
+    - Pairwise-coprime rows give the product of their 1 - z^deg; among
+      packed keys they are components of one row each (below).
+    - Minimal rows on two variables u before v, by ascending exponent a_i
+      of u, hence descending exponent b_i of v, give
+      1 - sum_i z^(a_i + b_i) + sum_(i>1) z^(a_i + b_(i-1)); the second
+      sum runs over the lcms of neighbours.  Proof: adding g_i to
+      J = (g_1..g_(i-1)) gives N(J + g_i) = N(J) - z^deg(g_i) N(J : g_i),
+      and J : g_i is generated by the x_v^(b_k - b_i), k < i, so by
+      x_v^(b_(i-1) - b_i) alone.  This is the Hilbert-Burch resolution of
+      a monomial ideal in two variables (Miller and Sturmfels,
+      "Combinatorial Commutative Algebra", ch. 3).
+
+    Split: rows in variable-disjoint components I_1, .., I_c make S/I the
+    tensor product of the quotients by the I_k, over the field, so the
+    Hilbert series multiply, and so do the numerators (Bayer and Stillman,
+    J. Symbolic Comput. 14, 1992).
+
+    Pivot: one component that is no leaf is split by the exact sequence
+    0 -> S/(I : p)(-e) -> S/I -> S/(I + p) -> 0 as
+    N(I) = N(I + p) + z^e * N(I : p) with p = x_j^e.  Bigatti's choice
+    (J. Pure Appl. Algebra 119, 1997): x_j is the variable in the most
+    rows, the first on ties, and e the median of its positive exponents,
+    the upper one of an even count.  If a pure power x_j^a with a <= e is a
+    row, p lies in I; a is then x_j's largest exponent, as the rows are
+    minimal, and e falls back to the least positive exponent, which is
+    below a, as x_j is in another row too.  I + p keeps the rows with x_j-exponent below
+    e, and p: p divides none of them, and none divides p, as that one
+    would be a pure power x_j^a with a < e, which the fallback rules out.
+    So that branch is minimal without a minimalization.  I : p is one
+    saturating subtraction of p per row, then ``_minimal_keys``.
+
+    Rows are lex ``PackedLayout`` keys, the first variable highest, with
+    fields wide enough for the degree of an lcm of ``_SUBSETS_AT`` rows,
+    so that ``layout.total`` holds it.  Polynomials are sparse,
+    ``{degree: coefficient}``, so sums and products cost per nonzero term,
+    not per degree; only the answer is a coefficient list.  Results are
+    memoized by the set of keys.  The recursion runs on an explicit stack,
+    so its depth costs no Python stack.  Each component or pivot child
+    computed reads its rows, a memo hit reads none, and reading more than
+    ``_PIVOT_CAP`` rows in all raises ``ResourceCapError``.
+    """
+    if not rows:
+        return [1]
+    if len(rows) > _PIVOT_CAP:
+        raise ResourceCapError(f"Hilbert pivot recursion read over {_PIVOT_CAP} rows")
+    if len(rows) <= _SUBSETS_AT:
+        return _dense(_inclusion_exclusion(rows, _tuple_lcm, sum))
+    degrees = list(map(sum, rows))
+    if not all(degrees):
+        return []
+    counts = [len(rows) - column.count(0) for column in zip(*rows)]
+    if max(counts) == 1:
+        poly = {0: 1}
+        for d in degrees:
+            poly = _times(poly, {0: 1, d: -1})
+        return _dense(poly)
+    support = [j for j, c in enumerate(counts) if c]
+    if len(support) == 2:
+        u, v = support
+        pairs = [(r[u], r[v]) for r in sorted(rows)]
+        if all(a < c and b > d for (a, b), (c, d) in zip(pairs, pairs[1:])):
+            return _dense(_staircase(pairs))
+    layout = PackedLayout.fitting("lex", tuple(range(n)), _SUBSETS_AT * max(degrees))
+    guard, ones, width, cap = layout.guard, layout.ones, layout.width, layout.cap
+    lcm, total = layout.lcm, layout.total
+    root = _minimal_keys(map(layout.pack, rows), layout)
+    # an entry's plan is None until its rows are read, then (e, (plus,
+    # colon)) for a pivot, or (leaf factors, components) for a product
+    memo, read, stack = {}, 0, [(root, None)]
+    while stack:
+        keys, plan = stack[-1]
+        if plan is None:
+            if keys in memo:
+                stack.pop()
                 continue
-            # pairwise-coprime generators: complete-intersection product formula
-            leaf = [1]
-            for r in rows:
-                # times 1 - z^d, in place from the top coefficient down
-                d = sum(r)
-                leaf += [0] * d
-                for i in range(len(leaf) - 1, d - 1, -1):
-                    leaf[i] -= leaf[i - d]
-        if len(total) < shift + len(leaf):
-            total.extend([0] * (shift + len(leaf) - len(total)))
-        for i, c in enumerate(leaf, shift):
-            total[i] += c
-    return total
+            read += len(keys)
+            if read > _PIVOT_CAP:
+                raise ResourceCapError(
+                    f"Hilbert pivot recursion read over {_PIVOT_CAP} rows")
+            # guard i of a support is set when x_i divides the key
+            supports = [((k | guard) - ones) & guard for k in keys]
+            parts = []  # variable-disjoint components, as (support, keys)
+            for k, s in zip(keys, supports):
+                members, rest = [k], []
+                for part in parts:
+                    if part[0] & s:
+                        s |= part[0]
+                        members += part[1]
+                    else:
+                        rest.append(part)
+                rest.append((s, members))
+                parts = rest
+            if len(parts) > 1 or len(keys) <= _SUBSETS_AT or parts[0][0].bit_count() == 2:
+                factors, children = [], []
+                for s, members in parts:
+                    if len(members) <= _SUBSETS_AT:
+                        factors.append(_inclusion_exclusion(members, lcm, total))
+                    elif s.bit_count() == 2:
+                        high = s.bit_length() - width
+                        low = (s & -s).bit_length() - width
+                        factors.append(_staircase(
+                            [(k >> high & cap, k >> low & cap) for k in sorted(members)]))
+                    else:
+                        children.append(frozenset(members))
+                plan = (factors, children)
+            else:
+                count = {}
+                for s in supports:
+                    while s:
+                        b = s & -s
+                        count[b] = count.get(b, 0) + 1
+                        s ^= b
+                _, bit = max([(c, b) for b, c in count.items()])
+                at = bit.bit_length() - width  # the lowest bit of x_j's field
+                fields = [k >> at & cap for k in keys]
+                positive = sorted([f for f in fields if f])
+                e = positive[len(positive) // 2]
+                if e == positive[-1] and e << at in keys:
+                    e = positive[0]
+                pivot = e << at
+                plus = frozenset([k for k, f in zip(keys, fields) if f < e] + [pivot])
+                colon = _minimal_keys(
+                    [k - pivot if f >= e else k - (f << at) for k, f in zip(keys, fields)],
+                    layout)
+                plan = (e, (plus, colon))
+            pending = [c for c in plan[1] if c not in memo]
+            if pending:
+                stack[-1] = (keys, plan)
+                stack += [(c, None) for c in pending]
+                continue
+        head, children = plan
+        if type(head) is int:
+            poly = dict(memo[children[0]])
+            for d, c in memo[children[1]].items():
+                poly[d + head] = poly.get(d + head, 0) + c
+        else:
+            poly = {0: 1}
+            for factor in head:
+                poly = _times(poly, factor)
+            for c in children:
+                poly = _times(poly, memo[c])
+        memo[keys] = {d: c for d, c in poly.items() if c}
+        stack.pop()
+    return _dense(memo[root])
 
 
 def _colon_numerator(rows, n):

@@ -30,8 +30,8 @@ that neither a lifted row nor a partial sum of the product carries;
 ``_minimal_points`` states and proves that width rule.
 
 Every other operation (intersection, colon, radical, minors, parsing,
-and the callers that pass a few short rows, such as the Hilbert pivot)
-ends in ``_minimal_rows`` on exponent tuples, where packing a handful of
+and the callers that pass a few short rows) ends in ``_minimal_rows`` on
+exponent tuples, where packing a handful of
 rows costs more than it saves.  It visits rows by ascending (degree,
 tuple) and tests each only against kept rows of strictly lower degree: a
 row never divides another of its own degree.  Both minimalizations try the
@@ -42,7 +42,8 @@ big-int operations replace the pairwise scan.
 
 ``PackedLayout`` packs a row into one int, each exponent in a field whose
 top bit is a guard.  It is taken in its lex form here, by the Hilbert
-check and by the Betti facets, which keep their own widths; in the
+numerator and its check and by the Betti facets, which keep their own
+widths; in the
 Groebner engine a monomial is one int whose integer order is a term order
 (lex, or grevlex with the degree above the fields), so the engine's heap
 keys, shifts and divisibility tests are int operations on it.  ``_Blocks``

@@ -462,6 +462,50 @@ def is_packed_by_scan(ideal):
     return True, None
 
 
+def pivot_numerator_by_tuples(rows, n, cap=3_500_000):
+    """Hilbert numerator of S/I (over (1-z)^n) by the least-exponent pivot
+    recursion on exponent tuples, on a worklist: pivot on x_j^e, with x_j
+    the variable in the most rows and e its least positive exponent, by
+    N(I) = N(I + x_j^e) + z^e * N(I : x_j^e), down to pairwise-coprime
+    rows, whose numerator is a product of 1 - z^deg.  Reading more than
+    ``cap`` rows over all steps raises ``ResourceCapError``."""
+    total = []
+    work, read = [(rows, 0)], 0
+    while work:
+        rows, shift = work.pop()
+        read += len(rows)
+        if read > cap:
+            raise ResourceCapError(f"Hilbert pivot recursion read over {cap} rows")
+        if not rows:
+            leaf = [1]
+        elif any(sum(r) == 0 for r in rows):
+            leaf = []
+        else:
+            counts = [len(rows) - column.count(0) for column in zip(*rows)]
+            if max(counts) > 1:
+                j = counts.index(max(counts))
+                e = min(r[j] for r in rows if r[j] > 0)
+                pivot = tuple(e if i == j else 0 for i in range(n))
+                # e is x_j's least positive exponent, so r[j] < e means
+                # r[j] = 0: these rows stay minimal, x_j^e divides none of
+                # them, and only the unit row, a leaf above, divides x_j^e
+                work.append(([r for r in rows if r[j] < e] + [pivot], shift))
+                work.append((_minimal_rows(
+                    [r[:j] + (max(r[j] - e, 0),) + r[j + 1:] for r in rows]), shift + e))
+                continue
+            leaf = [1]
+            for r in rows:
+                d = sum(r)
+                leaf += [0] * d
+                for i in range(len(leaf) - 1, d - 1, -1):
+                    leaf[i] -= leaf[i - d]
+        if len(total) < shift + len(leaf):
+            total.extend([0] * (shift + len(leaf) - len(total)))
+        for i, c in enumerate(leaf, shift):
+            total[i] += c
+    return total
+
+
 def colon_numerator_by_tuples(rows, n):
     """Hilbert numerator of S/I (over (1-z)^n) by the Bayer-Stillman colon
     recursion on exponent tuples: generators join in lexicographic order,

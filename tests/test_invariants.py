@@ -47,6 +47,7 @@ from helpers import (
     corrupt_numerator,
     lcm_lattice_by_frontier,
     numbered_ring,
+    pivot_numerator_by_tuples,
     reduced_homology_by_elimination,
     standard_count,
     standard_counts_by_inclusion_exclusion,
@@ -246,12 +247,92 @@ def test_standard_counts_match_enumeration_and_inclusion_exclusion():
         assert counts[:7] == [standard_count(ideal, d) for d in degrees[:7]]
 
 
+def _differential_corpus():
+    """(rows, n, oracle) triples: the 200 ideals of _check_corpus, C10^2;
+    400 seeded row lists on 1-6 variables, with pure powers, repeats and
+    multiples; 40 two-variable lists; 40 lists on 2-4 variable-disjoint
+    blocks; C6..C50; staircases of 21 to 1501 generators and (x, y, z)^30;
+    (x^2, y^3, z^4, x*y*z)^k for k <= 8.  ``oracle`` is false where the
+    tuple pivot oracle would take seconds."""
+    rng = rng_from_seed("idealkit:invariants:bigatti")
+    lists = [(_rows(ideal), ideal.ring.n, True) for ideal in _check_corpus()]
+    lists.append((_rows(CYCLE10.power(2)), 10, True))
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        rows = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 10))]
+        rows += rng.choices(rows, k=rng.randint(0, 2))
+        for j in rng.sample(range(n), rng.randint(0, n)):
+            rows.append(tuple(rng.randint(1, 6) if i == j else 0 for i in range(n)))
+        lists.append((rows, n, True))
+    for _ in range(40):
+        rows = [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(rng.randint(1, 30))]
+        lists.append((rows, 2, True))
+    for _ in range(40):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        n, rows, start = sum(sizes), [], 0
+        for size in sizes:
+            for _ in range(rng.randint(1, 5)):
+                row = [0] * n
+                for i in range(start, start + size):
+                    row[i] = rng.randint(0, 3)
+                rows.append(tuple(row))
+            start += size
+        lists.append((rows, n, True))
+    for n in range(6, 51):
+        lists.append((_rows(edge_ideal(Graph.cycle(n))), n, n <= 25))
+    for count in (21, 41, 61, 81, 101, 301, 501, 1001, 1501):
+        text = ", ".join(f"x^{i}*y^{count - 1 - i}" for i in range(count))
+        lists.append((_rows(parse_ideal(R2, text)), 2, count <= 501))
+    cube = ", ".join(f"x^{i}*y^{j}*z^{30 - i - j}" for i in range(31) for j in range(31 - i))
+    lists.append((_rows(parse_ideal(R3, cube)), 3, True))
+    for k in range(1, 9):
+        lists.append((_rows(TABLE.power(k)), 3, True))
+    return lists
+
+
 def test_colon_numerator_matches_pivot_numerator():
-    extra = [CYCLE10.power(2), TABLE.power(6), STAIRCASE301]
-    for ideal in _check_corpus() + extra:
-        rows, n = _rows(ideal), ideal.ring.n
-        assert invariants._strip(invariants._colon_numerator(rows, n)) == \
-            invariants._strip(invariants._numerator(rows, n))
+    lists = _differential_corpus()
+    assert sum(oracle for _, _, oracle in lists) == 717
+    for rows, n, oracle in lists:
+        got = invariants._numerator(rows, n)
+        assert got == invariants._strip(invariants._colon_numerator(rows, n)), rows
+        if oracle:
+            assert got == invariants._strip(pivot_numerator_by_tuples(rows, n)), rows
+
+
+HUGE_CYCLE = "x^1000000*y, y^999999*z, z^1000000*x"
+
+
+@pytest.mark.parametrize("text", ["x^1000000, y^1000000, z^1000000", HUGE_CYCLE],
+                         ids=["powers", "cycle"])
+def test_huge_exponents_match_the_tuple_oracle(text):
+    rows = _rows(parse_ideal(R3, text))
+    assert invariants._numerator(rows, 3) == \
+        invariants._strip(pivot_numerator_by_tuples(rows, 3))
+
+
+def test_component_products_cost_per_nonzero_term(monkeypatch):
+    # two variable-disjoint copies of the huge 3-cycle: the numerator is the
+    # square of the 3-cycle's 6 terms, and no sparse product on the way
+    # pairs more than 6 x 6 terms, though its degree is 5,999,998
+    rows = _rows(parse_ideal(R3, HUGE_CYCLE))
+    terms = {d: c for d, c in enumerate(invariants._numerator(rows, 3)) if c}
+    square = {}
+    for a, c in terms.items():
+        for b, d in terms.items():
+            square[a + b] = square.get(a + b, 0) + c * d
+    square = {d: c for d, c in square.items() if c}
+    real, sizes = invariants._times, []
+
+    def times(p, q):
+        sizes.append(len(p) * len(q))
+        return real(p, q)
+
+    monkeypatch.setattr(invariants, "_times", times)
+    doubled = [r + (0, 0, 0) for r in rows] + [(0, 0, 0) + r for r in rows]
+    got = invariants._numerator(doubled, 6)
+    assert {d: c for d, c in enumerate(got) if c} == square
+    assert len(square) == 17 and 0 < max(sizes) <= len(terms) ** 2 == 36
 
 
 # run in a child process: hilbert_series and both numerators of each ideal
@@ -292,32 +373,72 @@ def test_pairwise_coprime_generators_answer_within_a_time_limit():
         assert series == colon == pivot == want
 
 
-def test_pivot_recursion_cap_stops_the_fifty_cycle_within_a_time_limit():
-    # the pivot recursion reads about four times the rows per five more
-    # cycle vertices; C40 reads 3,213,239 and answers, C50 would take minutes
+def _cycle_text(n):
+    """Ring and ideal text of the edge ideal of the n-cycle."""
+    return (",".join(f"x{i}" for i in range(1, n + 1)),
+            ", ".join(f"x{i}*x{i % n + 1}" for i in range(1, n + 1)))
+
+
+def test_fifty_cycle_answers_through_the_cli_within_a_time_limit():
+    # C50 reads 6,388 pivot rows and its colon check answers too; a child
+    # process runs it, so a regression fails by the time limit
     src = Path(__file__).resolve().parents[1] / "src"
-    n = 50
-    ring = ",".join(f"x{i}" for i in range(1, n + 1))
-    ideal = ", ".join(f"x{i}*x{i % n + 1}" for i in range(1, n + 1))
+    ring, ideal = _cycle_text(50)
     done = subprocess.run(
         [sys.executable, "-m", "idealkit", "invariants", "hilbert", "--ring", ring,
          "--ideal", ideal], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=30,
     )
-    assert (done.returncode, done.stdout) == (3, "")
-    assert done.stderr == (
-        f"resource cap: Hilbert pivot recursion read over {invariants._PIVOT_CAP} rows\n")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("series: (1 - 50*z^2 + 50*z^3 + 1125*z^4 - ")
+
+
+def test_pivot_recursion_cap_stops_the_fifty_cycle_in_process(capsys, monkeypatch):
+    # C50's pivot recursion reads 6,388 rows: with the cap there the CLI
+    # answers, and one row below it exits 3 naming the cap
+    ring, ideal = _cycle_text(50)
+    argv = ["invariants", "hilbert", "--ring", ring, "--ideal", ideal]
+    monkeypatch.setattr(invariants, "_PIVOT_CAP", 6388)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(invariants, "_PIVOT_CAP", 6387)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "resource cap: Hilbert pivot recursion read over 6387 rows\n"
 
 
 def test_pivot_recursion_cap_counts_rows_read(monkeypatch):
-    # (x^2, x*y, y^2): the root reads 3 rows and splits once into two
-    # coprime leaves of 2 rows each
-    rows = _rows(parse_ideal(parse_ring("x, y"), "x^2, x*y, y^2"))
-    monkeypatch.setattr(invariants, "_PIVOT_CAP", 7)
-    assert invariants._strip(invariants._numerator(rows, 2)) == [1, 0, -3, 2]
-    monkeypatch.setattr(invariants, "_PIVOT_CAP", 6)
-    with pytest.raises(ResourceCapError, match="^Hilbert pivot recursion read over 6 rows$"):
-        invariants._numerator(rows, 2)
+    # C6 reads its 6 rows and pivots on x1: I + (x1) is x1 and the path
+    # x2..x6 (5 rows), and I : x1 is x2, x6, x3*x4, x4*x5 (4 rows); both are
+    # products of leaves, so the recursion reads 15 rows
+    rows = _rows(edge_ideal(Graph.cycle(6)))
+    monkeypatch.setattr(invariants, "_PIVOT_CAP", 15)
+    assert invariants._numerator(rows, 6) == [1, 0, -6, 6, 3, -6, 2]
+    monkeypatch.setattr(invariants, "_PIVOT_CAP", 14)
+    with pytest.raises(ResourceCapError, match="^Hilbert pivot recursion read over 14 rows$"):
+        invariants._numerator(rows, 6)
+
+
+@pytest.mark.parametrize("ideal,reads", [
+    (edge_ideal(Graph.cycle(40)), 3908),
+    (parse_ideal(R2, ", ".join(f"x^{i}*y^{1500 - i}" for i in range(1501))), 1501),
+    (parse_ideal(R3, ", ".join(f"x^{i}*y^{j}*z^{30 - i - j}"
+                               for i in range(31) for j in range(31 - i))), 3506),
+    (TABLE.power(8), 1062),
+], ids=["C40", "staircase1501", "xyz^30", "table^8"])
+def test_pivot_recursion_reads_a_pinned_number_of_rows(monkeypatch, ideal, reads):
+    # the least-exponent tuple recursion read 3,213,239 rows on C40 and
+    # about 1.1M on the staircase, which is now one two-variable leaf; with
+    # the median pivot kept but the least exponent taken, (x, y, z)^30 would
+    # read 5,977 and the table power 1,362
+    rows, n = _rows(ideal), ideal.ring.n
+    monkeypatch.setattr(invariants, "_PIVOT_CAP", reads)
+    want = invariants._numerator(rows, n)
+    assert want == invariants._strip(invariants._colon_numerator(rows, n))
+    monkeypatch.setattr(invariants, "_PIVOT_CAP", reads - 1)
+    with pytest.raises(ResourceCapError, match=f"^Hilbert pivot recursion read over {reads - 1} rows$"):
+        invariants._numerator(rows, n)
 
 
 def test_colon_recursion_cap_counts_rows_read(monkeypatch):
@@ -445,12 +566,27 @@ def _stack_depth():
 
 
 def test_pivot_recursion_needs_no_stack():
-    # the pivot recursion on the staircase is 300 levels deep
+    # the staircase is one leaf of the pivot recursion, and 300 levels of
+    # the tuple oracle's
     want = hilbert_series(STAIRCASE301)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
         got = hilbert_series(STAIRCASE301)
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == want
+
+
+def test_deep_pivot_recursion_needs_no_stack():
+    # C120 pivots along a path: its explicit stack holds up to 117 entries,
+    # which as Python calls would pass this limit
+    rows = _rows(edge_ideal(Graph.cycle(120)))
+    want = invariants._numerator(rows, 120)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        got = invariants._numerator(rows, 120)
     finally:
         sys.setrecursionlimit(old)
     assert got == want

@@ -10,8 +10,16 @@ tests wrap both the same way during a ``buchberger`` call.  The tracer's
 which a test pins during a ``graded_betti`` call.  It reads the variables
 of a symbolic power's minimal primes as ``set().union(*result)`` of what
 ``symbolic._prime_index_sets`` returns, so that must be iterables of
-variable indices; the last test pins it during a ``symbolic_power`` call.
+variable indices; a test pins it during a ``symbolic_power`` call.  Its
+``invariants.numerator.calls`` counts calls through the module attribute
+``invariants._numerator``: each ``hilbert_series`` enters it once, its own
+recursion never does, and it returns a list of ints.  The last test checks
+that a numerator corrupted through that attribute, or through
+``_colon_numerator``, still makes ``invariants hilbert`` exit 4 on an ideal
+that pivots.
 """
+
+import pytest
 
 from idealkit import (
     Graph,
@@ -23,13 +31,17 @@ from idealkit import (
     edge_ideal,
     graded_betti,
     groebner,
+    hilbert_series,
     invariants,
     minimal_primes,
+    parse_ideal,
     parse_polynomial,
     parse_ring,
     symbolic,
     symbolic_power,
 )
+from idealkit.cli import main
+from helpers import corrupt_numerator
 
 CYCLIC4 = ["a + b + c + d", "a*b + b*c + c*d + d*a",
            "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]
@@ -114,3 +126,37 @@ def test_prime_index_sets_returns_iterables_of_variable_indices(monkeypatch):
     assert all(type(i) is int and 0 <= i < 6 for p in primes for i in p)
     assert [tuple(sorted(p)) for p in primes] == [p.indices for p in minimal_primes(ideal)]
     assert set().union(*primes) == set(range(6))
+
+
+def test_hilbert_series_enters_the_numerator_once(monkeypatch):
+    real = invariants._numerator
+    returned = []
+
+    def recorded(rows, n):
+        returned.append(real(rows, n))
+        return returned[-1]
+
+    monkeypatch.setattr(invariants, "_numerator", recorded)
+    xyz = parse_ring("x, y, z")
+    table = parse_ideal(xyz, "x^2, y^3, z^4, x*y*z")
+    staircase = parse_ideal(parse_ring("x, y"), ", ".join(f"x^{i}*y^{40 - i}" for i in range(41)))
+    # leaves, a two-variable leaf, components and deep pivots
+    ideals = [parse_ideal(xyz, "x*y, x*z, y*z"), staircase, table.power(5),
+              edge_ideal(Graph.cycle(10)), edge_ideal(Graph.cycle(30))]
+    for ideal in ideals:
+        returned.clear()
+        series = hilbert_series(ideal)
+        assert len(returned) == 1
+        assert type(returned[0]) is list and all(type(c) is int for c in returned[0])
+        assert tuple(returned[0]) == series.numerator
+
+
+@pytest.mark.parametrize("name", ["_numerator", "_colon_numerator"])
+def test_corrupt_numerator_exits_four_on_an_ideal_that_pivots(capsys, monkeypatch, name):
+    corrupt_numerator(monkeypatch, name, 2)
+    ring = ",".join(f"x{i}" for i in range(1, 9))
+    ideal = ", ".join(f"x{i}*x{i % 8 + 1}" for i in range(1, 9))
+    code = main(["invariants", "hilbert", "--ring", ring, "--ideal", ideal])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == "internal error: series disagrees with direct count at degree 2\n"
