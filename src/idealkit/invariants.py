@@ -73,9 +73,9 @@ from math import comb, factorial, prod
 from .errors import ResourceCapError
 from .fields import QQ
 from .linalg import rank_over, rank_sparse
-from .monomials import PackedLayout
+from .monomials import PackedLayout, _minimal_rows
+from .symbolic import _covers, _support_masks
 from .symbolic import codim as _codim
-from .symbolic import minimal_primes as _minimal_primes
 
 _LATTICE_CAP = 100_000
 # rows one pivot recursion may read, summed over the components and pivot
@@ -145,30 +145,13 @@ def _staircase(pairs):
     return poly
 
 
-def _minimal_keys(keys, layout):
-    """The divisibility-minimal keys, as a frozenset.  By ascending (degree,
-    key) every divisor of a key comes before it, and only keys of lower
-    degree can divide it, so each is tested against those kept rows alone."""
-    guard, total = layout.guard, layout.total
-    kept, degree, below = [], 0, ()
-    for d, c in sorted({(total(k), k) for k in keys}):
-        if d != degree:
-            degree, below = d, tuple(kept)
-        c_guard = c | guard
-        for k in below:
-            if (c_guard - k) & guard == guard:
-                break
-        else:
-            kept.append(c)
-    return frozenset(kept)
-
-
 def _numerator(rows, n):
     """Hilbert numerator of S/I (over (1-z)^n) by Bigatti's pivot recursion,
     split into variable-disjoint components.
 
     Leaves, tried on the exponent tuples before anything is packed, and
-    then on every packed component:
+    then on every packed component (most inputs of a few rows end at a
+    tuple leaf, before any layout is made or any row minimalized):
 
     - No rows give 1, and a unit row gives 0.
     - At most ``_SUBSETS_AT`` rows give sum_S (-1)^|S| z^deg(lcm(S)) over
@@ -204,7 +187,9 @@ def _numerator(rows, n):
     e, and p: p divides none of them, and none divides p, as that one
     would be a pure power x_j^a with a < e, which the fallback rules out.
     So that branch is minimal without a minimalization.  I : p is one
-    saturating subtraction of p per row, then ``_minimal_keys``.
+    saturating subtraction of p per row, then ``monomials._minimal_rows``
+    on the keys with their degrees above the fields, which ``& low``
+    strips again; the root is minimalized the same way.
 
     Rows are lex ``PackedLayout`` keys, the first variable highest, with
     fields wide enough for the degree of an lcm of ``_SUBSETS_AT`` rows,
@@ -239,8 +224,8 @@ def _numerator(rows, n):
             return _dense(_staircase(pairs))
     layout = PackedLayout.fitting("lex", tuple(range(n)), _SUBSETS_AT * max(degrees))
     guard, ones, width, cap = layout.guard, layout.ones, layout.width, layout.cap
-    lcm, total = layout.lcm, layout.total
-    root = _minimal_keys(map(layout.pack, rows), layout)
+    lcm, total, top, low = layout.lcm, layout.total, layout.top, layout.low
+    root = frozenset([k & low for k in _minimal_rows(layout.lex_keys(rows), layout)])
     # an entry's plan is None until its rows are read, then (e, (plus,
     # colon)) for a pivot, or (leaf factors, components) for a product
     memo, read, stack = {}, 0, [(root, None)]
@@ -273,10 +258,10 @@ def _numerator(rows, n):
                     if len(members) <= _SUBSETS_AT:
                         factors.append(_inclusion_exclusion(members, lcm, total))
                     elif s.bit_count() == 2:
-                        high = s.bit_length() - width
-                        low = (s & -s).bit_length() - width
+                        u = s.bit_length() - width
+                        v = (s & -s).bit_length() - width
                         factors.append(_staircase(
-                            [(k >> high & cap, k >> low & cap) for k in sorted(members)]))
+                            [(k >> u & cap, k >> v & cap) for k in sorted(members)]))
                     else:
                         children.append(frozenset(members))
                 plan = (factors, children)
@@ -296,9 +281,9 @@ def _numerator(rows, n):
                     e = positive[0]
                 pivot = e << at
                 plus = frozenset([k for k, f in zip(keys, fields) if f < e] + [pivot])
-                colon = _minimal_keys(
-                    [k - pivot if f >= e else k - (f << at) for k, f in zip(keys, fields)],
-                    layout)
+                colon = [k - pivot if f >= e else k - (f << at) for k, f in zip(keys, fields)]
+                colon = frozenset([k & low for k in _minimal_rows(
+                    [c | total(c) << top for c in colon], layout)])
                 plan = (e, (plus, colon))
             pending = [c for c in plan[1] if c not in memo]
             if pending:
@@ -540,8 +525,10 @@ def dimension_multiplicity(ideal):
     The dimension is n minus the multiplicity of the root z = 1 in the
     numerator; the multiplicity is the deflated numerator at z = 1.  For
     zero-dimensional quotients that value is the total length.  For
-    square-free ideals the result is cross-checked against the minimal-prime
-    decomposition: e must count the minimal primes of least codimension.
+    square-free ideals the result is cross-checked against the minimal
+    primes of least height t, the codimension: the vertex covers of the
+    generator supports with t vertices, each of which is minimal, as no
+    cover has fewer.  The pole order must be t and e must count them.
     """
     if ideal.is_unit:
         raise ValueError("unit ideal has a zero quotient")
@@ -559,9 +546,8 @@ def dimension_multiplicity(ideal):
     dim = n - r
     mult = sum(coeffs)
     if not ideal.is_zero and ideal.is_squarefree:
-        primes = _minimal_primes(ideal)
-        least = min(len(p) for p in primes)
-        count = sum(1 for p in primes if len(p) == least)
+        least = _codim(ideal)
+        count = sum(1 for _ in _covers(_support_masks(ideal.rows), least))
         if least != r or count != mult:
             raise RuntimeError(
                 "internal error: series dimension data disagrees with the "

@@ -9,46 +9,49 @@ decides mathematical equality of ideals, with no ``Monomial`` built.
 The zero ideal (no generators) and the unit ideal (generated by 1) are
 distinct values, and ``I**0`` is the unit ideal by convention.
 
-Products, containment and the lattice-point folds run on byte keys.  A
-byte key is a lex key of ``PackedLayout.bytewise``: the first variable
+One kernel, ``_minimal_rows``, finds every minimal generating set.  It
+takes byte keys: lex keys of ``PackedLayout.bytewise``, the first variable
 highest, each field 8, 16, 32 or 64 bits wide, and the degree above the
 fields, so ascending keys are ascending (degree, exponents) and a proper
 divisor of a row has a smaller key.  A row packs with one
-``int.from_bytes`` and unpacks with one ``to_bytes``.  ``__mul__`` adds
-keys, so a product of two rows is one int addition, and ``_fold_rows``
-keeps the minimal sums.  ``first_outside`` tests each row of the other
-ideal against self's keys.  The lattice-point folds of
+``int.from_bytes`` and unpacks with one ``to_bytes``.  The kernel visits
+keys in ascending order and tests each only against the kept keys of
+lower degree, as a row never divides another of its own degree: the
+first ``_PACK_AT`` one by one, which settles most small inputs and most
+staircases, and the others all at once by ``_Blocks``, which holds packed
+rows side by side in one int.  Any lex layout with the degree above the
+fields will do, so the Hilbert numerator runs it on its own keys.
+
+Who packs, and why.  ``__mul__`` packs both generator lists and adds keys,
+so a product of two rows is one int addition.  The lattice-point folds of
 ``_minimal_points``, behind symbolic powers and integral closures, stay on
 keys from the first fold to the last and unpack once; the keys of their
-lifts are kept between calls, in ``_LIFTS``.  A dot product
-c . g is one multiplication of g by c packed in reverse field order, read
-off the field at (n - 1) * w.  A fold tests only its lifted rows, in
-ascending key order, against the rows that already satisfy the inequality
-and against each other: no lifted row g + r divides a satisfied row s, or
-g would have divided s in the fold before.  The fields are wide enough
-that neither a lifted row nor a partial sum of the product carries;
-``_minimal_points`` states and proves that width rule.
+lifts are kept between calls, in ``_LIFTS``.  A dot product c . g is one
+multiplication of g by c packed in reverse field order, read off the
+field at (n - 1) * w.  A fold passes the kernel only its lifted rows, with
+the rows that already satisfy the inequality as ``kept``: no lifted row
+g + r divides a satisfied row s, or g would have divided s in the fold
+before.  The fields are wide enough that neither a lifted row nor a
+partial sum of the product carries; ``_minimal_points`` states and proves
+that width rule.  Every other operation (intersection, colon, radical,
+minors, parsing) forms exponent tuples, and ``_ideal_from_rows`` packs
+them, minimalizes and unpacks once.
 
-Every other operation (intersection, colon, radical, minors, parsing,
-and the callers that pass a few short rows) ends in ``_minimal_rows`` on
-exponent tuples, where packing a handful of
-rows costs more than it saves.  It visits rows by ascending (degree,
-tuple) and tests each only against kept rows of strictly lower degree: a
-row never divides another of its own degree.  Both minimalizations try the
-first ``_PACK_AT`` of those rows one by one, which settles most small
-inputs and most staircases.  The others are tested all at once by
-``_Blocks``, which holds packed rows side by side in one int: a handful of
-big-int operations replace the pairwise scan.
+Tuple paths that remain.  ``first_outside`` is a search, not a
+minimalization: it stops at the first row of the other ideal that no row
+of self divides, finds equal rows in a set, and packs only when a row gets
+past both.  The Hilbert numerator's leaves read small inputs as tuples
+before anything is packed, and its check, ``_colon_numerator``,
+minimalizes on its own so that it stays independent.
 
 ``PackedLayout`` packs a row into one int, each exponent in a field whose
 top bit is a guard.  It is taken in its lex form here, by the Hilbert
 numerator and its check and by the Betti facets, which keep their own
-widths; in the
-Groebner engine a monomial is one int whose integer order is a term order
-(lex, or grevlex with the degree above the fields), so the engine's heap
-keys, shifts and divisibility tests are int operations on it.  ``_Blocks``
-is the one all-at-once divisibility test: ``_minimal_rows``,
-``_fold_rows``, ``first_outside`` and the engine's first-divisor search
+widths; in the Groebner engine a monomial is one int whose integer order
+is a term order (lex, or grevlex with the degree above the fields), so the
+engine's heap keys, shifts and divisibility tests are int operations on
+it.  ``_Blocks`` is the one all-at-once divisibility test:
+``_minimal_rows``, ``first_outside`` and the engine's first-divisor search
 all run it.
 """
 
@@ -70,7 +73,8 @@ from .errors import ParseError, ResourceCapError, RingMismatchError
 # the largest exponent any monomial may carry: it stops runaway growth under
 # repeated squaring of ideals and Frobenius powers
 DEFAULT_EXPONENT_CAP = 10**6
-# kept rows that _minimal_rows scans one by one before packing the rest
+# rows of lower degree that _minimal_rows and first_outside test one by one,
+# by the guard test, before testing the rest all at once with _Blocks
 _PACK_AT = 16
 # rows that one _minimal_points call may make, over all of its folds, and
 # that one product or intersection of two ideals may pair up
@@ -239,38 +243,6 @@ def _monomial_text(variables, exps):
 def _compositions(total, parts):
     """Exponent tuples of length ``parts`` summing to ``total``, lexicographically."""
     return _minimal_lifts((1,) * parts, total)
-
-
-def _minimal_rows(rows):
-    """Divisibility-minimal antichain of exponent tuples, as a list in
-    ascending (degree, tuple) order.
-
-    Processing in ascending (degree, tuple) order means any divisor of a
-    candidate was already seen, so one pass against the kept rows of lower
-    degree suffices: no row divides another of its own degree.  The first
-    ``_PACK_AT`` of those rows are scanned one by one; the rest are tested
-    all at once by ``_Blocks``, packed only when a candidate gets past the
-    scan, and extended, never rebuilt, as the degree rises.
-    """
-    uniq = set(rows)
-    # blocks holds kept[_PACK_AT:] of lower degree, once a row gets past the head
-    kept, head, degree, lower, blocks = [], [], None, 0, None
-    for d, r in sorted(zip(map(sum, uniq), uniq)):
-        if d != degree:
-            degree, lower, head = d, len(kept), kept[:_PACK_AT]
-        if head and any(all(map(le, k, r)) for k in head):
-            continue
-        if lower > _PACK_AT:
-            if blocks is None:
-                layout = PackedLayout.fitting(
-                    "lex", tuple(range(len(r))), max(map(max, uniq)))
-                blocks, pack = _Blocks(layout), layout.pack
-            if blocks.count < lower - _PACK_AT:
-                blocks.extend([pack(k) for k in kept[_PACK_AT + blocks.count:lower]])
-            if blocks.first(pack(r)) >= 0:
-                continue
-        kept.append(r)
-    return kept
 
 
 class PackedLayout:
@@ -558,14 +530,14 @@ def _minimal_points(ring, inequalities):
     Every c is nonnegative and nonzero, so the solutions form a monomial
     ideal.  Starting from {0}, an inequality replaces each row g by g + r
     for the lifts r, on the support of c, of the deficit b - c . g, and
-    ``_fold_rows`` keeps the minimal ones.  The inequality that the fewest
+    ``_minimal_rows`` keeps the minimal ones.  The inequality that the fewest
     rows violate goes first, ties in list order, which keeps the rows
     between folds few.  After each fold the rows are the minimal generators
     of the inequalities folded so far, so the last fold's rows are the
     answer; they are unpacked once, at the end.  A fold tests only its
-    lifted rows: a row that already satisfies the inequality stays, as no
-    lifted row g + r divides it, or g would have divided it in the fold
-    before (see ``_fold_rows``).
+    lifted rows, with the rows that already satisfy the inequality as
+    ``kept``: those stay, as no lifted row g + r divides one, s, or g would
+    have divided s, two distinct rows of the fold before.
 
     Rows are keys of the ``bytewise`` lex layout, the first variable
     highest and the degree above the fields, so ascending keys are
@@ -587,7 +559,7 @@ def _minimal_points(ring, inequalities):
     A lift r of a deficit at most b has r_j <= ceil(b / c_j) too, and
     ceil(b / c_j) <= b for integers c_j >= 1, so lifted rows reach at most
     ``reach``, within the field's cap, and the guard tests of
-    ``_fold_rows`` apply.  A lift's degree is at most its deficit, as each
+    ``_minimal_rows`` apply.  A lift's degree is at most its deficit, as each
     value f_j it takes lowers the deficit by c_j * f_j >= f_j, so it fits in
     the one field ``lex_spread`` packs it in.  A field of ``g * C`` sums at
     most n products g_i * c_j <= reach * max c, below 2^w, so no field of
@@ -649,8 +621,8 @@ def _minimal_points(ring, inequalities):
             lifted += map(add, repeat(g), packed)
         if made > _POINT_WORK_CAP:
             raise _points_refused()
-        rows = _fold_rows(layout, satisfied, lifted)
-    return _ideal_from_minimal(ring, layout.lex_rows(sorted(rows)))
+        rows = satisfied + _minimal_rows(lifted, layout, satisfied)
+    return _ideal_from_minimal(ring, layout.lex_rows(sorted(rows)), reach)
 
 
 class _LiftCache(dict):
@@ -720,31 +692,34 @@ def _points_refused():
     return ResourceCapError(f"lattice-point search made over {_POINT_WORK_CAP} rows")
 
 
-def _fold_rows(layout, satisfied, lifted):
-    """The minimal rows of one fold: ``satisfied`` and the lifted rows that
-    no other row divides.
+def _minimal_rows(rows, layout, kept=()):
+    """The keys of ``rows`` that no other key and no key of ``kept``
+    divides, ascending; the keys of ``kept`` are not returned.
 
-    The satisfied rows are kept as they are: they divide none of each other,
-    and no lifted row g + r divides one, s, as then g would divide s, two
-    distinct rows of the previous fold.  So only lifted rows are tested, in
-    ascending key order, each against the rows of lower degree kept so far,
-    satisfied or lifted: a row of its own degree cannot divide it.  As in
-    ``_minimal_rows``, the first ``_PACK_AT`` of those are tried one by one
-    and the others all at once by ``_Blocks``.
+    Keys are of a lex ``PackedLayout`` with the degree above the fields
+    (``lex_keys`` makes them), so ascending keys are ascending (degree,
+    exponents) and a proper divisor of a key is a smaller key.  ``kept`` is
+    an antichain holding no key of ``rows``, such as the rows of a fold that
+    already satisfy its inequality.  Each key is tested, in ascending
+    order, against the keys of lower degree kept so far, of ``kept`` or of
+    ``rows``: one of its own degree divides it only when equal.  The first
+    ``_PACK_AT`` of those are tried one by one by the guard test and the
+    others all at once by ``_Blocks``, extended, never rebuilt, as the
+    degree rises.
     """
-    if not lifted:
-        return satisfied
+    if not rows:
+        return []
     guard, top, low = layout.guard, layout.top, layout.low
-    satisfied.sort()
-    # fresh: kept at this degree; satisfied[:taken] are in lower, lower[_PACK_AT:] in blocks
-    lower, kept, fresh, degree, taken, blocks = [], [], [], None, 0, None
-    for c in sorted(set(lifted)):
+    kept = sorted(kept)
+    # fresh: found at this degree; kept[:taken] are in lower, lower[_PACK_AT:] in blocks
+    lower, found, fresh, degree, taken, blocks = [], [], [], None, 0, None
+    for c in sorted(set(rows)):
         if c >> top != degree:
             degree = c >> top
-            below = bisect_left(satisfied, degree << top, taken)
-            lower += satisfied[taken:below]
+            below = bisect_left(kept, degree << top, taken)
+            lower += kept[taken:below]
             lower += fresh
-            kept += fresh
+            found += fresh
             taken, fresh, head = below, [], lower[:_PACK_AT]
             if len(lower) > _PACK_AT:
                 blocks = blocks or _Blocks(layout)
@@ -756,7 +731,7 @@ def _fold_rows(layout, satisfied, lifted):
         else:
             if blocks is None or blocks.first(c & low) < 0:
                 fresh.append(c)
-    return satisfied + kept + fresh
+    return found + fresh
 
 
 @dataclass(frozen=True)
@@ -868,8 +843,8 @@ class MonomialIdeal:
 
     def __mul__(self, other):
         """The product, on keys of a ``bytewise`` layout: a product of two
-        rows is the sum of their keys, degrees included, and ``_fold_rows``
-        keeps the minimal sums, which are unpacked once."""
+        rows is the sum of their keys, degrees included, and
+        ``_minimal_rows`` keeps the minimal sums, which are unpacked once."""
         self._check_pairs(other, "product")
         cap = DEFAULT_EXPONENT_CAP
         left, right = self.rows, other.rows
@@ -889,7 +864,7 @@ class MonomialIdeal:
             others = layout.lex_keys(right)
             sums = {a + b for a in keys for b in others}
         # every exponent is within the cap checked above
-        rows = layout.lex_rows(_fold_rows(layout, [], sums))
+        rows = layout.lex_rows(_minimal_rows(sums, layout))
         return MonomialIdeal(self.ring, tuple(reversed(rows)))
 
     def power(self, k):
@@ -962,15 +937,23 @@ class MonomialIdeal:
 
 
 def _ideal_from_rows(ring, rows):
-    return _ideal_from_minimal(ring, _minimal_rows(rows))
+    """The ideal of a collection of exponent rows: their byte keys,
+    minimalized by ``_minimal_rows`` and unpacked once."""
+    bound = max(map(max, rows), default=0)
+    layout = PackedLayout.bytewise(ring.n, bound)
+    minimal = _minimal_rows(layout.lex_keys(rows), layout)
+    return _ideal_from_minimal(ring, layout.lex_rows(minimal), bound)
 
 
-def _ideal_from_minimal(ring, minimal):
-    # _minimal_rows returns ascending (degree, exponents): canonical reversed
+def _ideal_from_minimal(ring, minimal, bound):
+    """The ideal of minimal rows in ascending (degree, exponents) order,
+    reversed into canonical order.  No exponent is past ``bound``, so the
+    rows are searched for one past the cap only when ``bound`` is."""
     rows = tuple(reversed(minimal))
-    if max(map(max, rows), default=0) > DEFAULT_EXPONENT_CAP:
-        e = next(e for r in rows for e in r if e > DEFAULT_EXPONENT_CAP)
-        raise ResourceCapError(f"exponent {e} exceeds cap {DEFAULT_EXPONENT_CAP}")
+    if bound > DEFAULT_EXPONENT_CAP:
+        e = next((e for r in rows for e in r if e > DEFAULT_EXPONENT_CAP), None)
+        if e is not None:
+            raise ResourceCapError(f"exponent {e} exceeds cap {DEFAULT_EXPONENT_CAP}")
     return MonomialIdeal(ring, rows)
 
 

@@ -44,7 +44,7 @@ from idealkit.groebner import (
 )
 from idealkit.linalg import rank_over
 from idealkit import monomials
-from idealkit.monomials import _NAME_RE, _colon_row, _ideal_from_rows, _minimal_rows
+from idealkit.monomials import _NAME_RE, _colon_row
 from idealkit.symbolic import _cover_number, _max_disjoint
 
 
@@ -116,8 +116,8 @@ def minimal_rows_by_scan(rows):
 def product_by_tuples(left, right):
     """``left * right`` on exponent tuples, the implementation the keyed
     product replaced: every sum of two generators, a square's unordered
-    pairs once, minimalized by ``_minimal_rows``; the pairing cap and the
-    exponent cap are checked before any row is formed."""
+    pairs once, minimalized by ``minimal_rows_by_scan``; the pairing cap
+    and the exponent cap are checked before any row is formed."""
     left._check_pairs(right, "product")
     cap = monomials.DEFAULT_EXPONENT_CAP
     a_rows, b_rows = left.rows, right.rows
@@ -129,7 +129,7 @@ def product_by_tuples(left, right):
         rows = {tuple(map(add, a, b)) for i, a in enumerate(a_rows) for b in a_rows[i:]}
     else:
         rows = {tuple(map(add, a, b)) for a in a_rows for b in b_rows}
-    return _ideal_from_rows(left.ring, rows)
+    return MonomialIdeal(left.ring, tuple(minimal_rows_by_scan(rows)[::-1]))
 
 
 def first_outside_by_minimalization(big, small):
@@ -138,7 +138,7 @@ def first_outside_by_minimalization(big, small):
     with big's keeps one exactly when no row of big divides it."""
     big._check(small)
     rows = big.rows
-    outside = set(_minimal_rows(rows + small.rows)).difference(rows)
+    outside = set(minimal_rows_by_scan(rows + small.rows)).difference(rows)
     return next((Monomial(big.ring, r) for r in small.rows if r in outside), None)
 
 
@@ -162,8 +162,8 @@ def minimal_points_by_tuples(n, inequalities):
     tuple) order, and made counts every lifted row over all folds.
 
     Each fold lifts every row g by the lifts of its deficit b - c . g and
-    minimalizes all of them with ``_minimal_rows``; the inequality the
-    fewest rows violate goes first, ties in list order.
+    minimalizes all of them with ``minimal_rows_by_scan``; the inequality
+    the fewest rows violate goes first, ties in list order.
     """
     rows, made, pending = [(0,) * n], 0, list(inequalities)
     while pending:
@@ -181,7 +181,7 @@ def minimal_points_by_tuples(n, inequalities):
                 for j, x in zip(support, r):
                     row[j] += x
                 lifted.append(tuple(row))
-        rows = _minimal_rows(lifted)
+        rows = minimal_rows_by_scan(lifted)
     return rows, made
 
 
@@ -490,7 +490,7 @@ def pivot_numerator_by_tuples(rows, n, cap=3_500_000):
                 # r[j] = 0: these rows stay minimal, x_j^e divides none of
                 # them, and only the unit row, a leaf above, divides x_j^e
                 work.append(([r for r in rows if r[j] < e] + [pivot], shift))
-                work.append((_minimal_rows(
+                work.append((minimal_rows_by_scan(
                     [r[:j] + (max(r[j] - e, 0),) + r[j + 1:] for r in rows]), shift + e))
                 continue
             leaf = [1]
@@ -515,7 +515,7 @@ def colon_numerator_by_tuples(rows, n):
     for m in sorted(rows):
         if not any(m):
             return []
-        colon = _minimal_rows([_colon_row(g, m) for g in done])
+        colon = minimal_rows_by_scan([_colon_row(g, m) for g in done])
         inner = colon_numerator_by_tuples(colon, n) if colon else [1]
         shifted = [0] * sum(m) + [-c for c in inner]
         num = [a + b for a, b in zip_longest(num, shifted, fillvalue=0)]

@@ -115,14 +115,14 @@ def test_power_closure_minimalizes_once_per_facet(monkeypatch):
     # bound 0: every row satisfies them, so they fold first and leave {0};
     # the fold of the last facet leaves the minimal generators
     calls = []
-    fold_rows = monomials._fold_rows
+    minimal_rows = monomials._minimal_rows
 
-    def record(layout, satisfied, lifted):
-        kept = fold_rows(layout, satisfied, lifted)
-        calls.append([layout.unpack(key) for key in sorted(kept)])
-        return kept
+    def record(rows, layout, kept=()):
+        found = minimal_rows(rows, layout, kept)
+        calls.append(layout.lex_rows(sorted([*kept, *found])))
+        return found
 
-    monkeypatch.setattr(monomials, "_fold_rows", record)
+    monkeypatch.setattr(monomials, "_minimal_rows", record)
     ideal = parse_ideal(parse_ring("x, y, z"), "x^3*y, y^2*z^2, x*z^4, x^2*y^2*z")
     facets = newton_polyhedron(ideal).facets
     assert [b for _, b in facets].count(0) == 3

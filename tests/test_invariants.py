@@ -135,6 +135,45 @@ def test_multiplicity_counts_minimal_primes_for_squarefree():
         assert mult == expected
 
 
+def _cycle_request(n):
+    ring = ",".join(f"x{i}" for i in range(1, n + 1))
+    ideal = ", ".join(f"x{i}*x{i % n + 1}" for i in range(1, n + 1))
+    return ["invariants", "mult", "--ring", ring, "--ideal", ideal]
+
+
+def test_multiplicity_of_long_cycles_lists_only_the_least_covers(capsys):
+    # an even cycle has exactly two covers of least size, its colour
+    # classes; the cross-check counts those alone, not every minimal prime
+    for n in (30, 40):
+        start = time.perf_counter()
+        assert main(_cycle_request(n)) == 0
+        assert time.perf_counter() - start < 20
+        assert capsys.readouterr() == (f"dimension {n // 2}, multiplicity 2\n", "")
+
+
+def _extra_cover(monkeypatch):
+    real = invariants._covers
+    monkeypatch.setattr(invariants, "_covers", lambda supports, limit: [
+        *real(supports, limit), 0])
+
+
+def _higher_codim(monkeypatch):
+    real = invariants._codim
+    monkeypatch.setattr(invariants, "_codim", lambda ideal: real(ideal) + 1)
+
+
+@pytest.mark.parametrize("corrupt", [_extra_cover, _higher_codim], ids=["count", "height"])
+def test_multiplicity_check_fires_on_a_corrupt_cover_count(monkeypatch, capsys, corrupt):
+    corrupt(monkeypatch)
+    message = ("internal error: series dimension data disagrees with the prime "
+               "decomposition")
+    for ideal in (TRIANGLE, edge_ideal(Graph.cycle(6))):
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            dimension_multiplicity(ideal)
+    assert main(_cycle_request(6)) == 4
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_koszul_betti_table():
     for n in range(1, 6):
         ring = numbered_ring(n)

@@ -39,7 +39,6 @@ from idealkit.monomials import (
     DEFAULT_EXPONENT_CAP,
     PackedLayout,
     _Blocks,
-    _fold_rows,
     _ideal_from_rows,
     _lcm_row,
     _lift_count,
@@ -215,8 +214,40 @@ def _seeded_rows(rng, n, count, top):
     return rows
 
 
-def test_minimal_rows_match_the_scan():
+LAYOUTS = {
+    "bytewise": PackedLayout.bytewise,
+    "fitting": lambda n, bound: PackedLayout.fitting("lex", tuple(range(n)), bound),
+}
+
+
+def _kernel(kind, rows, kept=()):
+    """``_minimal_rows`` on the keys of exponent tuples under a lex layout
+    of ``kind``, whose keys ascend with the rows, unpacked."""
+    both = list(rows) + list(kept)
+    layout = LAYOUTS[kind](len(both[0]), max(map(max, both)))
+    keys = _minimal_rows(layout.lex_keys(rows), layout, layout.lex_keys(kept))
+    assert keys == sorted(keys)
+    return layout.lex_rows(keys)
+
+
+def _check_kernel(kind, pick, rows):
+    """The kernel keeps the scan's rows in the scan's ascending (degree,
+    tuple) order, on all the rows, and with a part of that answer, picked
+    by ``pick``, passed as ``kept``: every other row is divided by some
+    answer row, kept or tested, so the tested ones left are the rest."""
+    want = minimal_rows_by_scan(rows)
+    assert _kernel(kind, rows) == want
+    kept = set(pick.sample(want, pick.randint(0, len(want))))
+    tested = [r for r in rows if r not in kept]
+    if tested:
+        assert _kernel(kind, tested, kept) == [r for r in want if r not in kept]
+    return want
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUTS))
+def test_minimal_rows_match_the_scan(kind):
     rng = rng_from_seed("idealkit:monomials:minimal-rows")
+    pick = rng_from_seed("idealkit:monomials:minimal-rows:kept")
     counts = [1, 2, _PACK_AT - 1, _PACK_AT, _PACK_AT + 1, 2 * _PACK_AT + 1, 60, 150, 300]
     tops = [1, 3, 12, 1000, 10**6 - 5]
     for n in range(1, 7):
@@ -224,32 +255,39 @@ def test_minimal_rows_match_the_scan():
             rows = _seeded_rows(rng, n, count, rng.choice(tops))
             if trial % 4 == 0:
                 rows.append((0,) * n)
-            assert _minimal_rows(rows) == minimal_rows_by_scan(rows)
+            _check_kernel(kind, pick, rows)
     # staircases: one degree, so nothing divides anything; then their
     # multiples of higher degree, each divided by one step far along
     for n, d in ((2, 200), (3, 22), (4, 9)):
         steps = list(compositions(d, n))
-        assert _minimal_rows(steps) == sorted(steps)
+        assert _check_kernel(kind, pick, steps) == sorted(steps)
         lifted = [tuple(e + rng.randint(0, 1) for e in t) for t in steps]
         fresh = [tuple(rng.randint(0, d + 1) for _ in range(n)) for _ in range(50)]
-        rows = steps + lifted + fresh
-        assert _minimal_rows(rows) == minimal_rows_by_scan(rows)
+        _check_kernel(kind, pick, steps + lifted + fresh)
     # exponents at the default cap
     big = [(10**6 - i, i) for i in range(40)] + [(10**6, 10**6), (10**6, 0)]
-    assert _minimal_rows(big) == minimal_rows_by_scan(big)
-
-
-def test_minimal_rows_ascend_and_ideals_descend():
+    _check_kernel(kind, pick, big)
     # ideals take their canonical order, descending (degree, exponents),
-    # by reversing _minimal_rows, whose rows ascend in that order
+    # by reversing the kernel's rows, which ascend in that order
     rng = rng_from_seed("idealkit:monomials:row-order")
     for n in range(1, 5):
         for count in (1, _PACK_AT, 3 * _PACK_AT, 300):
             rows = _seeded_rows(rng, n, count, rng.choice([2, 9, 1000]))
-            kept = _minimal_rows(rows)
-            assert kept == sorted(kept, key=lambda r: (sum(r), r))
-            gens = [g.exponents for g in _ideal_from_rows(numbered_ring(n), rows).generators]
-            assert gens == kept[::-1]
+            want = _check_kernel(kind, pick, rows)
+            assert _ideal_from_rows(numbered_ring(n), rows).rows == tuple(want[::-1])
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUTS))
+def test_minimal_rows_fold_lifted_rows_past_satisfied_ones(kind):
+    # a fold of _minimal_points: the satisfied rows are kept, and only the
+    # lifted rows, which divide none of them, are tested
+    rng = rng_from_seed("idealkit:monomials:fold-rows")
+    for n in range(2, 6):
+        for count in (1, _PACK_AT - 1, _PACK_AT, _PACK_AT + 1, 2 * _PACK_AT + 1, 300):
+            satisfied, lifted = _fold_inputs(rng, n, count)
+            folded = satisfied + (_kernel(kind, lifted, satisfied) if lifted else [])
+            rows = satisfied + lifted
+            assert sorted(folded, key=lambda r: (sum(r), r)) == minimal_rows_by_scan(rows)
 
 
 def _layout_row(rng, n, cap, limit):
@@ -469,21 +507,6 @@ def _fold_inputs(rng, n, count):
     return satisfied, lifted
 
 
-def test_fold_rows_match_the_scan():
-    rng = rng_from_seed("idealkit:monomials:fold-rows")
-    for n in range(2, 6):
-        for count in (1, _PACK_AT - 1, _PACK_AT, _PACK_AT + 1, 2 * _PACK_AT + 1, 300):
-            satisfied, lifted = _fold_inputs(rng, n, count)
-            rows = satisfied + lifted
-            layout = PackedLayout.fitting("lex", tuple(range(n)), max(map(max, rows)))
-
-            def key(row):
-                return layout.pack(row) | sum(row) << layout.top
-
-            folded = _fold_rows(layout, list(map(key, satisfied)), list(map(key, lifted)))
-            assert sorted(folded) == list(map(key, minimal_rows_by_scan(rows)))
-
-
 def test_pairing_cap_trips_before_forming_rows(monkeypatch):
     # 3 x 3 generator pairs exceed a cap of 8; 3 x 2 pairs stay within it
     monkeypatch.setattr("idealkit.monomials._POINT_WORK_CAP", 8)
@@ -636,8 +659,8 @@ def test_first_outside_packs_only_the_rows_it_tests(monkeypatch):
     lex_keys = PackedLayout.lex_keys
     monkeypatch.setattr(PackedLayout, "lex_keys", lambda layout, rows: calls.append(
         len(rows)) or lex_keys(layout, rows))
-    monkeypatch.setattr(monomials, "_minimal_rows", lambda rows: minimized.append(rows) or
-                        _minimal_rows(rows))
+    monkeypatch.setattr(monomials, "_minimal_rows", lambda *args: minimized.append(args) or
+                        _minimal_rows(*args))
     for big, small, packs in ((TRIANGLE, square, [3, 6]), (square, TRIANGLE, []),
                               (TRIANGLE, TRIANGLE, []), (zero, TRIANGLE, []),
                               (TRIANGLE, unit, []), (TRIANGLE, zero, []),

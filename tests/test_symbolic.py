@@ -199,14 +199,14 @@ def test_symbolic_power_minimalizes_once_per_prime(monkeypatch):
     # one fold per minimal prime, each minimalized once; the fold of the
     # last minimal prime leaves the minimal generators
     calls = []
-    fold_rows = monomials._fold_rows
+    minimal_rows = monomials._minimal_rows
 
-    def record(layout, satisfied, lifted):
-        kept = fold_rows(layout, satisfied, lifted)
-        calls.append([layout.unpack(key) for key in sorted(kept)])
-        return kept
+    def record(rows, layout, kept=()):
+        found = minimal_rows(rows, layout, kept)
+        calls.append(layout.lex_rows(sorted([*kept, *found])))
+        return found
 
-    monkeypatch.setattr(monomials, "_fold_rows", record)
+    monkeypatch.setattr(monomials, "_minimal_rows", record)
     for ideal, k in ((TRIANGLE, 2), (edge_ideal(Graph.cycle(5)), 3), (TRIANGLE, 1)):
         primes = minimal_primes(ideal)
         calls.clear()

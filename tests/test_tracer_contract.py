@@ -17,7 +17,16 @@ recursion never does, and it returns a list of ints.  The last test checks
 that a numerator corrupted through that attribute, or through
 ``_colon_numerator``, still makes ``invariants hilbert`` exit 4 on an ideal
 that pivots.
+
+``monomials.minimalize.*`` wraps the function object bound as
+``monomials._minimal_rows`` wherever an idealkit module binds it, reads
+``len`` of its first argument as ``rows_in`` and ``len`` of its result as
+``rows_out``.  A test rebinds it the same way and pins that products, each
+lattice-point fold, parsing and each Hilbert pivot colon reach it, with a
+sized first argument and a list no longer than that.
 """
+
+import sys
 
 import pytest
 
@@ -34,6 +43,7 @@ from idealkit import (
     hilbert_series,
     invariants,
     minimal_primes,
+    monomials,
     parse_ideal,
     parse_polynomial,
     parse_ring,
@@ -160,3 +170,39 @@ def test_corrupt_numerator_exits_four_on_an_ideal_that_pivots(capsys, monkeypatc
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
     assert err == "internal error: series disagrees with direct count at degree 2\n"
+
+
+def test_every_minimalization_reaches_the_kernel_attribute(monkeypatch):
+    real = monomials._minimal_rows
+    callers = []
+
+    def traced(rows, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        size = len(rows)
+        result = real(rows, *args)
+        assert type(result) is list and len(result) <= size
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "idealkit":
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, traced)
+    ring = parse_ring("x, y, z")
+    triangle, factor = parse_ideal(ring, "x*y, x*z, y*z"), parse_ideal(ring, "x, y^2")
+    assert callers == ["_ideal_from_rows"] * 2
+    callers.clear()
+    triangle * factor
+    triangle * triangle
+    assert callers == ["__mul__", "__mul__"]
+    # one fold per minimal prime, none of whose bounds is 0
+    for ideal, k in ((triangle, 2), (edge_ideal(Graph.cycle(5)), 3)):
+        callers.clear()
+        symbolic_power(ideal, k)
+        assert callers == ["_minimal_points"] * len(minimal_primes(ideal))
+    # the 6-cycle's root, then one pivot: I + p has five rows and I : p
+    # four, so both are leaves
+    cycle = edge_ideal(Graph.cycle(6))
+    callers.clear()
+    invariants._numerator(cycle.rows, 6)
+    assert callers == ["_numerator"] * 2
