@@ -71,7 +71,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations, repeat
 from math import comb, gcd, lcm, prod
-from operator import add, le, mul, neg
+from operator import add, mul, neg
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 from .fields import QQ
@@ -601,12 +601,27 @@ def _reduce_full(f, reducers):
     remainder's denominator with them, so the result is the normal form
     over QQ exactly.  A new term whose exponent overflows its field raises
     _FieldOverflow before it is stored.
+
+    A one-term f, such as every product of the Frobenius check, is settled
+    before the dict and heap are built when the loop would take one pass:
+    a term no lead divides is the remainder, its coefficient reduced mod p,
+    and a term divided by a monic reducer without a tail leaves zero over
+    f's denominator.  Neither forms a new term, so neither can overflow;
+    any other one-term f takes the loop.
     """
     layout = f.layout
     flip, guard, low = layout.flip, layout.guard, layout.low
     heads, first = reducers.heads, reducers.blocks.first
     p = f.field.characteristic
     denominator = f.denominator
+    if len(f.terms) == 1:
+        (t, c), = f.terms
+        j = first((t ^ flip) & low)
+        if j < 0:
+            c = c % p if p else c
+            return f._with(((t, c),) if c else (), denominator)
+        if heads[j][1:] == (None, ()):
+            return f._with((), denominator)
     work = dict(f.terms)
     get = work.get
     heap = [-k for k in work]
@@ -914,9 +929,9 @@ def _interreduce(reducers, active):
     return reduced
 
 
-def _certificate_pairs(leads):
+def _certificate_pairs(layout, leads):
     """The pairs (i, j), i < j, whose S-polynomials prove a basis with
-    leading exponent tuples ``leads`` Groebner.
+    leading monomials ``leads``, plain fields of ``layout``, Groebner.
 
     A pair is left out when its leads are coprime, or when some third lead
     lm_k divides L = lcm(lm_i, lm_j) and lcm(lm_i, lm_k), lcm(lm_j, lm_k)
@@ -926,16 +941,25 @@ def _certificate_pairs(leads):
     combination of (i, k) and (j, k), whose lcms are smaller (Cox, Little and
     O'Shea, "Ideals, Varieties, and Algorithms", ch. 2 section 9, Thm 6 and
     Prop 8; Becker-Weispfenning, "Groebner Bases", section 5.5).
+
+    The tests are the layout's guard tests, exact on fields within the cap:
+    two leads are coprime when the guards of their nonzero fields are
+    disjoint, ``layout.lcm`` is the lcm's fields, and c divides L when
+    ``((L | guard) - c) & guard == guard``.  The pairs are those of the
+    exponent-tuple selection, in the same order.
     """
+    guard, ones, lcm = layout.guard, layout.ones, layout.lcm
+    supports = [((a | guard) - ones) & guard for a in leads]
     pairs = []
     for i, j in combinations(range(len(leads)), 2):
-        a, b = leads[i], leads[j]
-        if not any(map(min, a, b)):
+        if not supports[i] & supports[j]:
             continue
-        m = tuple(map(max, a, b))
+        a, b = leads[i], leads[j]
+        m = lcm(a, b)
+        top = m | guard
         # k = i and k = j fail the test: lcm(lm_j, lm_i) = lcm(lm_i, lm_j) = L
         for c in leads:
-            if all(map(le, c, m)) and tuple(map(max, a, c)) != m != tuple(map(max, b, c)):
+            if (top - c) & guard == guard and lcm(a, c) != m != lcm(b, c):
                 break
         else:
             pairs.append((i, j))
@@ -951,16 +975,20 @@ def _certify(gb, gens):
     built from the generators, so the two agree.  The reducers are the
     returned Polynomials, packed here and dropped when the check ends, so
     the check reads nothing of the engine's state and leaves none on ``gb``.
+
+    The basis is packed first and the pairs are chosen on the reducers'
+    packed lead fields, which hold the same exponents as the tuples, so the
+    guard tests keep exactly the pairs, in the order, that tuple tests
+    would.
     """
     gens = [_in_order(g, gb.order) for g in gens]
     degree = max((p.total_degree() for p in gb.polys), default=0)
     bound = max([2 * degree] + [g.total_degree() for g in gens])
-    pairs = _certificate_pairs([p.terms[0][0] for p in gb.polys])
 
     def run(layout):
         reducers = _Reducers(layout, [_pack(p, layout) for p in gb.polys])
         polys = reducers.polys
-        for i, j in pairs:
+        for i, j in _certificate_pairs(layout, reducers.leads):
             s = _s_polynomial(polys[i], polys[j])
             if not _reduce_full(s, reducers).is_zero:
                 raise RuntimeError(

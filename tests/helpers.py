@@ -35,6 +35,7 @@ from idealkit.closure import _power_closure
 from idealkit.errors import ParseError
 from idealkit.groebner import (
     _Reducers,
+    _certificate_pairs,
     _in_order,
     _layout,
     _pack,
@@ -691,6 +692,34 @@ def certify_all_pairs(gb, gens):
                 )
 
     _widening(run, _layout(gb.order, bound))
+
+
+def certificate_pairs_by_tuples(leads):
+    """``groebner._certificate_pairs`` on leading exponent tuples, as it was
+    before it read packed fields: the pairs (i, j), i < j, in
+    ``combinations`` order, less those with coprime leads and those for
+    which some lead c divides L = lcm(a, b) while lcm(a, c) and lcm(b, c)
+    both differ from L."""
+    pairs = []
+    for i, j in combinations(range(len(leads)), 2):
+        a, b = leads[i], leads[j]
+        if not any(map(min, a, b)):
+            continue
+        m = tuple(map(max, a, b))
+        for c in leads:
+            if all(map(le, c, m)) and tuple(map(max, a, c)) != m != tuple(map(max, b, c)):
+                break
+        else:
+            pairs.append((i, j))
+    return pairs
+
+
+def certificate_pairs_by_fields(layout, leads):
+    """``groebner._certificate_pairs`` on leading exponent tuples: each is
+    packed on ``layout`` and read back as its plain fields, as the
+    certificate's reducers hold them."""
+    fields = [(layout.pack(e) ^ layout.flip) & layout.low for e in leads]
+    return _certificate_pairs(layout, fields)
 
 
 def certify_by_fractions(gb, gens):

@@ -3,7 +3,9 @@
 The reduced-basis goldens were computed independently (hand runs and a
 second computer algebra system) before being frozen here.
 
-The certificate reduces only the S-pairs that ``_certificate_pairs`` keeps.
+The certificate reduces only the S-pairs that ``_certificate_pairs`` keeps,
+chosen on packed lead fields; ``certificate_pairs_differential`` holds that
+choice to ``helpers.certificate_pairs_by_tuples``, list for list.
 A seeded differential holds it to the all-pairs certificate it replaced,
 ``helpers.certify_all_pairs``, on reduced bases over QQ, GF(32003) and
 GF(2) in lex and grevlex, as computed and after one corruption: a perturbed
@@ -70,7 +72,10 @@ from idealkit import (
     rng_from_seed,
 )
 from idealkit import groebner
+from idealkit.monomials import PackedLayout
 from helpers import (
+    certificate_pairs_by_fields,
+    certificate_pairs_by_tuples,
     certify_all_pairs,
     certify_by_fractions,
     compositions,
@@ -349,7 +354,10 @@ def certificate_differential(seed, count):
         assert got == want, (seed, done, corruption, [str(p) for p in polys], got, want)
         kinds[corruption, got] += 1
         leads = [p.terms[0][0] for p in polys]
-        kinds["pairs"] += len(groebner._certificate_pairs(leads))
+        layout = groebner._layout(order, max(map(sum, leads), default=0))
+        pairs = certificate_pairs_by_fields(layout, leads)
+        assert pairs == certificate_pairs_by_tuples(leads), (seed, done, leads)
+        kinds["pairs"] += len(pairs)
         kinds["all pairs"] += comb(len(leads), 2)
         kinds["coprime"] += sum(
             not any(map(min, a, b)) for a, b in combinations(leads, 2)
@@ -437,12 +445,72 @@ def test_rational_certificate_sees_through_scaling():
 
 
 def test_certificate_pairs_skip_coprime_and_chained_pairs():
-    # x^2 and y are coprime; y divides lcm(x^2, x*y) = x^2*y, but
-    # lcm(x^2, y) is that same lcm, so (0, 2) is kept
-    assert groebner._certificate_pairs([(2, 0), (0, 1), (1, 1)]) == [(0, 2), (1, 2)]
-    # x^2*y^2 divides x^3*y^3 = lcm(x^3*y, x*y^3), and its lcms with both
-    # are proper divisors of it, so (0, 2) is left out
-    assert groebner._certificate_pairs([(3, 1), (2, 2), (1, 3)]) == [(0, 1), (1, 2)]
+    for kind in ("lex", "grevlex"):
+        layout = PackedLayout.fitting(kind, (0, 1), 6)
+        # x^2 and y are coprime; y divides lcm(x^2, x*y) = x^2*y, but
+        # lcm(x^2, y) is that same lcm, so (0, 2) is kept
+        leads = [(2, 0), (0, 1), (1, 1)]
+        assert certificate_pairs_by_fields(layout, leads) == [(0, 2), (1, 2)]
+        # x^2*y^2 divides x^3*y^3 = lcm(x^3*y, x*y^3), and its lcms with
+        # both are proper divisors of it, so (0, 2) is left out
+        leads = [(3, 1), (2, 2), (1, 3)]
+        assert certificate_pairs_by_fields(layout, leads) == [(0, 1), (1, 2)]
+
+
+def _random_leads(rng, n, cap):
+    """2-8 leading exponent tuples on n variables, each exponent 0, 1, cap
+    or between, then by turns a repeat of one of them or a pure power,
+    coprime to every lead without that variable."""
+    leads = [tuple(rng.choice((0, 0, 1, cap, rng.randint(0, cap))) for _ in range(n))
+             for _ in range(rng.randint(1, 7))]
+    if rng.random() < 0.5:
+        leads.insert(rng.randint(0, len(leads)), rng.choice(leads))
+    else:
+        power = [0] * n
+        power[rng.randrange(n)] = rng.randint(1, cap)
+        leads.insert(rng.randint(0, len(leads)), tuple(power))
+    return leads
+
+
+def certificate_pairs_differential(seed, count):
+    """``groebner._certificate_pairs`` on packed fields against
+    ``helpers.certificate_pairs_by_tuples`` on ``count`` seeded lead sets,
+    and fail unless the ordered pair lists are identical.
+
+    Each set has 2-5 variables, a lex or grevlex layout over a random
+    variable order whose cap is 1, 3, 7 or 63, or that layout made wider,
+    and leads from ``_random_leads``.  Returns a ``Counter`` of what was
+    reached.
+    """
+    rng = random.Random(seed)
+    seen = Counter()
+    for index in range(count):
+        n = rng.randint(2, 5)
+        kind = ("lex", "grevlex")[index % 2]
+        layout = PackedLayout.fitting(kind, tuple(rng.sample(range(n), n)),
+                                      rng.choice((1, 3, 7, 63)))
+        if index // 2 % 2:
+            layout = layout.wider()
+        leads = _random_leads(rng, n, layout.cap)
+        got = certificate_pairs_by_fields(layout, leads)
+        assert got == certificate_pairs_by_tuples(leads), (seed, index, layout, leads)
+        everything = list(combinations(range(len(leads)), 2))
+        coprime = [(i, j) for i, j in everything if not any(map(min, leads[i], leads[j]))]
+        seen[kind, n, index // 2 % 2] += 1
+        seen["at cap"] += any(layout.cap in e for e in leads)
+        seen["repeated"] += len(set(leads)) < len(leads)
+        seen["coprime"] += bool(coprime)
+        seen["chained"] += len(got) + len(coprime) < len(everything)
+        seen["kept"] += bool(got)
+    return seen
+
+
+def test_packed_certificate_pairs_match_the_tuple_selection():
+    seen = certificate_pairs_differential(seed=34, count=2400)
+    assert all(seen[kind, n, wider] for kind in ("lex", "grevlex")
+               for n in range(2, 6) for wider in (0, 1)), seen
+    for key in ("at cap", "repeated", "coprime", "chained", "kept"):
+        assert seen[key] > 100, (key, seen)
 
 
 def _cyclic_gens(n, kind):

@@ -13,6 +13,11 @@ numerators, negative leads and reducer lists scaled by 3/7.  Run it at
 larger sizes with::
 
     PYTHONPATH=src:tests python -c "import test_groebner_packed as t; print(t.rational_differential(SEED, COUNT))"
+
+``_reduce_full`` settles a one-term input without its loop when the term
+stays or a tailless reducer removes it.  ``one_term_differential`` holds
+one-term inputs to ``reduce_by_tuples`` over QQ, GF(2) and GF(32003), with
+lex steps that must still overflow and widen.
 """
 
 import random
@@ -221,6 +226,113 @@ def test_qq_reducers_hold_primitive_integer_polynomials(monkeypatch):
             if not field.characteristic:
                 assert all(type(c) is Fraction for _, c in p.terms)
     assert answered >= 30 and leads[True] > 0 and leads[False] > 0, (answered, leads)
+
+
+ONE_TERM_FIELDS = (QQ, PrimeField(2), PrimeField(32003))
+ONE_TERM_CASES = ("irreducible", "monomial reducer", "reducer with a tail", "lex overflow")
+
+
+def _one_term_case(rng, field, case):
+    """(term, reducers, layout) of one ``one_term_differential`` case: a
+    one-term polynomial whose coefficient, over QQ, has a denominator of
+    2-9, and reducers of which, for the divisible cases, the first that
+    divides the term has the named shape."""
+    ring = numbered_ring(rng.randint(2, 4))
+    kind = "lex" if case == "lex overflow" else rng.choice(("lex", "grevlex"))
+    order = getattr(MonomialOrder, kind)(ring, rng.sample(range(ring.n), ring.n))
+    coeff = rng.choice((-1, 1)) * rng.randint(1, 9)
+    if not field.characteristic:
+        coeff = Fraction(coeff, rng.randint(2, 9))
+    if case == "lex overflow":
+        # x_top - x_last^a: each step trades one x_top for x_last^a, which
+        # soon passes a cap sized for the inputs alone
+        top, last = order.permutation[0], order.permutation[-1]
+        a = rng.randint(3, 9)
+        exps = [0] * ring.n
+        exps[top], exps[last] = rng.randint(2, 4), rng.randint(0, a)
+        reducer = {tuple(a * (i == last) for i in range(ring.n)): -1,
+                   tuple(int(i == top) for i in range(ring.n)): 1}
+        reducers = [Polynomial(ring, field, order, reducer)]
+    else:
+        reducers = [random_sparse_poly(rng, ring, field, order, 3, rng.randint(1, 3), 1)
+                    for _ in range(rng.randint(1, 3))]
+        reducers = [g for g in reducers if not g.is_zero]
+        if rng.random() < 0.5:
+            reducers = [g.scale(rng.choice((2, 3, Fraction(3, 7)))) for g in reducers]
+            reducers = [g for g in reducers if not g.is_zero]
+        exps = [rng.randint(0, 3) for _ in range(ring.n)]
+        if case != "irreducible":
+            tails = [g for g in reducers if (len(g.terms) > 1) == (case == "reducer with a tail")]
+            if not tails:
+                return None
+            lead = rng.choice(tails).leading_monomial()
+            exps = [e + rng.randint(0, 1) for e in lead]
+    f = Polynomial(ring, field, order, {tuple(exps): coeff})
+    if f.is_zero or not reducers:
+        return None
+    bound = max(g.total_degree() for g in reducers + [f])
+    return f, reducers, groebner._layout(order, bound)
+
+
+def _first_divisor(f, reducers):
+    lead = f.leading_monomial()
+    return next((g for g in reducers if all(map(le, g.leading_monomial(), lead))), None)
+
+
+def one_term_differential(seed, count):
+    """``_reduce_full`` on ``count`` seeded one-term packed inputs against
+    ``helpers.reduce_by_tuples``, over QQ, GF(2) and GF(32003) by turns,
+    and fail on any difference.
+
+    The cases come by turns from ``ONE_TERM_CASES``: an irreducible term,
+    one whose first divisor is a monomial, one whose first divisor has a
+    tail, and a lex term whose reduction must raise ``_FieldOverflow`` on
+    the layout sized for the inputs and, rerun by ``_widening``, match the
+    oracle on a wider one.  A case whose first divisor is not the one named
+    counts under the shape it has.  Returns a ``Counter`` of (field,
+    shape) reached.
+    """
+    rng = random.Random(seed)
+    seen = Counter()
+    index = 0
+    while index < count:
+        field = ONE_TERM_FIELDS[index % 3]
+        case = ONE_TERM_CASES[index // 3 % 4]
+        made = _one_term_case(rng, field, case)
+        if made is None:
+            continue
+        index += 1
+        f, polys, layout = made
+        want = reduce_by_tuples(f, polys)
+
+        def run(layout):
+            return groebner._reduce_full(
+                groebner._pack(f, layout),
+                groebner._Reducers(layout, [groebner._pack(g, layout) for g in polys]))
+
+        if case == "lex overflow":
+            with pytest.raises(groebner._FieldOverflow):
+                run(layout)
+            shape = case
+        else:
+            divisor = _first_divisor(f, polys)
+            shape = ("irreducible" if divisor is None else
+                     "monomial reducer" if len(divisor.terms) == 1 else "reducer with a tail")
+        got = groebner._widening(run, layout)
+        assert got.unpack().terms == want.terms, (seed, index, str(f), [str(g) for g in polys])
+        if field.characteristic:
+            assert all(0 < c < field.characteristic for _, c in got.terms), (seed, index)
+        seen[field.characteristic, shape] += 1
+        seen["denominator"] += got.denominator > 1
+    return seen
+
+
+def test_one_term_normal_forms_match_the_tuple_reducer():
+    seen = one_term_differential(seed=34, count=600)
+    for p in (0, 2, 32003):
+        for shape in ONE_TERM_CASES:
+            assert seen[p, shape] > 0, (p, shape, seen)
+    assert seen["denominator"] > 0, seen
 
 
 def test_lex_overflow_widens_and_matches_the_tuple_reducer():

@@ -24,6 +24,15 @@ that pivots.
 ``rows_out``.  A test rebinds it the same way and pins that products, each
 lattice-point fold, parsing and each Hilbert pivot colon reach it, with a
 sized first argument and a list no longer than that.
+
+``groebner.reduce.calls`` and ``groebner.spoly.calls`` count calls through
+the module attributes ``groebner._reduce_full`` and ``_s_polynomial``, and
+``groebner.certify.*`` those of ``_certify``.  A test rebinds all three and
+pins how often a certified ``buchberger`` calls the first two, in its loop
+and inside ``_certify``, on cyclic-4, katsura-3 and the first three
+dense-cubic systems of ``perfbench/workloads.py`` (copied here as text) in
+both fields and orders: a cheaper call must not become more calls.  When an
+engine change legitimately makes fewer calls, re-pin the counts.
 """
 
 import sys
@@ -206,3 +215,92 @@ def test_every_minimalization_reaches_the_kernel_attribute(monkeypatch):
     callers.clear()
     invariants._numerator(cycle.rows, 6)
     assert callers == ["_numerator"] * 2
+
+
+# the groebner-systems texts of cyclic-4, katsura-3 and dense-cubic:0 to :2
+WORKLOAD_SYSTEMS = [
+    ("cyclic-4", "a,b,c,d", "; ".join(CYCLIC4)),
+    ("katsura-3", "a,b,c,d",
+     "a + 2*b + 2*c + 2*d - 1; a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a; "
+     "2*a*b + 2*b*c + 2*c*d - b; b^2 + 2*a*c + 2*b*d - c"),
+    ("dense-cubic:0", "x1,x2,x3",
+     "4*x1^2 - 4*x1*x3 - 2*x1; - 2*x1^2 + x1 - 3*x3; - x1*x2 - 3*x1*x3 + x1"),
+    ("dense-cubic:1", "x1,x2,x3",
+     "5*x1*x2*x3 + 4*x1*x3 - 4*x2; - 3*x2^2 + 4*x2 + 2*x3; - 5*x1^2 - 5*x2^2 - 2*x3"),
+    ("dense-cubic:2", "x1,x2,x3",
+     "- 4*x1*x2*x3 + 4*x1*x3 - 5*x2^2*x3; - 5*x1*x2 + x2*x3 + 4*x2; "
+     "- 4*x1 - 2*x2^2 + 3*x3"),
+]
+
+
+def _workload_systems():
+    """(label, generators) of ``WORKLOAD_SYSTEMS`` over QQ and GF(32003),
+    in lex and grevlex."""
+    for label, ring_text, text in WORKLOAD_SYSTEMS:
+        ring = parse_ring(ring_text)
+        for field in (QQ, PrimeField(32003)):
+            for kind in ("lex", "grevlex"):
+                order = getattr(MonomialOrder, kind)(ring)
+                yield (label, field.characteristic, kind), [
+                    parse_polynomial(ring, part, field, order) for part in text.split(";")]
+
+
+# calls of _reduce_full and _s_polynomial in one certified buchberger: in
+# the loop and interreduction, then in _certify; these were counted while
+# the certificate still chose its pairs on exponent tuples and one-term
+# inputs still took the reduction loop; fewer calls after an engine change
+# are re-pinned, more are a regression
+WORK_COUNTS = {
+    ("cyclic-4", 0, "lex"): (21, 11, 11, 7),
+    ("cyclic-4", 0, "grevlex"): (19, 8, 15, 11),
+    ("cyclic-4", 32003, "lex"): (21, 11, 11, 7),
+    ("cyclic-4", 32003, "grevlex"): (19, 8, 15, 11),
+    ("katsura-3", 0, "lex"): (39, 31, 4, 0),
+    ("katsura-3", 0, "grevlex"): (19, 8, 13, 9),
+    ("katsura-3", 32003, "lex"): (39, 31, 4, 0),
+    ("katsura-3", 32003, "grevlex"): (19, 8, 13, 9),
+    ("dense-cubic:0", 0, "lex"): (14, 6, 10, 7),
+    ("dense-cubic:0", 0, "grevlex"): (14, 6, 10, 7),
+    ("dense-cubic:0", 32003, "lex"): (14, 6, 10, 7),
+    ("dense-cubic:0", 32003, "grevlex"): (14, 6, 10, 7),
+    ("dense-cubic:1", 0, "lex"): (25, 18, 5, 2),
+    ("dense-cubic:1", 0, "grevlex"): (17, 8, 12, 9),
+    ("dense-cubic:1", 32003, "lex"): (25, 18, 5, 2),
+    ("dense-cubic:1", 32003, "grevlex"): (17, 8, 12, 9),
+    ("dense-cubic:2", 0, "lex"): (16, 9, 5, 2),
+    ("dense-cubic:2", 0, "grevlex"): (18, 9, 12, 9),
+    ("dense-cubic:2", 32003, "lex"): (16, 9, 5, 2),
+    ("dense-cubic:2", 32003, "grevlex"): (18, 9, 12, 9),
+}
+
+
+def test_buchberger_work_counts_through_the_module_attributes(monkeypatch):
+    counts, inside = {}, [False]
+    real_certify = groebner._certify
+
+    def certify(*args):
+        inside[0] = True
+        try:
+            return real_certify(*args)
+        finally:
+            inside[0] = False
+
+    def counted(name):
+        real = getattr(groebner, name)
+
+        def traced(*args, **kwargs):
+            counts[name, inside[0]] = counts.get((name, inside[0]), 0) + 1
+            return real(*args, **kwargs)
+
+        return traced
+
+    monkeypatch.setattr(groebner, "_certify", certify)
+    for name in ("_reduce_full", "_s_polynomial"):
+        monkeypatch.setattr(groebner, name, counted(name))
+    got = {}
+    for label, gens in _workload_systems():
+        counts.clear()
+        buchberger(gens)
+        got[label] = tuple(counts.get((name, inside), 0) for inside in (False, True)
+                           for name in ("_reduce_full", "_s_polynomial"))
+    assert got == WORK_COUNTS, got
