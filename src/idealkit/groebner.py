@@ -25,7 +25,8 @@ top, then cap - x_i with the last variable most significant.  Each field
 has a guard bit, so a shifted term is ``t - lm + m``, the heap key is the
 negated int, divisibility is one subtraction and mask, and the first
 reducer whose lead divides a term is one ``monomials._Blocks`` test.
-Polynomials are packed on the way in and unpacked on the way out;
+A packed polynomial holds only its field, terms and denominator; the ring,
+order and layout of a computation are held once, by its ``_Reducers``.
 ``Polynomial.terms`` stays the public exponent-tuple view.
 
 Field widths are derived, never set: the cap starts at twice the larger of
@@ -473,8 +474,9 @@ def _layout(order, bound):
 class _Packed:
     """A polynomial inside the engine: (key, coefficient) terms, keys descending.
 
-    Keys come from ``layout``, whose integer order is the term order; the
-    engine packs at its boundary with ``_pack`` and hands back ``unpack()``.
+    It holds only field, terms and denominator; the computation's
+    ``_Reducers`` hold its ring, order and the layout its keys are on.  The
+    engine packs with ``_pack`` and hands back ``unpack(reducers)``.
     Coefficients are ints and never zero.  Over GF(p) they stand for their
     residues and ``denominator`` is 1.  Over QQ the polynomial is the terms
     divided by ``denominator``: the engine computes on integer polynomials
@@ -482,25 +484,17 @@ class _Packed:
     are those ``_pack`` reads and ``unpack`` builds.
     """
 
-    __slots__ = ("ring", "field", "order", "layout", "terms", "denominator")
+    __slots__ = ("field", "terms", "denominator")
 
-    def __init__(self, ring, field, order, layout, terms, denominator=1):
-        self.ring, self.field, self.order = ring, field, order
-        self.layout, self.terms, self.denominator = layout, terms, denominator
+    def __init__(self, field, terms, denominator=1):
+        self.field, self.terms, self.denominator = field, terms, denominator
 
     @property
     def is_zero(self):
         return not self.terms
 
     def _with(self, terms, denominator=1):
-        return _Packed(self.ring, self.field, self.order, self.layout, terms, denominator)
-
-    def total_degree(self):
-        layout = self.layout
-        if layout.kind == "grevlex" and self.terms:
-            # a graded order: no term has a larger degree than the lead
-            return layout.degree(self.terms[0][0])
-        return max(map(layout.degree, (k for k, _ in self.terms)), default=-1)
+        return _Packed(self.field, terms, denominator)
 
     def primitive(self):
         """The monic multiple, as the element a basis keeps: over GF(p) the
@@ -521,10 +515,11 @@ class _Packed:
             return self if self.denominator == lc else self._with(self.terms, lc)
         return self._with(tuple([(k, c // content) for k, c in self.terms]), lc // content)
 
-    def unpack(self, shared=None):
-        """The Polynomial; ``shared`` maps keys to exponent tuples that
+    def unpack(self, reducers, shared=None):
+        """The Polynomial in the ring and order of ``reducers``, on whose
+        layout it is packed; ``shared`` maps keys to exponent tuples that
         polynomials unpacked together share."""
-        unpack = self.layout.unpack
+        unpack = reducers.layout.unpack
         if shared is None:
             shared = {}
         terms = tuple(
@@ -534,7 +529,7 @@ class _Packed:
         if not self.field.characteristic:
             den = self.denominator
             terms = tuple([(e, Fraction(c, den)) for e, c in terms])
-        return Polynomial._trusted(self.ring, self.field, self.order, terms)
+        return Polynomial._trusted(reducers.ring, self.field, reducers.order, terms)
 
 
 def _pack(f, layout):
@@ -544,18 +539,19 @@ def _pack(f, layout):
     f so packs to a primitive integer polynomial."""
     pack = layout.pack
     if f.field.characteristic:
-        terms = tuple([(pack(e), c) for e, c in f.terms])
-        return _Packed(f.ring, f.field, f.order, layout, terms)
+        return _Packed(f.field, tuple([(pack(e), c) for e, c in f.terms]))
     den = lcm(*[c.denominator for _, c in f.terms])
     if den == 1:
         terms = tuple([(pack(e), c.numerator) for e, c in f.terms])
     else:
         terms = tuple([(pack(e), c.numerator * (den // c.denominator)) for e, c in f.terms])
-    return _Packed(f.ring, f.field, f.order, layout, terms, den)
+    return _Packed(f.field, terms, den)
 
 
 class _Reducers:
-    """Packed polynomials to reduce by, in list order, kept in ``polys``.
+    """Packed polynomials to reduce by, in list order, kept in ``polys``,
+    with the ring, order and layout of their computation, held once here
+    for every ``_Packed`` that meets them.
 
     Their leading monomials' plain fields are kept in ``leads`` and, for
     the first-divisor search, in the ``_Blocks`` of the layout.
@@ -566,9 +562,10 @@ class _Reducers:
     1) and the tail with negated int coefficients.
     """
 
-    __slots__ = ("layout", "polys", "heads", "leads", "blocks")
+    __slots__ = ("ring", "order", "layout", "polys", "heads", "leads", "blocks")
 
-    def __init__(self, layout, polys=()):
+    def __init__(self, ring, order, layout, polys=()):
+        self.ring, self.order = ring, order
         self.layout, self.blocks = layout, _Blocks(layout)
         self.polys, self.heads, self.leads = [], [], []
         for g in polys:
@@ -587,7 +584,7 @@ class _Reducers:
 
 
 def _reduce_full(f, reducers):
-    """Full normal form of packed f against ``_Reducers``.
+    """Full normal form of f against ``_Reducers``, on their layout.
 
     Deterministic: always reduces the largest remaining term by the first
     listed reducer whose leading monomial divides it.  Terms wait in a heap
@@ -609,7 +606,7 @@ def _reduce_full(f, reducers):
     f's denominator.  Neither forms a new term, so neither can overflow;
     any other one-term f takes the loop.
     """
-    layout = f.layout
+    layout = reducers.layout
     flip, guard, low = layout.flip, layout.guard, layout.low
     heads, first = reducers.heads, reducers.blocks.first
     p = f.field.characteristic
@@ -664,8 +661,8 @@ def _reduce_full(f, reducers):
     return f._with(tuple(remainder), denominator)
 
 
-def _s_polynomial(f, g):
-    """S-polynomial of packed f and g, up to a nonzero constant factor.
+def _s_polynomial(f, g, layout):
+    """S-polynomial of f and g on ``layout``, up to a nonzero constant factor.
 
     With leads a*x^u and b*x^v, h = gcd(a, b) and x^w = lcm(x^u, x^v), it
     is (b/h)*x^(w-u)*f - (a/h)*x^(w-v)*g: an integer polynomial over QQ,
@@ -673,7 +670,6 @@ def _s_polynomial(f, g):
     Callers keep every polynomial they pair within half the layout's cap,
     which holds every exponent of an S-polynomial, so no check here.
     """
-    layout = f.layout
     flip, low = layout.flip, layout.low
     (lmf, a), (lmg, b) = f.terms[0], g.terms[0]
     w = layout.key(layout.lcm((lmf ^ flip) & low, (lmg ^ flip) & low))
@@ -699,9 +695,10 @@ class GroebnerBasis:
     """Reduced Groebner basis; normal forms against it are canonical.
 
     The basis is packed by its first normal form (``normal_form``,
-    ``contains``, the Frobenius check) and the packing kept on the object,
-    so repeated membership tests pack it once; only a polynomial of higher
-    degree than the kept layout holds, or a lex overflow, repacks it wider.
+    ``contains``, the Frobenius check) and kept as ``_packing``, one
+    ``_Reducers`` that a normal form also unpacks by, so repeated membership
+    tests pack it once; only a polynomial of higher degree than the kept
+    layout holds, or a lex overflow, repacks it wider.
     Construction and its certificate keep nothing here, so a basis that
     never reduces anything holds only its Polynomials.
     """
@@ -723,19 +720,19 @@ class GroebnerBasis:
         """The kept layout if its cap reaches ``bound``, else one that holds
         ``bound`` and the basis."""
         packing = self._packing
-        if packing is not None and packing[0].cap >= bound:
-            return packing[0]
+        if packing is not None and packing.layout.cap >= bound:
+            return packing.layout
         degree = max((p.total_degree() for p in self.polys), default=0)
         return _layout(self.order, max(bound, degree))
 
     def _reducers(self, layout):
         """The basis as reducers on ``layout``, kept for the next call."""
         packing = self._packing
-        if packing is None or packing[0] is not layout:
-            reducers = _Reducers(layout, [_pack(p, layout) for p in self.polys])
-            packing = (layout, reducers)
+        if packing is None or packing.layout is not layout:
+            packing = _Reducers(self.ring, self.order, layout,
+                                [_pack(p, layout) for p in self.polys])
             object.__setattr__(self, "_packing", packing)
-        return packing[1]
+        return packing
 
     def _reduce(self, f):
         self._check(f)
@@ -745,7 +742,7 @@ class GroebnerBasis:
         )
 
     def normal_form(self, f):
-        return self._reduce(f).unpack()
+        return self._reduce(f).unpack(self._packing)
 
     def contains(self, f):
         return self._reduce(f).is_zero
@@ -803,7 +800,7 @@ def buchberger(
     # cap; a lex normal form of an input that does not widens the layout
     bound = 2 * max([max_degree] + [g.total_degree() for g in inputs])
     reduced = _widening(
-        lambda layout: _buchberger_on(inputs, layout, max_basis, max_degree),
+        lambda layout: _buchberger_on(inputs, layout, max_basis, max_degree, ring, order),
         _layout(order, bound),
     )
     gb = GroebnerBasis(ring, field, order, tuple(reduced), certified=bool(certify))
@@ -812,14 +809,14 @@ def buchberger(
     return gb
 
 
-def _buchberger_on(inputs, layout, max_basis, max_degree):
-    """The reduced basis of ``inputs`` on ``layout``.  Inputs and
-    S-polynomial remainders ``enter`` as primitive nonzero normal forms
-    (``_Packed.primitive``: monic over GF(p)), so no leading monomial is
-    divisible by an earlier one and ``active`` is the minimal basis; the
-    width rule is checked there, the caps on remainders.
+def _buchberger_on(inputs, layout, max_basis, max_degree, ring, order):
+    """The reduced basis of ``inputs`` on ``layout``, in ``ring`` and
+    ``order``.  Inputs and S-polynomial remainders ``enter`` as primitive
+    nonzero normal forms (``_Packed.primitive``: monic over GF(p)), so no
+    leading monomial is divisible by an earlier one and ``active`` is the
+    minimal basis; the width rule is checked there, the caps on remainders.
     """
-    reducers = _Reducers(layout)
+    reducers = _Reducers(ring, order, layout)
     basis = reducers.polys
     queue = []  # heap of (lcm degree, i, j)
     queued = {}  # live pairs (i, j) -> lcm of their leading monomials
@@ -829,7 +826,9 @@ def _buchberger_on(inputs, layout, max_basis, max_degree):
         f = _reduce_full(f, reducers)
         if f.is_zero:
             return
-        degree = f.total_degree()
+        # a graded order: no term has a larger degree than the lead
+        keys = f.terms[:1] if layout.kind == "grevlex" else f.terms
+        degree = max(layout.degree(k) for k, _ in keys)
         if capped and degree > max_degree:
             raise ResourceCapError(
                 f"basis element of degree {degree} exceeds cap {max_degree}"
@@ -847,7 +846,7 @@ def _buchberger_on(inputs, layout, max_basis, max_degree):
         _, i, j = heappop(queue)
         if queued.pop((i, j), None) is None:
             continue  # dropped by the B-criterion after it was queued
-        enter(_s_polynomial(basis[i], basis[j]), True)
+        enter(_s_polynomial(basis[i], basis[j], layout), True)
     return _interreduce(reducers, active)
 
 
@@ -925,7 +924,7 @@ def _interreduce(reducers, active):
         # reduction only lowers terms, so the head stays in front
         (lm, lc), tail = p.terms[0], _reduce_full(p._with(p.terms[1:]), reducers)
         head = ((lm, lc * tail.denominator),)
-        reduced.append(p._with(head + tail.terms).primitive().unpack(shared))
+        reduced.append(p._with(head + tail.terms).primitive().unpack(reducers, shared))
     return reduced
 
 
@@ -986,10 +985,10 @@ def _certify(gb, gens):
     bound = max([2 * degree] + [g.total_degree() for g in gens])
 
     def run(layout):
-        reducers = _Reducers(layout, [_pack(p, layout) for p in gb.polys])
+        reducers = _Reducers(gb.ring, gb.order, layout, [_pack(p, layout) for p in gb.polys])
         polys = reducers.polys
         for i, j in _certificate_pairs(layout, reducers.leads):
-            s = _s_polynomial(polys[i], polys[j])
+            s = _s_polynomial(polys[i], polys[j], layout)
             if not _reduce_full(s, reducers).is_zero:
                 raise RuntimeError(
                     "internal error: an S-polynomial of the reduced basis "

@@ -646,22 +646,23 @@ def cyclic_system(n):
     return ",".join(names), polys
 
 
-def interreduce_by_increments(basis):
+def interreduce_by_increments(basis, loop):
     """``groebner._interreduce`` as it was before it reduced on the
     Buchberger loop's own reducers: the reduced basis, as Polynomials in
     ascending lead order, of a minimal packed Groebner basis of
-    ``_Packed.primitive`` elements.  A lead that divides a term is at most
+    ``_Packed.primitive`` elements, on the ring, order and layout of the
+    loop's reducers ``loop``.  A lead that divides a term is at most
     that term, so each tail, taken in ascending lead order, is reduced by
     the elements already reduced, which it then joins.  It packs its own
     reducers, one ``add`` per element."""
     if not basis:
         return []
-    reducers = _Reducers(basis[0].layout)
+    reducers = _Reducers(loop.ring, loop.order, loop.layout)
     for p in sorted(basis, key=lambda p: p.terms[0][0]):
         (lm, lc), tail = p.terms[0], _reduce_full(p._with(p.terms[1:]), reducers)
         reducers.add(p._with(((lm, lc * tail.denominator),) + tail.terms).primitive())
     shared = {}
-    return [p.unpack(shared) for p in reducers.polys]
+    return [p.unpack(reducers, shared) for p in reducers.polys]
 
 
 def certify_all_pairs(gb, gens):
@@ -675,10 +676,10 @@ def certify_all_pairs(gb, gens):
     bound = max([2 * degree] + [g.total_degree() for g in gens])
 
     def run(layout):
-        reducers = _Reducers(layout, [_pack(p, layout) for p in gb.polys])
+        reducers = _Reducers(gb.ring, gb.order, layout, [_pack(p, layout) for p in gb.polys])
         polys = reducers.polys
         for i, j in combinations(range(len(polys)), 2):
-            s = _s_polynomial(polys[i], polys[j])
+            s = _s_polynomial(polys[i], polys[j], layout)
             if not _reduce_full(s, reducers).is_zero:
                 raise RuntimeError(
                     "internal error: an S-polynomial of the reduced basis "

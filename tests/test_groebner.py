@@ -538,7 +538,7 @@ def test_certificate_pair_counts(monkeypatch, cyclic6, n, kind, certified, pairs
     calls = []
     s_polynomial = groebner._s_polynomial
     monkeypatch.setattr(
-        groebner, "_s_polynomial", lambda f, g: calls.append(1) or s_polynomial(f, g)
+        groebner, "_s_polynomial", lambda *args: calls.append(1) or s_polynomial(*args)
     )
     groebner._certify(gb, gens)
     assert (len(calls), comb(len(gb), 2)) == (certified, pairs)
@@ -559,7 +559,7 @@ def test_pair_criteria_skip_pairs_without_changing_the_basis(monkeypatch):
     calls = []
     s_polynomial = groebner._s_polynomial
     monkeypatch.setattr(
-        groebner, "_s_polynomial", lambda f, g: calls.append(1) or s_polynomial(f, g)
+        groebner, "_s_polynomial", lambda *args: calls.append(1) or s_polynomial(*args)
     )
     ring = parse_ring("a, b, c, d")
     texts = ["a + b + c + d", "a*b + b*c + c*d + d*a",

@@ -306,9 +306,9 @@ def one_term_differential(seed, count):
         want = reduce_by_tuples(f, polys)
 
         def run(layout):
-            return groebner._reduce_full(
-                groebner._pack(f, layout),
-                groebner._Reducers(layout, [groebner._pack(g, layout) for g in polys]))
+            reducers = groebner._Reducers(
+                f.ring, f.order, layout, [groebner._pack(g, layout) for g in polys])
+            return groebner._reduce_full(groebner._pack(f, layout), reducers), reducers
 
         if case == "lex overflow":
             with pytest.raises(groebner._FieldOverflow):
@@ -318,8 +318,9 @@ def one_term_differential(seed, count):
             divisor = _first_divisor(f, polys)
             shape = ("irreducible" if divisor is None else
                      "monomial reducer" if len(divisor.terms) == 1 else "reducer with a tail")
-        got = groebner._widening(run, layout)
-        assert got.unpack().terms == want.terms, (seed, index, str(f), [str(g) for g in polys])
+        got, reducers = groebner._widening(run, layout)
+        assert got.unpack(reducers).terms == want.terms, (
+            seed, index, str(f), [str(g) for g in polys])
         if field.characteristic:
             assert all(0 < c < field.characteristic for _, c in got.terms), (seed, index)
         seen[field.characteristic, shape] += 1
@@ -346,12 +347,13 @@ def test_lex_overflow_widens_and_matches_the_tuple_reducer():
     with pytest.raises(groebner._FieldOverflow):
         groebner._reduce_full(
             groebner._pack(f, first),
-            groebner._Reducers(first, [groebner._pack(p, first) for p in gb.polys]),
+            groebner._Reducers(gb.ring, gb.order, first,
+                               [groebner._pack(p, first) for p in gb.polys]),
         )
     remainder = gb.normal_form(f)
     assert str(remainder) == "y^400"
     assert remainder.terms == reduce_by_tuples(f, gb.polys).terms
-    assert gb._packing[0].width == 2 * first.width
+    assert gb._packing.layout.width == 2 * first.width
 
 
 def _interreduction_systems():
@@ -407,12 +409,12 @@ def test_interreduction_receives_a_minimal_basis(monkeypatch):
 
     def spy(reducers, active):
         basis = [reducers.polys[i] for i in active]
-        argument_leads.append([p.layout.unpack(p.terms[0][0]) for p in basis])
+        argument_leads.append([reducers.layout.unpack(p.terms[0][0]) for p in basis])
         results.append(interreduce(reducers, active))
         return results[-1]
 
     def reference(reducers, active):
-        return interreduce_by_increments([reducers.polys[i] for i in active])
+        return interreduce_by_increments([reducers.polys[i] for i in active], reducers)
 
     got, widened = _interreduced_bases(monkeypatch, spy)
     want, widened_by_reference = _interreduced_bases(monkeypatch, reference)
@@ -482,15 +484,15 @@ def test_grevlex_normal_form_past_the_kept_cap_repacks():
     gb = buchberger([parse_polynomial(ring, t) for t in ("x^2 - y", "y^2 - 1")])
     small = parse_polynomial(ring, "x^3 + x*y")
     assert gb.normal_form(small).terms == reduce_by_tuples(small, gb.polys).terms
-    kept = gb._packing[0]
+    kept = gb._packing.layout
     big = parse_polynomial(ring, "x^100 + 3*x^41*y^59 - y^7")
     assert big.total_degree() > kept.cap
     assert gb.normal_form(big).terms == reduce_by_tuples(big, gb.polys).terms
-    wide = gb._packing[0]
+    wide = gb._packing.layout
     assert wide is not kept and wide.cap >= 100
     # a later polynomial within the wider cap reuses the kept packing
     assert gb.contains(small * big - small * big)
-    assert gb._packing[0] is wide
+    assert gb._packing.layout is wide
 
 
 def test_certified_basis_is_packed_by_its_first_normal_form():
@@ -502,9 +504,92 @@ def test_certified_basis_is_packed_by_its_first_normal_form():
     gb = buchberger(gens)
     assert gb.certified and gb._packing is None
     assert gb.contains(gens[0] * gens[1])
-    layout, reducers = gb._packing
+    layout, reducers = gb._packing.layout, gb._packing
     assert not gb.contains(parse_polynomial(ring, "x*y + 1"))
-    assert gb._packing[0] is layout and gb._packing[1] is reducers
+    assert gb._packing.layout is layout and gb._packing is reducers
+
+
+# degrees of the calls on each kept basis, falling and rising past its caps
+LIFECYCLE_DEGREES = (5, 1, 20, 3, 0, 40, 12, 2)
+
+
+def _lifecycle_bases():
+    """(rng, basis): 40 seeded reduced bases over QQ and GF(32003), in
+    permuted lex and grevlex, then the lex basis {x - y^40}, on which x^10
+    overflows."""
+    fields = (QQ, PrimeField(32003))
+    for index in range(40):
+        rng = rng_from_seed(f"idealkit:groebner:kept-packing:{index}")
+        field = fields[index % 2]
+        ring = numbered_ring(rng.randint(2, 3))
+        kind = ("lex", "grevlex")[index // 2 % 2]
+        order = getattr(MonomialOrder, kind)(ring, rng.sample(range(ring.n), ring.n))
+        # no constant terms, so no basis is {1}
+        gens = [random_sparse_poly(rng, ring, field, order, rng.randint(1, 3), 3, least=1)
+                for _ in range(rng.randint(1, 3))]
+        yield rng, buchberger(gens)
+    ring = parse_ring("x, y")
+    lex = MonomialOrder.lex(ring)
+    yield random.Random(35), buchberger([parse_polynomial(ring, "x - y^40", order=lex)])
+
+
+def test_kept_packing_is_rebuilt_only_past_its_cap_or_on_a_lex_overflow(monkeypatch):
+    # a sequence of normal forms and membership tests on one basis packs it
+    # once, then again only when a polynomial's degree passes the kept cap
+    # or a lex reduction overflows the kept fields; every answer matches the
+    # tuple reducer and unpacks into the basis's ring, field and order
+    built, overflows = [], []
+    make_reducers, reduce_full = groebner._Reducers, groebner._reduce_full
+
+    def counted(*args):
+        built.append(args[2])
+        return make_reducers(*args)
+
+    def spy_reduce(f, reducers):
+        try:
+            return reduce_full(f, reducers)
+        except groebner._FieldOverflow:
+            overflows.append(f)
+            raise
+
+    monkeypatch.setattr(groebner, "_Reducers", counted)
+    monkeypatch.setattr(groebner, "_reduce_full", spy_reduce)
+    seen = Counter()
+    for rng, gb in _lifecycle_bases():
+        ring, field, order = gb.ring, gb.field, gb.order
+        calls = []
+        for degree in LIFECYCLE_DEGREES:
+            f = random_sparse_poly(rng, ring, field, order, degree, 3, least=degree)
+            cofactor = random_sparse_poly(rng, ring, field, order, degree, 2)
+            calls += [("normal_form", f), ("contains", cofactor * rng.choice(gb.polys))]
+        if ring.variables == ("x", "y"):
+            # x^10 reduces to y^400, which overflows the kept lex fields
+            calls.insert(3, ("normal_form", parse_polynomial(ring, "x^10", order=order)))
+        for name, f in calls:
+            kept = gb._packing
+            passes = kept is None or f.total_degree() > kept.layout.cap
+            built.clear()
+            overflows.clear()
+            got = getattr(gb, name)(f)
+            want = reduce_by_tuples(f, gb.polys)
+            if name == "contains":
+                assert got is True and want.is_zero, (str(gb), str(f))
+            else:
+                assert got.terms == want.terms, (str(gb), str(f))
+                assert (got.ring, got.field, got.order) == (ring, field, order)
+            assert len(built) == passes + len(overflows), (str(gb), str(f), name)
+            if built:
+                assert gb._packing.layout is built[-1]
+            else:
+                assert gb._packing is kept
+            seen[order.kind, "overflow"] += len(overflows)
+            seen[order.kind, "past the cap"] += passes and kept is not None
+            seen[order.kind, "kept"] += not built
+            seen[field.characteristic] += 1
+    assert seen["grevlex", "overflow"] == 0
+    for key in (("lex", "overflow"), ("lex", "past the cap"), ("grevlex", "past the cap"),
+                ("lex", "kept"), ("grevlex", "kept"), 0, 32003):
+        assert seen[key] > 0, (key, seen)
 
 
 def test_least_degree_of_a_multiple_sees_a_unit_cofactor():

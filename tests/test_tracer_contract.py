@@ -4,7 +4,10 @@
 module attribute, books each call under the field of ``args[0]`` and
 counts the results that are zero; the certificate-corruption tests patch
 ``groebner._interreduce`` and edit the Polynomials it returns.  These
-tests wrap both the same way during a ``buchberger`` call.  The tracer's
+tests wrap both the same way during a ``buchberger`` call, and
+``_reduce_full`` also at every other entry point that packs what it
+reduces: ``GroebnerBasis.normal_form`` and ``contains`` (through a lex
+widening and a grevlex repack), ``_certify`` and the Frobenius check.  The tracer's
 ``invariants.lcm_lattice.points`` is ``len`` of what
 ``invariants._lcm_lattice`` returns, one exponent tuple per lattice point,
 which a test pins during a ``graded_betti`` call.  It reads the variables
@@ -26,7 +29,8 @@ lattice-point fold, parsing and each Hilbert pivot colon reach it, with a
 sized first argument and a list no longer than that.
 
 ``groebner.reduce.calls`` and ``groebner.spoly.calls`` count calls through
-the module attributes ``groebner._reduce_full`` and ``_s_polynomial``, and
+the module attributes ``groebner._reduce_full`` and ``_s_polynomial``
+(called as ``(f, g, layout)``), and
 ``groebner.certify.*`` those of ``_certify``.  A test rebinds all three and
 pins how often a certified ``buchberger`` calls the first two, in its loop
 and inside ``_certify``, on cyclic-4, katsura-3 and the first three
@@ -41,12 +45,14 @@ import pytest
 
 from idealkit import (
     Graph,
+    GroebnerBasis,
     MonomialOrder,
     Polynomial,
     PrimeField,
     QQ,
     buchberger,
     edge_ideal,
+    frobenius_containment_check,
     graded_betti,
     groebner,
     hilbert_series,
@@ -82,12 +88,45 @@ def test_reduce_full_shows_the_field_and_zero_results(monkeypatch):
         return result
 
     monkeypatch.setattr(groebner, "_reduce_full", traced)
+
+    def check(field, call):
+        seen.clear()
+        call()
+        assert {p for p, _ in seen} == {field.characteristic}
+        assert {zero for _, zero in seen} == {False, True}
+
+    xy = parse_ring("x, y")
+    lex = MonomialOrder.lex(xy)
     for field in (QQ, PrimeField(32003)):
         for kind in ("lex", "grevlex"):
-            seen.clear()
-            buchberger(_cyclic4(field, kind))
-            assert {p for p, _ in seen} == {field.characteristic}
-            assert {zero for _, zero in seen} == {False, True}
+            check(field, lambda: buchberger(_cyclic4(field, kind)))
+        # x^10 reduces to y^400, past the layout sized for the inputs
+        widened = buchberger([parse_polynomial(xy, "x - y^40", field, lex)])
+        check(field, lambda: (
+            widened.normal_form(parse_polynomial(xy, "x^10", field, lex)),
+            widened.contains(parse_polynomial(xy, "x^10 - y^400", field, lex))))
+        # x^100 repacks the basis past the cap its first normal form kept
+        gens = [parse_polynomial(xy, t, field) for t in ("x^2 - y", "y^2 - 1")]
+        repacked = buchberger(gens)
+        small = parse_polynomial(xy, "x^3 + x*y", field)
+        check(field, lambda: (
+            repacked.normal_form(small),
+            repacked.normal_form(parse_polynomial(xy, "x^100 + 3*x^41*y^59 - y^7", field)),
+            repacked.contains(small * gens[0])))
+        # the certificate of a basis, then of the basis less one element
+        cyclic = _cyclic4(field, "grevlex")
+        gb = buchberger(cyclic, certify=False)
+        dropped = GroebnerBasis(gb.ring, gb.field, gb.order, gb.polys[:-1], False)
+
+        def certify():
+            groebner._certify(gb, cyclic)
+            with pytest.raises(RuntimeError):
+                groebner._certify(dropped, cyclic)
+
+        check(field, certify)
+    gf5 = PrimeField(5)
+    gens = [parse_polynomial(xy, t, gf5) for t in ("x + y^2", "x*y")]
+    check(gf5, lambda: frobenius_containment_check(gens, 2, 5, 1))
 
 
 def test_interreduce_returns_polynomials(monkeypatch):
